@@ -57,6 +57,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _count(text: str) -> int:
+    """argparse type for counts: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _digest(raw: bytes) -> str:
     return "sha256:" + hashlib.sha256(raw).hexdigest()
 
@@ -256,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run the certificate suites")
     p.add_argument("file")
     _add_build_flags(p)
-    p.add_argument("--loops", type=int, default=100, help="random loops per suite")
+    p.add_argument("--loops", type=_count, default=100, help="random loops per suite")
     p.add_argument("--seed", type=int, default=0, help="seed for the loop suites")
     p.add_argument("--complex-in", help="check this complex JSON instead of building")
     p.add_argument("--timings", action="store_true", help="include wall-clock timings")
@@ -279,7 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     _add_build_flags(p)
     p.add_argument("--generators", required=True, help="generators JSON file")
-    p.add_argument("--word-length", type=int, default=4, help="stabilizer word bound")
+    p.add_argument(
+        "--word-length", type=_count, default=4, help="stabilizer word bound"
+    )
     p.set_defaults(func=cmd_act)
 
     return parser

@@ -2,10 +2,11 @@
 
 The vertices are the admissible sections reachable from a base
 principal section by single-wall flips; edges join sections differing
-on exactly one wall.  A k-corner is a vertex together with k pairwise
-crossing walls all flipping admissibly there; each corner spans a
-unique k-cube whose 2^k vertices are obtained by flipping subsets of
-the corner's walls.  Cubes are keyed canonically by (index of the
+on exactly one wall.  Internally a vertex is its section's int code, so
+a flip is an XOR and the vertex index is a dict from codes.  A k-corner
+is a vertex together with k pairwise crossing walls all flipping
+admissibly there; each corner spans a unique k-cube whose 2^k vertices
+are obtained by flipping subsets of the corner's walls.  Cubes are keyed canonically by (index of the
 vertex choosing every listed side of the cube's walls, sorted wall
 set), so the same cube found from different corners registers once.
 
@@ -111,18 +112,25 @@ class CubeComplex:
         self.vertices: tuple[Section, ...] = tuple(vertices)
         self.edges: tuple[tuple[int, int, int], ...] = tuple(edges)
         self.adjacency: tuple[dict[int, int], ...] = tuple(dict(a) for a in adjacency)
-        self._index = {s: i for i, s in enumerate(self.vertices)}
+        self._codes: tuple[int, ...] = tuple(s.code for s in self.vertices)
+        self._index = {c: i for i, c in enumerate(self._codes)}
         self.cubes: dict[int, dict[tuple[int, tuple[int, ...]], None]] = {}
         self.cubes_attached = False
 
     # -- lookups ----------------------------------------------------------
 
     def find(self, section: Section) -> int | None:
-        return self._index.get(section)
+        if len(section) != self.space.wall_count:
+            return None
+        return self._index.get(section.code)
+
+    def _encode(self, code: int) -> str:
+        """Text encoding of a section code of this complex."""
+        return Section.from_code(code, self.space.wall_count).encode()
 
     def index_of(self, v: "Section | int") -> int:
         if isinstance(v, Section):
-            i = self._index.get(v)
+            i = self.find(v)
             if i is None:
                 raise NotInComponent(f"section {v.encode()} is not a vertex")
             return i
@@ -216,9 +224,10 @@ def build_component(
     ComplexityBudgetExceeded when the component outgrows the cap.
     """
     cap = resolve_max_vertices(max_vertices)
+    m = space.wall_count
     sigma = principal_section(space, base_point)
     vertices = [sigma]
-    index = {sigma: 0}
+    index = {sigma.code: 0}
     adjacency: list[dict[int, int]] = [{}]
     edges: set[tuple[int, int, int]] = set()
     queue = deque([0])
@@ -226,7 +235,7 @@ def build_component(
         ui = queue.popleft()
         s = vertices[ui]
         for w in admissible_flips(space, s):
-            t = s.toggle(w)
+            t = s.code ^ 1 << w
             vi = index.get(t)
             if vi is None:
                 if len(vertices) >= cap:
@@ -234,7 +243,7 @@ def build_component(
                         f"component exceeds the vertex cap {cap}"
                     )
                 vi = len(vertices)
-                vertices.append(t)
+                vertices.append(Section.from_code(t, m))
                 index[t] = vi
                 adjacency.append({})
                 queue.append(vi)
@@ -283,17 +292,18 @@ def _k_cliques(cands: Sequence[int], cross: Sequence[int], k: int) -> Iterable[t
 def _verify_cube(X: CubeComplex, base_index: int, walls: tuple[int, ...]) -> None:
     """Assert that all 2^k vertices and the 1-skeleton of the cube spanned
     at the base vertex are present in the complex."""
-    base = X.vertices[base_index]
+    # codes[m] flips the walls selected by the bits of m
+    codes = [X._codes[base_index]]
+    for w in walls:
+        codes += [c ^ 1 << w for c in codes]
     k = len(walls)
     ids = []
-    for m in range(1 << k):
-        chosen = [walls[j] for j in range(k) if m >> j & 1]
-        t = base.toggle(*chosen) if chosen else base
-        ti = X.find(t)
+    for t in codes:
+        ti = X._index.get(t)
         if ti is None:
             raise AdmissibilityAssertionFailed(
                 f"cube at vertex {base_index} over walls {list(walls)}: "
-                f"vertex {t.encode()} is not in the component"
+                f"vertex {X._encode(t)} is not in the component"
             )
         ids.append(ti)
     for m in range(1 << k):
@@ -320,8 +330,8 @@ def attach_cubes(X: CubeComplex) -> CubeComplex:
         return X
     cross = X.space._crossing_masks
     cubes: dict[int, dict[tuple[int, tuple[int, ...]], None]] = {}
-    for vi, s in enumerate(X.vertices):
-        zero_walls = [w for w in sorted(X.adjacency[vi]) if s.bits[w] == 0]
+    for vi, code in enumerate(X._codes):
+        zero_walls = [w for w in sorted(X.adjacency[vi]) if not code >> w & 1]
         for clique in _cliques(zero_walls, cross, 2):
             _verify_cube(X, vi, clique)
             cubes.setdefault(len(clique), {})[(vi, clique)] = None
@@ -381,10 +391,10 @@ def _cube_key(
 ) -> tuple[int, tuple[int, ...]] | None:
     """Canonical key of the cube through the vertex spanned by the walls,
     or None when the canonical vertex is missing."""
-    s = X.vertices[vi]
-    ones = [w for w in walls if s.bits[w] == 1]
-    base = s.toggle(*ones) if ones else s
-    bi = X.find(base)
+    span = 0
+    for w in walls:
+        span |= 1 << w
+    bi = X._index.get(X._codes[vi] & ~span)
     if bi is None:
         return None
     return (bi, tuple(sorted(walls)))
@@ -468,13 +478,14 @@ def complex_from_dict(space: WallSpace, data: object) -> CubeComplex:
     if not isinstance(raw_vertices, list) or not raw_vertices:
         raise InputError("'vertices' must be a nonempty list of encodings")
     vertices = [Section.decode(t, space.wall_count) for t in raw_vertices]
-    index: dict[Section, int] = {}
-    for i, s in enumerate(vertices):
-        if s in index:
-            raise InputError(f"duplicate vertex encoding {s.encode()}")
-        index[s] = i
+    codes = [s.code for s in vertices]
+    index: dict[int, int] = {}
+    for i, c in enumerate(codes):
+        if c in index:
+            raise InputError(f"duplicate vertex encoding {vertices[i].encode()}")
+        index[c] = i
     base = Section.decode(data["base"], space.wall_count)
-    if base not in index:
+    if base.code not in index:
         raise InputError("base encoding is not among the vertices")
     adjacency: list[dict[int, int]] = [{} for _ in vertices]
     edges = []
@@ -487,12 +498,7 @@ def complex_from_dict(space: WallSpace, data: object) -> CubeComplex:
                 raise InputError(f"edge {e!r}: vertex index out of range")
         if not isinstance(w, int) or not 0 <= w < space.wall_count:
             raise InputError(f"edge {e!r}: wall out of range")
-        diff = [
-            i
-            for i in range(space.wall_count)
-            if vertices[u].bits[i] != vertices[v].bits[i]
-        ]
-        if diff != [w]:
+        if codes[u] ^ codes[v] != 1 << w:
             raise InputError(f"edge {e!r}: endpoints do not differ exactly on wall {w}")
         adjacency[u][w] = v
         adjacency[v][w] = u

@@ -154,10 +154,12 @@ class TriangleLattice:
 
     def vertex_label(self, s: Section) -> tuple[int, int, int]:
         label = [0, 0, 0]
+        code = s.code
         for w, (family, t) in enumerate(self.wall_lines):
-            if t >= 1 and s.bits[w] == 0:
+            side = code >> w & 1
+            if t >= 1 and not side:
                 label[family] += 1
-            elif t <= 0 and s.bits[w] == 1:
+            elif t <= 0 and side:
                 label[family] -= 1
         return tuple(label)
 

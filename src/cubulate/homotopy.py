@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cubing import CubeComplex, NotInComponent
+from .cubing import CubeComplex, NotInComponent, _cube_key
 from .errors import CertificateError, InputError
 from .sections import Section
 
@@ -196,16 +196,13 @@ def contract_loop(loop: EdgeLoop) -> ContractionCertificate:
                     f"walls {wa} and {wb} at vertex {sigma} do not cross"
                 )
             walls = (min(wa, wb), max(wa, wb))
-            tau_section = X.vertices[sigma].toggle(*walls)
-            tau = X.find(tau_section)
+            opposite = X._codes[sigma] ^ 1 << wa ^ 1 << wb
+            tau = X._index.get(opposite)
             if tau is None:
                 raise ContractionStuck(
-                    f"opposite corner {tau_section.encode()} is not a vertex"
+                    f"opposite corner {X._encode(opposite)} is not a vertex"
                 )
-            s = X.vertices[sigma]
-            ones = [w for w in walls if s.bits[w] == 1]
-            key_base = X.find(s.toggle(*ones) if ones else s)
-            if key_base is None or (key_base, walls) not in X.cubes.get(2, {}):
+            if _cube_key(X, sigma, walls) not in X.cubes.get(2, {}):
                 raise ContractionStuck(
                     f"square over walls {list(walls)} at vertex {sigma} is not registered"
                 )
@@ -252,11 +249,14 @@ def replay_certificate(
             if len(mv.walls) != 2:
                 raise CertificateError(f"move {n}: square needs two walls")
             w1, w2 = mv.walls
-            target = X.vertices[seq[i]].toggle(w1, w2)
-            ti = X.find(target)
+            m = X.space.wall_count
+            if not all(isinstance(w, int) and 0 <= w < m for w in mv.walls):
+                raise CertificateError(f"move {n}: square walls {list(mv.walls)} out of range")
+            target = X._codes[seq[i]] ^ 1 << w1 ^ 1 << w2
+            ti = X._index.get(target)
             if ti is None:
                 raise CertificateError(
-                    f"move {n}: opposite corner {target.encode()} is not a vertex"
+                    f"move {n}: opposite corner {X._encode(target)} is not a vertex"
                 )
             if (
                 ti not in X.adjacency[seq[i - 1]].values()

@@ -1,10 +1,19 @@
 """Sections of the wall-to-half-space projection.
 
-A section chooses one side of every wall.  It is admissible when no two
-chosen sides are disjoint; admissible sections are the vertices of the
-cube complex.  Sections are immutable bit vectors indexed by wall: bit
-0 selects the wall's listed side, bit 1 its complement, so the text
-encoding of a section is simply its bit string.
+A section chooses one side of every wall.  A Section is one Python int
+plus the wall count: bit w is 0 when the section chooses wall w's
+listed side and 1 for its complement, so flipping a wall is an XOR,
+the Hamming distance of two sections is ``(s ^ t).bit_count()`` and
+the principal section of a point is that point's signature in the
+wall space.  The text encoding lists the bits in wall order.
+
+A section is admissible when no two chosen sides are disjoint;
+admissible sections are the vertices of the cube complex.  Flips are
+decided by Roller's criterion (Roller, *Poc sets, median algebras and
+group actions*, 1998; Sageev 1995): flipping wall w keeps a section
+admissible exactly when no other chosen side is contained in w's
+chosen side.  The wall space precomputes, per half-space, the masks of
+walls with a side inside it, so a flip test is one AND and one compare.
 """
 
 from __future__ import annotations
@@ -33,34 +42,67 @@ class InadmissibleFlip(CubulateError):
     """Flipping the requested wall would break admissibility."""
 
 
-@dataclass(frozen=True)
 class Section:
-    """One chosen side per wall; bit i is 0 for wall i's listed side."""
+    """One chosen side per wall; bit i is 0 for wall i's listed side.
 
-    bits: tuple[int, ...]
+    ``code`` is the int whose bit i is the side chosen on wall i.
+    Instances are immutable and hash by (code, wall count).
+    """
 
-    def __post_init__(self):
-        if not isinstance(self.bits, tuple):
-            object.__setattr__(self, "bits", tuple(self.bits))
-        if any(b not in (0, 1) for b in self.bits):
+    __slots__ = ("code", "_width")
+
+    def __init__(self, bits: Iterable[int]):
+        bits = tuple(bits)
+        if any(b not in (0, 1) for b in bits):
             raise InputError("section bits must be 0 or 1")
+        code = 0
+        for i, b in enumerate(bits):
+            if b:
+                code |= 1 << i
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "_width", len(bits))
+
+    @classmethod
+    def from_code(cls, code: int, wall_count: int) -> "Section":
+        """The section over wall_count walls whose bit i is code's bit i."""
+        if code < 0 or code >> wall_count:
+            raise InputError(f"section code {code} does not fit {wall_count} walls")
+        s = cls.__new__(cls)
+        object.__setattr__(s, "code", code)
+        object.__setattr__(s, "_width", wall_count)
+        return s
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Section is immutable")
+
+    __delattr__ = __setattr__
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        return tuple(self.code >> i & 1 for i in range(self._width))
 
     def __len__(self) -> int:
-        return len(self.bits)
+        return self._width
+
+    def _wall(self, wall: int) -> int:
+        """A wall index, negative ones counted from the end as for a tuple."""
+        if not -self._width <= wall < self._width:
+            raise IndexError("section wall index out of range")
+        return wall % self._width
 
     def side(self, wall: int) -> int:
-        return self.bits[wall]
+        return self.code >> self._wall(wall) & 1
 
     def toggle(self, *walls: int) -> "Section":
         """Flip the given sides unconditionally; admissibility is NOT
         checked here (see flip for the checked operation)."""
-        b = list(self.bits)
+        code = self.code
         for w in walls:
-            b[w] ^= 1
-        return Section(tuple(b))
+            code ^= 1 << self._wall(w)
+        return Section.from_code(code, self._width)
 
     def encode(self) -> str:
-        return "".join("01"[b] for b in self.bits)
+        return format(self.code, f"0{self._width}b")[::-1] if self._width else ""
 
     @classmethod
     def decode(cls, text: str, wall_count: int | None = None) -> "Section":
@@ -70,54 +112,56 @@ class Section:
             raise InputError(
                 f"section encoding has length {len(text)}, expected {wall_count}"
             )
-        return cls(tuple(int(c) for c in text))
+        return cls.from_code(int(text[::-1] or "0", 2), len(text))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.code == other.code and self._width == other._width
+
+    def __hash__(self) -> int:
+        return hash((self.code, self._width))
 
     def __repr__(self) -> str:
         return f"Section({self.encode()!r})"
 
 
 def _check_section(space: WallSpace, s: Section) -> None:
-    if len(s.bits) != space.wall_count:
+    if len(s) != space.wall_count:
         raise InputError(
-            f"section has {len(s.bits)} walls, space has {space.wall_count}"
+            f"section has {len(s)} walls, space has {space.wall_count}"
         )
 
 
-def _chosen_id_mask(s: Section) -> int:
-    """Bitmask over half-space ids selected by the section."""
-    m = 0
-    for i, b in enumerate(s.bits):
-        m |= 1 << (2 * i + b)
-    return m
-
-
 def principal_section(space: WallSpace, p: int) -> Section:
-    """The section choosing, on every wall, the side containing p."""
+    """The section choosing, on every wall, the side containing p: the
+    point's signature."""
     space._check_point(p)
-    return Section(
-        tuple(space.side_of(w, p) for w in range(space.wall_count))
-    )
+    return Section.from_code(space._signatures[p], space.wall_count)
 
 
 def is_admissible(space: WallSpace, s: Section) -> bool:
-    """True when no two chosen sides are disjoint."""
+    """True when no two chosen sides are disjoint: no other chosen side
+    lies in the unchosen side of any wall."""
     _check_section(space, s)
-    table = space._disjoint_table
-    chosen = _chosen_id_mask(s)
-    for i, b in enumerate(s.bits):
-        others = chosen & ~(0b11 << (2 * i))
-        if table[2 * i + b] & others:
+    code = s.code
+    # the encoding spells the bits in wall order; iterating it beats
+    # shifting the m-bit code once per wall
+    for sides, bit in zip(space._flip_masks, s.encode()):
+        inside_listed, inside_any = sides[bit == "0"]
+        if code & inside_any != inside_listed:
             return False
     return True
 
 
 def can_flip(space: WallSpace, s: Section, wall: int) -> bool:
-    """Whether flipping the wall keeps an admissible section admissible."""
+    """Whether flipping the wall keeps an admissible section admissible
+    (Roller: no other chosen side lies in the wall's chosen side)."""
     _check_section(space, s)
     space._check_wall(wall)
-    new_id = 2 * wall + (s.bits[wall] ^ 1)
-    others = _chosen_id_mask(s) & ~(0b11 << (2 * wall))
-    return not space._disjoint_table[new_id] & others
+    code = s.code
+    inside_listed, inside_any = space._flip_masks[wall][code >> wall & 1]
+    return code & inside_any == inside_listed
 
 
 def flip(space: WallSpace, s: Section, wall: int) -> Section:
@@ -132,12 +176,11 @@ def flip(space: WallSpace, s: Section, wall: int) -> Section:
 def admissible_flips(space: WallSpace, s: Section) -> list[int]:
     """All walls that flip admissibly, in ascending id order."""
     _check_section(space, s)
-    table = space._disjoint_table
-    chosen = _chosen_id_mask(s)
+    code = s.code
     out = []
-    for w, b in enumerate(s.bits):
-        others = chosen & ~(0b11 << (2 * w))
-        if not table[2 * w + (b ^ 1)] & others:
+    for w, (sides, bit) in enumerate(zip(space._flip_masks, s.encode())):
+        inside_listed, inside_any = sides[bit == "1"]
+        if code & inside_any == inside_listed:
             out.append(w)
     return out
 
@@ -186,9 +229,8 @@ def wall_equivalence_classes(space: WallSpace) -> tuple[WallEquivalenceClass, ..
     representative.  Principal sections are constant on each class and
     distinct across classes.
     """
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for p in range(space.point_count):
-        sig = tuple(space.side_of(w, p) for w in range(space.wall_count))
+    groups: dict[int, list[int]] = {}
+    for p, sig in enumerate(space._signatures):
         groups.setdefault(sig, []).append(p)
     classes = sorted(groups.values(), key=lambda g: g[0])
     return tuple(

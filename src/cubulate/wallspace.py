@@ -6,18 +6,31 @@ is the unordered pair {h, h^c}.  Wall i owns half-space ids 2*i (the
 listed side, exactly as given in the input) and 2*i + 1 (its
 complement), so complementation is the involution ``id ^ 1``.
 
-Half-spaces are stored as bitmasks over the point set.  Instances are
-immutable after construction; every operation is a pure read and safe
-to share between threads.
+Half-spaces are stored as bitmasks over the point set.  Every other
+table is derived lazily, on first use, from one int per point: the
+signature of p has bit w set when p lies on wall w's complement, which
+is exactly p's principal section (see the sections module).  The wall
+distance of p and q is then ``(sig[p] ^ sig[q]).bit_count()``.  From
+the signatures each half-space gets two m-bit masks, the walls whose
+listed side and the walls whose complement it meets; the crossing
+graph and Roller's flip masks both read off those two masks, so no
+table costs m^2 half-space comparisons.
+
+Instances are immutable after construction; every operation is a pure
+read and safe to share between threads.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
 
+MAX_POINTS = 1 << 20  # point sets are bitmasks and signatures are per point
+
 __all__ = [
+    "MAX_POINTS",
     "WallSpace",
     "validate",
     "EmptyHalfSpace",
@@ -73,6 +86,10 @@ class WallSpace:
             raise InputError("point count must be an integer")
         if point_count < 1:
             raise InputError("point count must be positive")
+        if point_count > MAX_POINTS:
+            raise InputError(
+                f"point count {point_count} exceeds the supported maximum {MAX_POINTS}"
+            )
         full = (1 << point_count) - 1
         masks: list[int] = []
         seen: dict[int, int] = {}
@@ -105,8 +122,10 @@ class WallSpace:
         self._full = full
         self._masks = tuple(masks)
         self._iw: int | None = None
-        self._disjoint: tuple[int, ...] | None = None
+        self._sigs: tuple[int, ...] | None = None
+        self._meets: tuple[tuple[int, int], ...] | None = None
         self._crossing: tuple[int, ...] | None = None
+        self._flip: tuple[tuple[tuple[int, int], tuple[int, int]], ...] | None = None
 
     # -- basic accessors ------------------------------------------------
 
@@ -150,11 +169,25 @@ class WallSpace:
 
     # -- separation and the wall pseudo-metric --------------------------
 
+    @property
+    def _signatures(self) -> tuple[int, ...]:
+        """Per point, the m-bit int with bit w set when the point lies on
+        wall w's complement.  Built by transposing the complements' bit
+        strings: O(n*m) character work, done once."""
+        if self._sigs is None:
+            n = self._n
+            rows = [format(self._masks[2 * w + 1], f"0{n}b") for w in reversed(self.walls())]
+            # column i of the rows is point n-1-i, its walls high to low
+            sigs = [int("".join(col), 2) for col in zip(*rows)]
+            sigs.reverse()
+            self._sigs = tuple(sigs)
+        return self._sigs
+
     def side_of(self, wall: int, point: int) -> int:
         """0 when the point lies on the listed side, 1 on the complement."""
         self._check_wall(wall)
         self._check_point(point)
-        return 0 if self._masks[2 * wall] >> point & 1 else 1
+        return self._signatures[point] >> wall & 1
 
     def separates(self, wall: int, p: int, q: int) -> bool:
         return self.side_of(wall, p) != self.side_of(wall, q)
@@ -162,16 +195,15 @@ class WallSpace:
     def separating_walls(self, p: int, q: int) -> list[int]:
         self._check_point(p)
         self._check_point(q)
-        out = []
-        for w in range(self.wall_count):
-            m = self._masks[2 * w]
-            if (m >> p & 1) != (m >> q & 1):
-                out.append(w)
-        return out
+        sigs = self._signatures
+        return list(_bit_indices(sigs[p] ^ sigs[q]))
 
     def wall_distance(self, p: int, q: int) -> int:
         """Number of walls separating p from q (a pseudo-metric)."""
-        return len(self.separating_walls(p, q))
+        self._check_point(p)
+        self._check_point(q)
+        sigs = self._signatures
+        return (sigs[p] ^ sigs[q]).bit_count()
 
     # -- crossing -------------------------------------------------------
 
@@ -186,17 +218,46 @@ class WallSpace:
         return bool(h & k and h & kc and hc & k and hc & kc)
 
     @property
+    def _meets_masks(self) -> tuple[tuple[int, int], ...]:
+        """Per half-space id, the pair (walls whose listed side it meets,
+        walls whose complement it meets), as m-bit masks.
+
+        A side of wall w holds the points whose signature has bit w equal
+        to the side's id bit.  It meets wall v's complement when one of
+        those signatures has bit v set (an OR), and v's listed side when
+        not all of them do (an AND): m passes over the distinct
+        signatures, O(n*m) bit work.
+        """
+        if self._meets is None:
+            full = (1 << self.wall_count) - 1
+            distinct = set(self._signatures)
+            meets = []
+            for w in self.walls():
+                bit = 1 << w
+                any0 = any1 = 0
+                all0 = all1 = full
+                for sig in distinct:
+                    if sig & bit:
+                        any1 |= sig
+                        all1 &= sig
+                    else:
+                        any0 |= sig
+                        all0 &= sig
+                meets += ((full ^ all0, any0), (full ^ all1, any1))
+            self._meets = tuple(meets)
+        return self._meets
+
+    @property
     def _crossing_masks(self) -> tuple[int, ...]:
-        """Per wall, the bitmask of walls crossing it."""
+        """Per wall, the bitmask of walls crossing it: both of its sides
+        meet both sides of the other wall.  A wall never crosses itself,
+        since its complement misses its listed side."""
         if self._crossing is None:
-            m = self.wall_count
-            adj = [0] * m
-            for i in range(m):
-                for j in range(i + 1, m):
-                    if self.crosses(i, j):
-                        adj[i] |= 1 << j
-                        adj[j] |= 1 << i
-            self._crossing = tuple(adj)
+            meets = self._meets_masks
+            self._crossing = tuple(
+                meets[a][0] & meets[a][1] & meets[a + 1][0] & meets[a + 1][1]
+                for a in range(0, len(meets), 2)
+            )
         return self._crossing
 
     def intersection_number(self) -> int:
@@ -225,21 +286,29 @@ class WallSpace:
     # -- admissibility support ------------------------------------------
 
     @property
-    def _disjoint_table(self) -> tuple[int, ...]:
-        """For each half-space id a, the bitmask over ids b with empty
-        intersection.  Drives O(1) admissibility checks per wall."""
-        if self._disjoint is None:
-            total = len(self._masks)
-            table = [0] * total
-            for a in range(total):
-                row = 0
-                ma = self._masks[a]
-                for b in range(total):
-                    if not ma & self._masks[b]:
-                        row |= 1 << b
-                table[a] = row
-            self._disjoint = tuple(table)
-        return self._disjoint
+    def _flip_masks(self) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
+        """Roller's flip test.  Per wall w, for its listed side and then its
+        complement a, the pair (inside_listed, inside_any) of masks over
+        the other walls: the walls whose listed side lies in a and the
+        walls with either side in a.
+
+        A section s (bit v set when it chooses wall v's complement) that
+        chooses a on wall w may flip w exactly when no other chosen side
+        lies in a, i.e. ``s & inside_any == inside_listed``.  A side lies
+        in a exactly when it misses a's complement, which the meets masks
+        record; no wall has both sides in a proper half-space.
+        """
+        if self._flip is None:
+            full = (1 << self.wall_count) - 1
+            meets = self._meets_masks
+            sides = []
+            for a in range(len(meets)):
+                others = full ^ 1 << (a >> 1)
+                listed, comp = meets[a ^ 1]
+                inside_listed = others & ~listed
+                sides.append((inside_listed, inside_listed | others & ~comp))
+            self._flip = tuple(zip(sides[::2], sides[1::2]))
+        return self._flip
 
     # -- serialization ---------------------------------------------------
 
@@ -280,15 +349,23 @@ def _max_clique_size(adj: Sequence[int]) -> int:
     n = len(adj)
     if n == 0:
         return 0
-    alive = (1 << n) - 1
+    # repeatedly remove the vertex of least (remaining degree, id); a heap
+    # with stale entries skipped keeps this O((n + edges) log n)
+    degree = [a.bit_count() for a in adj]
+    heap = [(d, u) for u, d in enumerate(degree)]
+    heapq.heapify(heap)
+    removed = [False] * n
     order = []
-    for _ in range(n):
-        v = min(
-            (u for u in range(n) if alive >> u & 1),
-            key=lambda u: ((adj[u] & alive).bit_count(), u),
-        )
+    while heap:
+        d, v = heapq.heappop(heap)
+        if removed[v] or d != degree[v]:
+            continue
+        removed[v] = True
         order.append(v)
-        alive ^= 1 << v
+        for u in _bit_indices(adj[v]):
+            if not removed[u]:
+                degree[u] -= 1
+                heapq.heappush(heap, (degree[u], u))
     # last removed first: densest core gets the small indices
     order.reverse()
     pos = {v: i for i, v in enumerate(order)}

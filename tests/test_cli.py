@@ -217,3 +217,39 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"points": 3, "walls": [[1, 2], [2]]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", SPACE3, "--loops", "-5"],
+        ["check", SPACE3, "--loops", "-1", "--seed", "2"],
+        ["act", SPACE3, "--generators", str(FIXTURES / "generators_swaps.json"),
+         "--word-length", "-1"],
+    ],
+)
+def test_negative_counts_rejected_before_work(capsys, monkeypatch, argv):
+    import cubulate.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the complex was built for a bad argument")
+
+    monkeypatch.setattr(cli, "build_complex", no_work)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be non-negative" in captured.err
+
+
+def test_zero_counts_accepted(capsys):
+    code, out, _ = run(capsys, "check", SPACE3, "--loops", "0")
+    assert code == 0
+    assert json.loads(out)["checks"]["parity"]["loops"] == 0
+    code, out, _ = run(
+        capsys, "act", SPACE3, "--generators", str(FIXTURES / "generators_swaps.json"),
+        "--word-length", "0",
+    )
+    assert code == 0
+    assert json.loads(out)["orbit"]["stabilizer_words"] == []

@@ -1,0 +1,149 @@
+"""Byte-identity gate for the command line.
+
+The sha256 digests below were recorded from the CLI's stdout (and the
+complex JSON that ``build --out`` writes) before sections became ints.
+Any change to text encoding, JSON layout, BFS order, vertex, edge or
+cube numbering, or a report or witness string shows up here.  When such
+a change is intended, regenerate the table with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and say in the change log why the bytes moved.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from cubulate.cli import main
+from cubulate.families import gen_crossing, gen_nested, gen_tree, triangle_lattice
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _swap_bits(p, i, j):
+    if (p >> i & 1) != (p >> j & 1):
+        p ^= (1 << i) | (1 << j)
+    return p
+
+
+def _gens(**perms):
+    return {"generators": [{"name": n, "perm": p} for n, p in perms.items()]}
+
+
+def _lattice_case():
+    tl = triangle_lattice(2)
+    index = {c: i for i, c in enumerate(tl.cells)}
+    transpose = [index[(c.orient, c.n, c.m)] for c in tl.cells]
+    return tl.space.to_dict(), _gens(t=transpose)
+
+
+def spaces():
+    """name -> (wall-space dict, generators dict)."""
+    load = lambda name: json.loads((FIXTURES / name).read_text())
+    return {
+        "crossing3_space": (load("crossing3_space.json"), load("generators_swaps.json")),
+        "crossing4": (
+            gen_crossing(4).to_dict(),
+            _gens(s01=[_swap_bits(p, 0, 1) for p in range(16)],
+                  s12=[_swap_bits(p, 1, 2) for p in range(16)]),
+        ),
+        "tree2x3": (
+            gen_tree(2, 3).to_dict(),
+            _gens(r=[p ^ 4 for p in range(8)], s=[p ^ 1 for p in range(8)]),
+        ),
+        "nested5": (gen_nested(5).to_dict(), _gens(r=[5 - p for p in range(6)])),
+        "triangle2": _lattice_case(),
+    }
+
+
+def _run(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, buf.getvalue().encode()
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests(name, tmp: Path) -> dict:
+    """Exit code and stdout digest per command for one space."""
+    space, gens = spaces()[name]
+    space_file, gens_file, cx_file = tmp / "space.json", tmp / "gens.json", tmp / "cx.json"
+    space_file.write_text(json.dumps(space))
+    gens_file.write_text(json.dumps(gens))
+    commands = {
+        "build": ["build", str(space_file), "--out", str(cx_file)],
+        "check": ["check", str(space_file), "--seed", "0"],
+        "act": ["act", str(space_file), "--generators", str(gens_file)],
+    }
+    if name == "crossing3_space":
+        commands["reject"] = [
+            "check", str(space_file), "--seed", "0",
+            "--complex-in", str(FIXTURES / "crossing3_missing_cube.json"),
+        ]
+    out = {}
+    for cmd, argv in commands.items():
+        code, stdout = _run(argv)
+        out[cmd] = f"{code}:{_sha(stdout)}"
+        if cmd == "build":
+            out["complex"] = _sha(cx_file.read_bytes())
+    return out
+
+
+GOLDEN = {
+    "crossing3_space": {
+        "build": "0:37252cb93ce904c41385178f03b07816f3e497910412d30c084f6e4aad526ceb",
+        "complex": "f77be2f6137c342cbb643af1461c7ad05fdc1825d1bae88354d8c77289668f68",
+        "check": "0:de50b2b6af51eb785d0109a58025d8453603e76847f6c182d461a34b10b53325",
+        "act": "0:45dbc303084573708bfed93e917b173d33cf287069b2be78f7aecccce73cdb6c",
+        "reject": "3:64c3efe6d957253b6227da188cd1e66b9977c6559cb9097b4e91bac0d46baeb9"
+    },
+    "crossing4": {
+        "build": "0:7d016959dcc4ac5a73989fc08c6d53a29174d3049c3e121b2f6dc768004cad91",
+        "complex": "0426c68125e9b23aad803c8b863c254e67bb76c13b98e65b223eb35e28ff0cf5",
+        "check": "0:9dc0f4cd6c69568590f6af088f2172680e125d8e95f7cfdf2f2117baa0051465",
+        "act": "0:97c0c096216ee587e7e68fdb88f7198422ea5591b01a9f9d48d7d3543bfceec2"
+    },
+    "nested5": {
+        "build": "0:1b603e3e557fc3a6554cfa4a4580514458b70065153076659bee8a9f45acc638",
+        "complex": "73a08a9d0f55b0d6907594f1c7f57ac816b9cea8c9ccd0950b426748455819a0",
+        "check": "0:bcc69875ef87c1f9afd8a0b15db8a13208a838f9a05eb11f9f0d593117662ce5",
+        "act": "0:4b0b9e0af91b9741adb763b5b6b80c63b14fa8cc3c9e94ad08efc555251a42ed"
+    },
+    "tree2x3": {
+        "build": "0:43504a97a8848d96510e79c4080cfb592de3ef6f61b334d33f0e419465a39440",
+        "complex": "db95054434a6c1a66e0dc61dbf2ce3654c25f7c62a453a7b3e62d86f9c2dbb56",
+        "check": "0:4c8121ababf7ec60b8f9a45ae4d80effaeb3961c283b1be2a60bba4f5022c195",
+        "act": "0:885d5cad2d5151b281f93946d2a138cf7411e18a7a94429041a78b7206a94108"
+    },
+    "triangle2": {
+        "build": "0:cf73172e4d47f2bfee776689b06d62a927888e03aedfcb6aa62b327df2355ca8",
+        "complex": "edbdb05f62a7788da55c5aab0b7474e4a954e864f284038e7332448d8cd1fc77",
+        "check": "0:759c33d54f4bb62fe5f9517b5dc523b8cfd5a5c1dfa5279706f12076c0d08ad4",
+        "act": "0:4dd52a2061c90961e457c09aef23941358deb5298e22c99bdb510b5b34772878"
+    }
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_cli_bytes_unchanged(name, tmp_path):
+    assert digests(name, tmp_path) == GOLDEN[name]
+
+
+def test_golden_table_covers_every_space():
+    assert sorted(GOLDEN) == sorted(spaces())
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as d:
+        table = {name: digests(name, Path(d)) for name in sorted(spaces())}
+    print("GOLDEN = " + json.dumps(table, indent=4))

@@ -108,6 +108,15 @@ def test_replay_rejects_tampering():
         replay_certificate(X, cert.initial, bad_kind)
 
 
+def test_replay_rejects_square_walls_out_of_range():
+    X = square_complex()
+    cert = contract_loop(square_loop(X))
+    at = cert.moves[0].at
+    for walls in ((0, 2), (-1, 0), (0, 99)):
+        with pytest.raises(CertificateError, match="out of range"):
+            replay_certificate(X, cert.initial, [Move("square", at, walls)])
+
+
 def test_contraction_stuck_on_broken_complex():
     # a square boundary whose square dictionary was emptied: the sweep
     # finds the 2-corner but not the registered square

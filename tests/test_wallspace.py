@@ -6,6 +6,7 @@ from cubulate import (
     DuplicateWall,
     EmptyHalfSpace,
     EmptyWallFamily,
+    InputError,
     PointOutOfRange,
     SameWall,
     WallSpace,
@@ -219,3 +220,16 @@ def test_from_dict_rejects_malformed(data):
 
     with pytest.raises(InputError):
         WallSpace.from_dict(data)
+
+
+def test_oversized_point_count_rejected_before_allocation():
+    from cubulate.wallspace import MAX_POINTS
+
+    # 1 << 10**18 cannot be allocated: reaching it would fail loudly
+    for n in (10**18, MAX_POINTS + 1):
+        with pytest.raises(InputError, match="exceeds the supported maximum"):
+            WallSpace(n, [[0]])
+        with pytest.raises(InputError, match="exceeds the supported maximum"):
+            WallSpace.from_dict({"points": n, "walls": [[0]]})
+    # the cap itself is accepted: a 2^20-bit mask is 128 KiB
+    assert WallSpace(MAX_POINTS, [[0]]).point_count == MAX_POINTS
