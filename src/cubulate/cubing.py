@@ -6,9 +6,10 @@ on exactly one wall.  Internally a vertex is its section's int code, so
 a flip is an XOR and the vertex index is a dict from codes.  A k-corner
 is a vertex together with k pairwise crossing walls all flipping
 admissibly there; each corner spans a unique k-cube whose 2^k vertices
-are obtained by flipping subsets of the corner's walls.  Cubes are keyed canonically by (index of the
-vertex choosing every listed side of the cube's walls, sorted wall
-set), so the same cube found from different corners registers once.
+are obtained by flipping subsets of the corner's walls.  Cubes are
+keyed canonically by (index of the vertex choosing every listed side of
+the cube's walls, sorted wall set), so the same cube found from
+different corners registers once.
 
 Everything is deterministic: vertices are indexed in BFS discovery
 order from the base with neighbour walls visited in id order.

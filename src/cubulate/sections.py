@@ -75,7 +75,8 @@ class Section:
     def __setattr__(self, name, value):
         raise AttributeError("Section is immutable")
 
-    __delattr__ = __setattr__
+    def __delattr__(self, name):
+        raise AttributeError("Section is immutable")
 
     @property
     def bits(self) -> tuple[int, ...]:

@@ -6,6 +6,7 @@ can be enumerated.  Runs are derandomized: the same examples every time.
 
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -105,3 +106,12 @@ def test_section_round_trip(bits):
         assert s.side(w) == bits[w]
         flipped = bits[:w] + (bits[w] ^ 1,) + bits[w + 1 :]
         assert s.toggle(w) == Section(flipped)
+
+
+def test_section_is_immutable():
+    s = Section((0, 1))
+    with pytest.raises(AttributeError):
+        s.code = 3
+    with pytest.raises(AttributeError):
+        del s.code
+    assert s == Section((0, 1))
