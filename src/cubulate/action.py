@@ -12,7 +12,7 @@ cubes.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .cubing import CubeComplex, _cliques, _cube_key
@@ -67,19 +67,6 @@ class Generator:
     wall_perm: tuple[int, ...]
     side_swap: tuple[int, ...]
     inverse_perm: tuple[int, ...]
-    # the image of the all-listed section: bit wall_perm[i] is side_swap[i]
-    swap_code: int = field(init=False, repr=False, compare=False)
-    # (d, mask): the walls in mask move d places; symmetries have few d
-    shifts: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        swap = 0
-        shifts: dict[int, int] = {}
-        for i, (j, b) in enumerate(zip(self.wall_perm, self.side_swap)):
-            swap |= b << j
-            shifts[j - i] = shifts.get(j - i, 0) | 1 << i
-        object.__setattr__(self, "swap_code", swap)
-        object.__setattr__(self, "shifts", tuple(shifts.items()))
 
 
 def _apply_perm_to_mask(mask: int, perm: Sequence[int]) -> int:
@@ -166,21 +153,17 @@ def act_on_wall(gen: Generator, w: int) -> int:
 def act_on_section(space: WallSpace, gen: Generator, s: Section) -> Section:
     """The image section: on each image wall, the image of the side the
     original section chose on the source wall."""
-    t = Section.from_code(_act_on_code(gen, s.code), space.wall_count)
+    image = 0
+    # as in is_admissible, the encoding spells the bits in wall order
+    for j, swap, bit in zip(gen.wall_perm, gen.side_swap, s.encode()):
+        if swap != (bit == "1"):
+            image |= 1 << j
+    t = Section.from_code(image, space.wall_count)
     if not is_admissible(space, t):
         raise EquivarianceViolation(
             f"{gen.name}: image of section {s.encode()} is not admissible"
         )
     return t
-
-
-def _act_on_code(gen: Generator, code: int) -> int:
-    """The image section's code: bit i of code moves to wall_perm[i],
-    then the swapped sides flip."""
-    out = gen.swap_code
-    for d, mask in gen.shifts:
-        out ^= (code & mask) << d if d >= 0 else (code & mask) >> -d
-    return out
 
 
 def check_equivariance(space: WallSpace, X: CubeComplex, gen: Generator) -> dict:

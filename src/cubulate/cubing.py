@@ -125,6 +125,14 @@ class CubeComplex:
             return None
         return self._index.get(section.code)
 
+    def _flipped(self, vi: int, *walls: int) -> tuple[int, int | None]:
+        """The code of vertex vi with the given walls flipped, and the
+        index of that section, or None when it is not a vertex."""
+        code = self._codes[vi]
+        for w in walls:
+            code ^= 1 << w
+        return code, self._index.get(code)
+
     def _encode(self, code: int) -> str:
         """Text encoding of a section code of this complex."""
         return Section.from_code(code, self.space.wall_count).encode()

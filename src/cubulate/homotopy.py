@@ -196,11 +196,11 @@ def contract_loop(loop: EdgeLoop) -> ContractionCertificate:
                     f"walls {wa} and {wb} at vertex {sigma} do not cross"
                 )
             walls = (min(wa, wb), max(wa, wb))
-            opposite = X._codes[sigma] ^ 1 << wa ^ 1 << wb
-            tau = X._index.get(opposite)
+            opposite, tau = X._flipped(sigma, wa, wb)
             if tau is None:
                 raise ContractionStuck(
-                    f"opposite corner {X._encode(opposite)} is not a vertex"
+                    f"opposite corner "
+                    f"{Section.from_code(opposite, X.space.wall_count).encode()} is not a vertex"
                 )
             if _cube_key(X, sigma, walls) not in X.cubes.get(2, {}):
                 raise ContractionStuck(
@@ -252,11 +252,11 @@ def replay_certificate(
             m = X.space.wall_count
             if not all(isinstance(w, int) and 0 <= w < m for w in mv.walls):
                 raise CertificateError(f"move {n}: square walls {list(mv.walls)} out of range")
-            target = X._codes[seq[i]] ^ 1 << w1 ^ 1 << w2
-            ti = X._index.get(target)
+            target, ti = X._flipped(seq[i], w1, w2)
             if ti is None:
                 raise CertificateError(
-                    f"move {n}: opposite corner {X._encode(target)} is not a vertex"
+                    f"move {n}: opposite corner "
+                    f"{Section.from_code(target, m).encode()} is not a vertex"
                 )
             if (
                 ti not in X.adjacency[seq[i - 1]].values()

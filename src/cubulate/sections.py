@@ -78,6 +78,10 @@ class Section:
     def __delattr__(self, name):
         raise AttributeError("Section is immutable")
 
+    def __reduce__(self):
+        # copy and pickle would restore the slots through __setattr__
+        return (Section.from_code, (self.code, self._width))
+
     @property
     def bits(self) -> tuple[int, ...]:
         return tuple(self.code >> i & 1 for i in range(self._width))

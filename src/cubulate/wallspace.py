@@ -22,7 +22,6 @@ read and safe to share between threads.
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
@@ -349,23 +348,15 @@ def _max_clique_size(adj: Sequence[int]) -> int:
     n = len(adj)
     if n == 0:
         return 0
-    # repeatedly remove the vertex of least (remaining degree, id); a heap
-    # with stale entries skipped keeps this O((n + edges) log n)
-    degree = [a.bit_count() for a in adj]
-    heap = [(d, u) for u, d in enumerate(degree)]
-    heapq.heapify(heap)
-    removed = [False] * n
+    alive = (1 << n) - 1
     order = []
-    while heap:
-        d, v = heapq.heappop(heap)
-        if removed[v] or d != degree[v]:
-            continue
-        removed[v] = True
+    for _ in range(n):
+        v = min(
+            (u for u in range(n) if alive >> u & 1),
+            key=lambda u: ((adj[u] & alive).bit_count(), u),
+        )
         order.append(v)
-        for u in _bit_indices(adj[v]):
-            if not removed[u]:
-                degree[u] -= 1
-                heapq.heappush(heap, (degree[u], u))
+        alive ^= 1 << v
     # last removed first: densest core gets the small indices
     order.reverse()
     pos = {v: i for i, v in enumerate(order)}

@@ -4,6 +4,8 @@ Random wall spaces have at most 8 points and 7 walls, so every section
 can be enumerated.  Runs are derandomized: the same examples every time.
 """
 
+import copy
+import pickle
 from itertools import product
 
 import pytest
@@ -14,7 +16,10 @@ from cubulate import (
     Section,
     WallSpace,
     admissible_flips,
+    attach_cubes,
+    build_complex,
     can_flip,
+    gen_crossing,
     is_admissible,
     principal_section,
 )
@@ -115,3 +120,12 @@ def test_section_is_immutable():
     with pytest.raises(AttributeError):
         del s.code
     assert s == Section((0, 1))
+
+
+def test_section_survives_copy_and_pickle():
+    s = Section((0, 1, 1))
+    for t in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert t == s and t.bits == (0, 1, 1) and len(t) == 3
+    X = attach_cubes(build_complex(gen_crossing(3)))
+    for Y in (copy.deepcopy(X), pickle.loads(pickle.dumps(X))):
+        assert Y.vertices == X.vertices and Y.cubes == X.cubes
