@@ -498,7 +498,10 @@ def complex_from_dict(space: WallSpace, data: object) -> CubeComplex:
         raise InputError("base encoding is not among the vertices")
     adjacency: list[dict[int, int]] = [{} for _ in vertices]
     edges = []
-    for e in data["edges"]:
+    raw_edges = data["edges"]
+    if not isinstance(raw_edges, list):
+        raise InputError("'edges' must be a list of [u, v, wall] entries")
+    for e in raw_edges:
         if not (isinstance(e, list) and len(e) == 3):
             raise InputError(f"edge entries must be [u, v, wall], got {e!r}")
         u, v, w = e
@@ -524,6 +527,8 @@ def complex_from_dict(space: WallSpace, data: object) -> CubeComplex:
             raise InputError(f"cube dimension key {key!r} is not an integer")
         if k < 2:
             raise InputError(f"cube dimension {k} must be >= 2")
+        if not isinstance(raw_cubes[key], list):
+            raise InputError(f"cubes of dimension {k} must be a list of [vertex, [walls]]")
         registry: dict[tuple[int, tuple[int, ...]], None] = {}
         for entry in raw_cubes[key]:
             if not (isinstance(entry, list) and len(entry) == 2):

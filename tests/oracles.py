@@ -128,3 +128,108 @@ def max_crossing_family(point_count, walls):
 def ncube_f_vector(n):
     """Face numbers of the solid n-cube: C(n,k) * 2^(n-k) faces per k."""
     return tuple(math.comb(n, k) * 2 ** (n - k) for k in range(n + 1))
+
+
+def principal_encoding(walls, p):
+    """The encoding choosing, on every wall, the side containing p."""
+    return "".join("0" if p in set(w) else "1" for w in walls)
+
+
+def encoding_image(encoding, wall_perm, side_swap):
+    """Relabel an encoding: bit w moves to wall_perm[w], flipped when
+    side_swap[w] is 1."""
+    out = ["0"] * len(encoding)
+    for w, bit in enumerate(encoding):
+        out[wall_perm[w]] = "1" if (bit == "1") != (side_swap[w] == 1) else "0"
+    return "".join(out)
+
+
+def _flipped(encoding, i):
+    return encoding[:i] + ("1" if encoding[i] == "0" else "0") + encoding[i + 1 :]
+
+
+def _all_distances(encodings):
+    """All-pairs edge-path distances on the Hamming-distance-1 graph,
+    by a plain BFS from every encoding over bit-flip neighbours."""
+    def neighbours(e):
+        for i in range(len(e)):
+            f = _flipped(e, i)
+            if f in encodings:
+                yield f
+
+    out = {}
+    for start in encodings:
+        dist = {start: 0}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in neighbours(u):
+                    if v not in dist:
+                        dist[v] = dist[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+        out[start] = dist
+    return out
+
+
+def corners_of(point_count, walls, encodings):
+    """All (encoding, wall set) with two or more pairwise crossing walls
+    each of which flips the encoding to another encoding."""
+    m = len(walls)
+    cross = {
+        (i, j)
+        for i in range(m)
+        for j in range(m)
+        if i != j and walls_cross(point_count, walls, i, j)
+    }
+    out = set()
+    for e in encodings:
+        flippable = [i for i in range(m) if _flipped(e, i) in encodings]
+        for k in range(2, len(flippable) + 1):
+            for combo in combinations(flippable, k):
+                if all(pair in cross for pair in combinations(combo, 2)):
+                    out.add((e, frozenset(combo)))
+    return out
+
+
+def equivariance_violations(point_count, walls, perm, wall_perm, side_swap):
+    """Check an action exhaustively on the brute-force complex.
+
+    The complex is every admissible encoding with Hamming-distance-1
+    edges.  The action sends an encoding to encoding_image under the
+    wall map.  Returns (violations, corner count): the list names every
+    failed property (empty when the action is equivariant), and the
+    count is the number of corners of the complex.
+    """
+    n, m = point_count, len(walls)
+    if sorted(perm) != list(range(n)) or sorted(wall_perm) != list(range(m)):
+        return ["the point or wall map is not a permutation"], 0
+    if any(x not in (0, 1) for x in side_swap):
+        return ["a side swap is not 0 or 1"], 0
+    image = lambda e: encoding_image(e, wall_perm, side_swap)
+    encodings = admissible_encodings(point_count, walls)
+    corners = corners_of(point_count, walls, encodings)
+    violations = []
+    for p in range(n):
+        if image(principal_encoding(walls, p)) != principal_encoding(walls, perm[p]):
+            violations.append(f"principal section of point {p}")
+    for p in range(n):
+        for q in range(n):
+            if separating_wall_count(walls, p, q) != separating_wall_count(
+                walls, perm[p], perm[q]
+            ):
+                violations.append(f"wall distance of ({p},{q})")
+    outside = [e for e in encodings if image(e) not in encodings]
+    if outside:
+        violations.append(f"image of {outside[0]} is not admissible")
+        return violations, len(corners)
+    dist = _all_distances(encodings)
+    for u in encodings:
+        for v in encodings:
+            if dist[u].get(v) != dist[image(u)].get(image(v)):
+                violations.append(f"path distance of ({u},{v})")
+    for e, S in corners:
+        if (image(e), frozenset(wall_perm[w] for w in S)) not in corners:
+            violations.append(f"corner at {e} over walls {sorted(S)}")
+    return violations, len(corners)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from pathlib import Path
@@ -12,9 +13,7 @@ from cubulate import (
     InputError,
     NotBijective,
     WallSpace,
-    act_on_point,
     act_on_section,
-    act_on_wall,
     admissible_flips,
     build_complex,
     check_equivariance,
@@ -25,7 +24,10 @@ from cubulate import (
     principal_section,
     validate_generator,
 )
-from cubulate.families import gen_crossing, gen_nested
+from cubulate.cubing import CubeComplex, find_corners
+from cubulate.families import gen_crossing, gen_nested, triangle_lattice
+
+import oracles
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -76,14 +78,6 @@ def test_half_space_not_preserved():
         validate_generator(sp, [7, 1, 2, 3, 4, 5, 6, 0], "bad")
 
 
-def test_act_on_point_and_wall():
-    sp = gen_crossing(3)
-    g = cube_swap(sp, 0, 1, "s01")
-    assert act_on_point(g, 1) == 2
-    assert act_on_wall(g, 0) == 1
-    assert act_on_wall(g, 2) == 2
-
-
 def test_act_on_section_examples():
     sp = gen_crossing(3)
     e = validate_generator(sp, list(range(8)), "e")
@@ -111,7 +105,7 @@ def test_action_maps_principal_to_principal():
         g = validate_generator(sp, perm, "g")
         for p in sp.points():
             got = act_on_section(sp, g, principal_section(sp, p))
-            assert got == principal_section(sp, act_on_point(g, p))
+            assert got == principal_section(sp, g.perm[p])
 
 
 def test_action_commutes_with_flips():
@@ -125,7 +119,7 @@ def test_action_commutes_with_flips():
             gs = act_on_section(sp, g, s)
             for w in admissible_flips(sp, s):
                 assert act_on_section(sp, g, flip(sp, s, w)) == flip(
-                    sp, gs, act_on_wall(g, w)
+                    sp, gs, g.wall_perm[w]
                 )
 
 
@@ -166,6 +160,97 @@ def test_check_equivariance_catches_forged_wall_map():
     )
     with pytest.raises(EquivarianceViolation):
         check_equivariance(sp, X, forged)
+
+
+@pytest.mark.parametrize(
+    "field, value, witness",
+    [
+        ("wall_perm", (3, 3, 1, 0), r"wall_perm\[0\] and wall_perm\[1\] are both 3"),
+        ("side_swap", (1, 2, 1, 1), r"side_swap\[1\] = 2 is not 0 or 1"),
+        ("perm", (4, 3, 2, 1, 1), r"perm\[3\] and perm\[4\] are both 1"),
+    ],
+    ids=["wall_perm", "side_swap", "perm"],
+)
+def test_check_equivariance_catches_forged_generator_structure(field, value, witness):
+    sp = gen_nested(4)
+    X = build_complex(sp)
+    r = validate_generator(sp, [4 - x for x in range(5)], "r")
+    forged = dataclasses.replace(r, **{field: value})
+    with pytest.raises(EquivarianceViolation, match=witness):
+        check_equivariance(sp, X, forged)
+
+
+def lattice_reflection(radius):
+    """The triangle lattice's wall space with the reflection swapping its
+    m and n axes."""
+    tl = triangle_lattice(radius)
+    index = {c: i for i, c in enumerate(tl.cells)}
+    perm = [index[(c.orient, c.n, c.m)] for c in tl.cells]
+    return tl.space, validate_generator(tl.space, perm, "t")
+
+
+def equivariance_cases():
+    """(space, generator): the crossing(3) swaps, the nested(4)
+    reflection and the triangle-lattice(2) axis reflection, plus two
+    forged generators that are well-formed permutations but break the
+    action."""
+    c3 = gen_crossing(3)
+    n4 = gen_nested(4)
+    cases = [(c3, cube_swap(c3, i, j, f"s{i}{j}")) for i, j in ((0, 1), (1, 2), (0, 2))]
+    cases.append((n4, validate_generator(n4, [4 - x for x in range(5)], "r")))
+    cases.append(lattice_reflection(2))
+    identity = validate_generator(n4, list(range(5)), "e")
+    cases.append((n4, dataclasses.replace(identity, name="walls", wall_perm=(3, 2, 1, 0))))
+    s01 = cube_swap(c3, 0, 1, "s01")
+    cases.append((c3, dataclasses.replace(s01, name="sides", side_swap=(0, 0, 1))))
+    return cases
+
+
+def test_check_equivariance_agrees_with_brute_force_oracle():
+    verdicts = []
+    for sp, g in equivariance_cases():
+        raw = sp.to_dict()
+        violations, corners = oracles.equivariance_violations(
+            raw["points"], raw["walls"], g.perm, g.wall_perm, g.side_swap
+        )
+        X = build_complex(sp)
+        try:
+            report = check_equivariance(sp, X, g)
+        except EquivarianceViolation:
+            report = None
+        assert (report is not None) == (not violations), (g.name, violations[:3])
+        if report is not None:
+            assert report["vertices"] == len(X.vertices)
+            assert report["corners"] == corners, g.name
+        verdicts.append(report is not None)
+    assert verdicts == [True] * 5 + [False] * 2
+
+
+def test_check_equivariance_needs_no_bfs_and_no_wall_distance(monkeypatch):
+    built = [(sp, build_complex(sp), g) for sp, g in equivariance_cases()[:5]]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("check_equivariance recomputed a metric")
+
+    monkeypatch.setattr(CubeComplex, "bfs_tree", forbidden)
+    monkeypatch.setattr(WallSpace, "wall_distance", forbidden)
+    for sp, X, g in built:
+        assert check_equivariance(sp, X, g)["vertices"] == len(X.vertices)
+
+
+def test_corner_count_matches_enumerated_corners():
+    c4 = gen_crossing(4)
+    n5 = gen_nested(5)
+    cases = [
+        (c4, cube_swap(c4, 0, 1, "s01")),
+        (n5, validate_generator(n5, [5 - x for x in range(6)], "r")),
+        lattice_reflection(2),
+    ]
+    for sp, g in cases:
+        X = build_complex(sp)
+        enumerated = sum(len(find_corners(X, k)) for k in range(2, sp.wall_count + 1))
+        assert check_equivariance(sp, X, g)["corners"] == enumerated, g.name
+    assert enumerated > 0
 
 
 def test_orbit_identity_only():

@@ -135,6 +135,18 @@ def test_check_mutated_complex_fails_flag(capsys):
     assert report["checks"]["contraction"]["status"] == "skipped"
 
 
+@pytest.mark.parametrize("key, value", [("edges", 5), ("cubes", {"2": 7})])
+def test_check_malformed_complex_is_input_error(capsys, tmp_path, key, value):
+    data = json.loads((FIXTURES / "crossing3_missing_cube.json").read_text())
+    data[key] = value
+    bad = tmp_path / "bad_complex.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = run(capsys, "check", SPACE3, "--complex-in", str(bad))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "must be a list" in err
+
+
 def test_export_dot(capsys, tmp_path):
     space = tmp_path / "c2.json"
     space.write_text(json.dumps(gen_crossing(2).to_dict()))

@@ -252,6 +252,8 @@ def test_complex_json_roundtrip():
         lambda d: d["edges"].__setitem__(0, [0, 1]),
         lambda d: d.__setitem__("cubes", {"1": []}),
         lambda d: d["cubes"]["2"].append([0, [1, 0]]),
+        lambda d: d.__setitem__("edges", 5),
+        lambda d: d.__setitem__("cubes", {"2": 7}),
     ],
 )
 def test_complex_from_dict_rejects_malformed(mutate):
