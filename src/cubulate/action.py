@@ -183,11 +183,16 @@ def _check_permutation(name: str, label: str, values: Sequence[int], size: int) 
 
 
 def _check_generator(space: WallSpace, gen: Generator) -> None:
-    """The structure the implied checks of check_equivariance rest on:
-    perm and wall_perm are permutations and every side swap is 0 or 1.
-    A Generator can be built without validate_generator, so this is
+    """The structure the implied checks of check_equivariance and the
+    word search of orbit_and_stabilizer rest on: perm and wall_perm are
+    permutations, inverse_perm inverts perm and every side swap is 0 or
+    1.  A Generator can be built without validate_generator, so this is
     checked, not assumed."""
     _check_permutation(gen.name, "perm", gen.perm, space.point_count)
+    if len(gen.inverse_perm) != space.point_count or any(
+        gen.inverse_perm[q] != p for p, q in enumerate(gen.perm)
+    ):
+        raise EquivarianceViolation(f"{gen.name}: inverse_perm does not invert perm")
     _check_permutation(gen.name, "wall_perm", gen.wall_perm, space.wall_count)
     if len(gen.side_swap) != space.wall_count:
         raise EquivarianceViolation(
@@ -310,12 +315,14 @@ def orbit_and_stabilizer(
     described by all generator words up to the given length fixing it.
 
     Inverses are adjoined automatically (skipped for involutions).
-    Raises BudgetExceeded when the word enumeration grows past
-    max_words.
+    Raises EquivarianceViolation when a generator is not well formed
+    (as in check_equivariance) and BudgetExceeded when the word
+    enumeration grows past max_words.
     """
     start = X.index_of(vertex)
     symbols: list[tuple[str, Generator]] = []
     for g in generators:
+        _check_generator(space, g)
         symbols.append((g.name, g))
         if g.inverse_perm != g.perm:
             symbols.append((g.name + "^-1", inverse_generator(space, g)))

@@ -9,7 +9,8 @@ admissibly there; each corner spans a unique k-cube whose 2^k vertices
 are obtained by flipping subsets of the corner's walls.  Cubes are
 keyed canonically by (index of the vertex choosing every listed side of
 the cube's walls, sorted wall set), so the same cube found from
-different corners registers once.
+different corners registers once.  A registered k-cube is checked
+through its 2k facets, not its 2^k vertices (_check_cubes).
 
 Everything is deterministic: vertices are indexed in BFS discovery
 order from the base with neighbour walls visited in id order.
@@ -63,7 +64,8 @@ class AdmissibilityAssertionFailed(CertificateError):
 
 
 class FlagViolation(CertificateError):
-    """A clique of squares in a vertex link spans no cube."""
+    """A clique of squares in a vertex link spans no registered cube, or
+    a registered cube (vertex, walls) is not in the complex."""
 
     def __init__(self, vertex: int, walls: tuple[int, ...], message: str):
         super().__init__(message)
@@ -132,10 +134,6 @@ class CubeComplex:
         for w in walls:
             code ^= 1 << w
         return code, self._index.get(code)
-
-    def _encode(self, code: int) -> str:
-        """Text encoding of a section code of this complex."""
-        return Section.from_code(code, self.space.wall_count).encode()
 
     def index_of(self, v: "Section | int") -> int:
         if isinstance(v, Section):
@@ -280,50 +278,42 @@ def _cliques(cands: Sequence[int], cross: Sequence[int], min_size: int) -> Itera
     return out
 
 
-def _k_cliques(cands: Sequence[int], cross: Sequence[int], k: int) -> Iterable[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
+def _check_cubes(X: CubeComplex, cubes: dict) -> None:
+    """Raise FlagViolation unless X carries every cube of the registry.
 
-    def grow(prefix: tuple[int, ...], rest: Sequence[int]) -> None:
-        if len(prefix) == k:
-            out.append(prefix)
-            return
-        need = k - len(prefix)
-        for idx, w in enumerate(rest):
-            if len(rest) - idx < need:
-                return
-            compatible = [x for x in rest[idx + 1 :] if cross[w] >> x & 1]
-            grow(prefix + (w,), compatible)
-
-    grow((), list(cands))
-    return out
-
-
-def _verify_cube(X: CubeComplex, base_index: int, walls: tuple[int, ...]) -> None:
-    """Assert that all 2^k vertices and the 1-skeleton of the cube spanned
-    at the base vertex are present in the complex."""
-    # codes[m] flips the walls selected by the bits of m
-    codes = [X._codes[base_index]]
-    for w in walls:
-        codes += [c ^ 1 << w for c in codes]
-    k = len(walls)
-    ids = []
-    for t in codes:
-        ti = X._index.get(t)
-        if ti is None:
-            raise AdmissibilityAssertionFailed(
-                f"cube at vertex {base_index} over walls {list(walls)}: "
-                f"vertex {X._encode(t)} is not in the component"
-            )
-        ids.append(ti)
-    for m in range(1 << k):
-        for j in range(k):
-            if m >> j & 1:
-                continue
-            m2 = m | (1 << j)
-            if X.adjacency[ids[m]].get(walls[j]) != ids[m2]:
-                raise AdmissibilityAssertionFailed(
-                    f"cube at vertex {base_index} over walls {list(walls)}: "
-                    f"missing edge on wall {walls[j]}"
+    A square needs crossing walls, the listed sides of both at its
+    vertex and its four edges.  A k-cube with k >= 3 needs its 2k facets
+    registered: over each k-1 of its walls, at its vertex and across the
+    remaining wall.  By induction on k that gives each k-cube its 2^k
+    vertices and its whole 1-skeleton (the two facets across one wall
+    hold every vertex and the edges on the other walls; the facets
+    across a second wall hold the edges on the first), walls that
+    pairwise cross and the listed sides at its vertex.  O(sum_k k^2 f_k).
+    """
+    cross, adj = X.space._crossing_masks, X.adjacency
+    for k, registry in cubes.items():
+        lower = cubes.get(k - 1, {})
+        for vi, walls in registry:
+            code, reason = X._codes[vi], ""
+            if k > 2:
+                for i, w in enumerate(walls):
+                    facet = walls[:i] + walls[i + 1 :]
+                    if (vi, facet) not in lower or (X._index.get(code ^ 1 << w), facet) not in lower:
+                        reason = f"its facet over walls {list(facet)} is not registered"
+            else:
+                w1, w2 = walls
+                a, b = adj[vi].get(w1), adj[vi].get(w2)
+                if not cross[w1] >> w2 & 1:
+                    reason = "its walls do not cross"
+                elif code >> w1 & 1 or code >> w2 & 1:
+                    reason = "its vertex chooses a complement side"
+                # an edge flips its wall's bit, so both far edges end at code ^ w1 ^ w2
+                elif a is None or b is None or w2 not in adj[a] or w1 not in adj[b]:
+                    reason = "one of its edges is missing"
+            if reason:
+                raise FlagViolation(
+                    vi, walls, f"vertex {vi}: the {k}-cube over walls {list(walls)} "
+                    f"is not in the complex: {reason}"
                 )
 
 
@@ -332,8 +322,8 @@ def attach_cubes(X: CubeComplex) -> CubeComplex:
 
     Corners are enumerated at each cube's canonical vertex (the one
     choosing every listed side of the cube's walls), so every cube is
-    found exactly once; its full vertex set and 1-skeleton are verified
-    during attachment.
+    found exactly once; one pass over the registry (_check_cubes) then
+    verifies every cube's vertices and 1-skeleton.
     """
     if X.cubes_attached:
         return X
@@ -342,9 +332,13 @@ def attach_cubes(X: CubeComplex) -> CubeComplex:
     for vi, code in enumerate(X._codes):
         zero_walls = [w for w in sorted(X.adjacency[vi]) if not code >> w & 1]
         for clique in _cliques(zero_walls, cross, 2):
-            _verify_cube(X, vi, clique)
             cubes.setdefault(len(clique), {})[(vi, clique)] = None
-    X.cubes = {k: cubes[k] for k in sorted(cubes)}
+    cubes = {k: cubes[k] for k in sorted(cubes)}
+    try:
+        _check_cubes(X, cubes)
+    except FlagViolation as e:
+        raise AdmissibilityAssertionFailed(str(e)) from e
+    X.cubes = cubes
     X.cubes_attached = True
     return X
 
@@ -362,11 +356,9 @@ def find_corners(X: CubeComplex, k: int) -> list[Corner]:
     """All k-corners, ordered by (vertex index, wall tuple)."""
     if isinstance(k, bool) or not isinstance(k, int) or k < 2:
         raise InputError(f"corner size must be an integer >= 2, got {k!r}")
-    cross = X.space._crossing_masks
     out: list[Corner] = []
     for vi in range(len(X.vertices)):
-        incident = sorted(X.adjacency[vi])
-        out.extend(Corner(vi, c) for c in _k_cliques(incident, cross, k))
+        out.extend(Corner(vi, c) for c in vertex_link(X, vi).simplices if len(c) == k)
     return out
 
 
@@ -399,24 +391,29 @@ def _cube_key(
     X: CubeComplex, vi: int, walls: tuple[int, ...]
 ) -> tuple[int, tuple[int, ...]] | None:
     """Canonical key of the cube through the vertex spanned by the walls,
-    or None when the canonical vertex is missing."""
+    or None when the canonical vertex is missing.  The walls must be
+    sorted: they are the key's wall tuple as given."""
     span = 0
     for w in walls:
         span |= 1 << w
     bi = X._index.get(X._codes[vi] & ~span)
     if bi is None:
         return None
-    return (bi, tuple(sorted(walls)))
+    return (bi, walls)
 
 
 def check_flag(X: CubeComplex) -> bool:
-    """Certify that every vertex link is a flag complex.
+    """Certify that every vertex link is a flag complex and that every
+    registered cube is a cube of the complex.
 
     In each link, join two incident walls when the square they span at
     the vertex is a registered cube; every clique of that graph must
-    then carry a registered cube of matching dimension.  Works on
-    externally supplied complexes, so a mutilated cube dictionary is
-    detected and reported with a witness clique.
+    then carry a registered cube of matching dimension.  Then every
+    registered cube must be in the complex, by attach_cubes' own pass
+    (_check_cubes); facet closure alone is weaker than the flag condition
+    (three squares at a corner with no far vertex pass it).  Works on
+    externally supplied complexes, so a missing, forged or misplaced
+    cube is detected and reported with a witness.
     """
     if not X.cubes_attached:
         raise InputError("attach cubes before checking the flag condition")
@@ -430,14 +427,14 @@ def check_flag(X: CubeComplex) -> bool:
                     link_adj[w1] |= 1 << w2
                     link_adj[w2] |= 1 << w1
         for clique in _cliques(incident, link_adj, 3):
-            key = _cube_key(X, vi, clique)
-            if key is None or key not in X.cubes.get(len(clique), {}):
+            if _cube_key(X, vi, clique) not in X.cubes.get(len(clique), {}):
                 raise FlagViolation(
                     vi,
                     clique,
                     f"vertex {vi}: walls {list(clique)} span pairwise squares "
                     f"but no {len(clique)}-cube is registered",
                 )
+    _check_cubes(X, X.cubes)
     return True
 
 

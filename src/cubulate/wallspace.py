@@ -31,7 +31,6 @@ MAX_POINTS = 1 << 20  # point sets are bitmasks and signatures are per point
 __all__ = [
     "MAX_POINTS",
     "WallSpace",
-    "validate",
     "EmptyHalfSpace",
     "DuplicateWall",
     "PointOutOfRange",
@@ -331,11 +330,6 @@ class WallSpace:
 
     def __repr__(self) -> str:
         return f"WallSpace(points={self._n}, walls={self.wall_count})"
-
-
-def validate(point_count: int, walls: Sequence[Iterable[int]]) -> WallSpace:
-    """Validate a raw description and return the wall space."""
-    return WallSpace(point_count, walls)
 
 
 def _max_clique_size(adj: Sequence[int]) -> int:

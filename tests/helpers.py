@@ -1,5 +1,7 @@
-"""Shared fixtures: the shipped example registry and a seeded random
-wall-space generator for property checks."""
+"""Shared fixtures: the shipped example registry, a seeded random
+wall-space generator for property checks and a forged complex."""
+
+from itertools import combinations
 
 from cubulate import WallSpace
 from cubulate.families import gen_crossing, gen_nested, gen_tree, triangle_lattice
@@ -44,3 +46,13 @@ def random_wall_space(rng, point_count=8, wall_count=6):
         seen.add(partition)
         walls.append(listed)
     return WallSpace(point_count, walls)
+
+
+def forge_nested3_cubes(data):
+    """Register every square and the 3-cube of a nested(3) complex dict
+    at its vertex 000, though no two of its walls cross."""
+    vi = data["vertices"].index("000")
+    data["cubes"] = {
+        "2": [[vi, list(pair)] for pair in combinations(range(3), 2)],
+        "3": [[vi, [0, 1, 2]]],
+    }

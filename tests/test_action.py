@@ -163,21 +163,36 @@ def test_check_equivariance_catches_forged_wall_map():
 
 
 @pytest.mark.parametrize(
-    "field, value, witness",
+    "call, field, value, witness",
     [
-        ("wall_perm", (3, 3, 1, 0), r"wall_perm\[0\] and wall_perm\[1\] are both 3"),
-        ("side_swap", (1, 2, 1, 1), r"side_swap\[1\] = 2 is not 0 or 1"),
-        ("perm", (4, 3, 2, 1, 1), r"perm\[3\] and perm\[4\] are both 1"),
+        ("check", "wall_perm", (3, 3, 1, 0), r"wall_perm\[0\] and wall_perm\[1\] are both 3"),
+        ("check", "side_swap", (1, 2, 1, 1), r"side_swap\[1\] = 2 is not 0 or 1"),
+        ("check", "perm", (4, 3, 2, 1, 1), r"perm\[3\] and perm\[4\] are both 1"),
+        ("orbit", "wall_perm", (-1, 2, 1, 0), r"wall_perm\[0\] = -1 is not in 0..3"),
+        ("orbit", "side_swap", (2, 1, 1, 1), r"side_swap\[0\] = 2 is not 0 or 1"),
+        ("orbit", "perm", (4, 3, 2, 1, 1), r"perm\[3\] and perm\[4\] are both 1"),
+        ("orbit", "inverse_perm", (0, 1, 2, 3, 4), r"inverse_perm does not invert perm"),
     ],
-    ids=["wall_perm", "side_swap", "perm"],
+    ids=[
+        "wall_perm",
+        "side_swap",
+        "perm",
+        "orbit-wall_perm",
+        "orbit-side_swap",
+        "orbit-perm",
+        "orbit-inverse_perm",
+    ],
 )
-def test_check_equivariance_catches_forged_generator_structure(field, value, witness):
+def test_check_equivariance_catches_forged_generator_structure(call, field, value, witness):
     sp = gen_nested(4)
     X = build_complex(sp)
     r = validate_generator(sp, [4 - x for x in range(5)], "r")
     forged = dataclasses.replace(r, **{field: value})
     with pytest.raises(EquivarianceViolation, match=witness):
-        check_equivariance(sp, X, forged)
+        if call == "check":
+            check_equivariance(sp, X, forged)
+        else:
+            orbit_and_stabilizer(sp, X, [forged], 0)
 
 
 def lattice_reflection(radius):

@@ -19,6 +19,8 @@ from cubulate import (
     attach_cubes,
     build_complex,
     can_flip,
+    check_flag,
+    find_corners,
     gen_crossing,
     is_admissible,
     principal_section,
@@ -93,6 +95,22 @@ def test_admissibility_and_flips_match_oracle(raw):
         ]
         assert admissible_flips(sp, s) == expect
         assert [w for w in range(m) if can_flip(sp, s, w)] == expect
+
+
+@SETTINGS
+@given(wall_spaces())
+def test_whole_complex_matches_oracle(raw):
+    n, walls = raw
+    X = build_complex(WallSpace(n, walls))
+    admissible = oracles.admissible_encodings(n, walls)
+    assert X.f_vector() == oracles.f_vector(admissible)
+    assert check_flag(X)
+    corners = {
+        (X.vertices[c.vertex].encode(), frozenset(c.walls))
+        for k in range(2, len(walls) + 1)
+        for c in find_corners(X, k)
+    }
+    assert corners == oracles.corners_of(n, walls, admissible)
 
 
 @SETTINGS

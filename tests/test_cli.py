@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from cubulate import WallSpace, complex_from_dict
+from cubulate import WallSpace, build_complex, complex_from_dict, complex_to_dict
 from cubulate.cli import main
-from cubulate.families import gen_crossing
+from cubulate.families import gen_crossing, gen_nested
+
+from helpers import forge_nested3_cubes
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SPACE3 = str(FIXTURES / "crossing3_space.json")
@@ -133,6 +135,21 @@ def test_check_mutated_complex_fails_flag(capsys):
     assert "witness" in report["checks"]["flag"]
     assert report["checks"]["metric_correspondence"]["status"] == "skipped"
     assert report["checks"]["contraction"]["status"] == "skipped"
+
+
+def test_check_forged_cubes_over_non_crossing_walls_fail_flag(capsys, tmp_path):
+    space = gen_nested(3)
+    data = complex_to_dict(build_complex(space))
+    forge_nested3_cubes(data)
+    space_file = tmp_path / "nested3.json"
+    space_file.write_text(json.dumps(space.to_dict()))
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "check", str(space_file), "--complex-in", str(forged))
+    assert code == 3
+    report = json.loads(out)
+    assert report["checks"]["flag"]["status"] == "fail"
+    assert "do not cross" in report["checks"]["flag"]["witness"]
 
 
 @pytest.mark.parametrize("key, value", [("edges", 5), ("cubes", {"2": 7})])

@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 from cubulate import (
+    AdmissibilityAssertionFailed,
     ComplexityBudgetExceeded,
+    CubeComplex,
     FlagViolation,
     InputError,
     NotInComponent,
@@ -29,7 +31,7 @@ from cubulate import (
 from cubulate.families import gen_crossing, gen_nested, triangle_lattice
 
 import oracles
-from helpers import random_wall_space, shipped_examples, small_examples
+from helpers import forge_nested3_cubes, random_wall_space, shipped_examples, small_examples
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -206,6 +208,49 @@ def test_check_flag_negative_fixture():
         check_flag(X)
     assert len(info.value.walls) == 3
     assert 0 <= info.value.vertex < len(X.vertices)
+
+
+def test_attach_cubes_rejects_component_missing_a_vertex():
+    X = build_component(gen_crossing(3))
+    keep = [i for i, s in enumerate(X.vertices) if s.encode() != "111"]
+    new = {old: i for i, old in enumerate(keep)}
+    broken = CubeComplex(
+        X.space,
+        X.base,
+        [X.vertices[i] for i in keep],
+        [(new[u], new[v], w) for u, v, w in X.edges if u in new and v in new],
+        [{w: new[j] for w, j in X.adjacency[i].items() if j in new} for i in keep],
+    )
+    with pytest.raises(AdmissibilityAssertionFailed, match="one of its edges is missing"):
+        attach_cubes(broken)
+    assert not broken.cubes_attached
+
+
+def drop_square_under_cube(d):
+    d["cubes"]["2"].remove([0, [0, 1]])
+
+
+def add_square_off_its_corner(d):
+    d["cubes"]["2"].append([d["vertices"].index("100"), [0, 1]])
+
+
+@pytest.mark.parametrize(
+    "space, tamper, witness",
+    [
+        (gen_nested(3), forge_nested3_cubes, "do not cross"),
+        (gen_crossing(3), drop_square_under_cube, r"facet over walls \[0, 1\]"),
+        (gen_crossing(3), add_square_off_its_corner, "chooses a complement side"),
+    ],
+    ids=["non_crossing_walls", "dropped_facet", "off_corner"],
+)
+def test_check_flag_rejects_forged_cubes(space, tamper, witness):
+    data = complex_to_dict(build_complex(space))
+    tamper(data)
+    X = complex_from_dict(space, data)
+    with pytest.raises(FlagViolation, match=witness) as info:
+        check_flag(X)
+    assert 0 <= info.value.vertex < len(X.vertices)
+    assert info.value.walls
 
 
 def test_graph_distance():

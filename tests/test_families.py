@@ -1,6 +1,6 @@
 import pytest
 
-from cubulate import build_complex, check_flag, dimension, find_corners, validate
+from cubulate import WallSpace, build_complex, check_flag, dimension, find_corners
 from cubulate.families import (
     FAMILIES,
     SizeOutOfRange,
@@ -136,7 +136,7 @@ def test_generated_spaces_validate():
         gen_triangle_lattice(2),
     ):
         raw = sp.to_dict()
-        validate(raw["points"], raw["walls"])
+        WallSpace(raw["points"], raw["walls"])
 
 
 def test_family_registry():

@@ -11,7 +11,6 @@ from cubulate import (
     SameWall,
     WallSpace,
     WallsCross,
-    validate,
 )
 from cubulate.families import gen_crossing, gen_nested
 
@@ -25,7 +24,7 @@ def nested4():
 
 
 def test_validate_synthesizes_complements():
-    sp = validate(3, [[1, 2], [2]])
+    sp = WallSpace(3, [[1, 2], [2]])
     assert sp.point_count == 3
     assert sp.wall_count == 2
     assert sp.points_in(0) == (1, 2)
