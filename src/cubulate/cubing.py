@@ -60,7 +60,7 @@ class ComplexityBudgetExceeded(BudgetError):
 
 
 class AdmissibilityAssertionFailed(CertificateError):
-    """A cube vertex that must be admissible is missing: an internal bug."""
+    """A cube found at a corner lacks a vertex, edge or facet: an internal bug."""
 
 
 class FlagViolation(CertificateError):
