@@ -3,7 +3,9 @@
 Each suite either returns a small summary dict (suitable for JSON
 reports) or raises a CertificateError carrying a concrete witness.
 Random suites draw from streams derived from a caller-supplied seed so
-reports are reproducible.
+reports are reproducible.  Each suite makes at most one traversal: the
+metric suite sweeps from all principal vertices at once, and the loop
+suites share the complex's cached BFS tree at the base.
 """
 
 from __future__ import annotations
@@ -43,28 +45,32 @@ def check_metric_correspondence(space: WallSpace, X: CubeComplex) -> dict:
     """Compare d(p, q) with the edge-path distance between the principal
     vertices of p and q, for every pair of points.
 
-    Pairs of wall-equivalent points share a principal vertex, so one BFS
-    per distinct principal vertex covers all pairs.
+    Pairs of wall-equivalent points share a principal vertex, so the
+    distances among the distinct principal vertices cover all pairs; one
+    multi-source sweep (CubeComplex.distance_table) finds them all.
+    d(p, q) is the popcount of the XOR of the two points' signatures.
     """
     vertex_of = [X.index_of(principal_section(space, p)) for p in space.points()]
-    rows: dict[int, list[int]] = {}
-    for vi in sorted(set(vertex_of)):
-        rows[vi] = X.distances_from_index(vi)
-    pairs = 0
-    for p in space.points():
-        for q in range(p + 1, space.point_count):
-            expected = space.wall_distance(p, q)
-            actual = rows[vertex_of[p]][vertex_of[q]]
+    sources = sorted(set(vertex_of))
+    slot = {v: i for i, v in enumerate(sources)}
+    table = X.distance_table(sources)
+    slot_of = [slot[v] for v in vertex_of]
+    sigs = space._signatures
+    n = space.point_count
+    for p in range(n):
+        sig, row = sigs[p], table[slot_of[p]]
+        for q in range(p + 1, n):
+            expected = (sig ^ sigs[q]).bit_count()
+            actual = row[slot_of[q]]
             if actual != expected:
                 raise MetricMismatch(
                     f"points {p} and {q} are separated by {expected} walls but "
                     f"their principal vertices are {actual} edges apart"
                 )
-            pairs += 1
     return {
-        "points": space.point_count,
-        "pairs": pairs,
-        "principal_vertices": len(rows),
+        "points": n,
+        "pairs": n * (n - 1) // 2,
+        "principal_vertices": len(sources),
     }
 
 

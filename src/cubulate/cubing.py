@@ -119,6 +119,7 @@ class CubeComplex:
         self._index = {c: i for i, c in enumerate(self._codes)}
         self.cubes: dict[int, dict[tuple[int, tuple[int, ...]], None]] = {}
         self.cubes_attached = False
+        self._last_tree: tuple[int, tuple[int, ...], tuple[int, ...]] | None = None
 
     # -- lookups ----------------------------------------------------------
 
@@ -157,10 +158,12 @@ class CubeComplex:
 
     def edge_wall(self, i: int, j: int) -> int:
         """The wall labelling the edge between two adjacent vertices."""
-        for w, n in self.adjacency[self.index_of(i)].items():
-            if n == self.index_of(j):
-                return w
-        raise InputError(f"vertices {i} and {j} are not adjacent")
+        u, v = self.index_of(i), self.index_of(j)
+        # an edge's codes differ exactly on its wall; equal codes give -1
+        w = (self._codes[u] ^ self._codes[v]).bit_length() - 1
+        if self.adjacency[u].get(w) != v:
+            raise InputError(f"vertices {i} and {j} are not adjacent")
+        return w
 
     # -- traversal ----------------------------------------------------------
 
@@ -183,8 +186,61 @@ class CubeComplex:
                     queue.append(v)
         return dist, parent
 
-    def distances_from_index(self, start: int) -> list[int]:
-        return self.bfs_tree(start)[0]
+    def cached_tree(self, start: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """bfs_tree(start) as tuples, kept for the last start only.  The
+        loop suites ask for the tree at the base once per loop; this
+        runs one traversal for all of them in O(V) memory."""
+        start = self.index_of(start)
+        if self._last_tree is None or self._last_tree[0] != start:
+            dist, parent = self.bfs_tree(start)
+            self._last_tree = (start, tuple(dist), tuple(parent))
+        return self._last_tree[1], self._last_tree[2]
+
+    def distance_table(self, sources: Sequence[int]) -> list[list[int]]:
+        """Edge-path distances among distinct vertex indices:
+        ``table[j][i]`` is the distance from sources[i] to sources[j], -1
+        when they are not connected.
+
+        One BFS sweep from all sources together.  Each vertex holds an
+        int whose bit i is set once source i has reached it; a level
+        pushes each vertex's new bits to its neighbours, and each
+        neighbour keeps the bits it has not yet seen.  A source's level
+        is recorded only when it reaches another source, so the sweep
+        costs O(diameter * (V + E)) big-int operations plus P^2
+        recordings.
+        """
+        sources = [self.index_of(s) for s in sources]
+        slot = {v: j for j, v in enumerate(sources)}
+        if len(slot) != len(sources):
+            raise InputError("distance_table needs distinct vertices")
+        table = [[-1] * len(sources) for _ in sources]
+        seen = [0] * len(self.vertices)
+        frontier: dict[int, int] = {}
+        for i, v in enumerate(sources):
+            seen[v] = frontier[v] = 1 << i
+        adj = self.adjacency
+        level = 0
+        while frontier:
+            for v, bits in frontier.items():
+                j = slot.get(v)
+                if j is not None:
+                    row = table[j]
+                    while bits:
+                        low = bits & -bits
+                        row[low.bit_length() - 1] = level
+                        bits ^= low
+            reached: dict[int, int] = {}
+            for u, bits in frontier.items():
+                for v in adj[u].values():
+                    reached[v] = reached.get(v, 0) | bits
+            frontier = {}
+            for v, bits in reached.items():
+                bits &= ~seen[v]
+                if bits:
+                    seen[v] |= bits
+                    frontier[v] = bits
+            level += 1
+        return table
 
     def f_vector(self) -> tuple[int, ...]:
         """(vertices, edges, squares, 3-cubes, ...) up to the dimension."""
@@ -442,7 +498,7 @@ def graph_distance(X: CubeComplex, u: "Section | int", v: "Section | int") -> in
     """Shortest edge-path length between two vertices (BFS)."""
     ui = X.index_of(u)
     vi = X.index_of(v)
-    d = X.distances_from_index(ui)[vi]
+    d = X.bfs_tree(ui)[0][vi]
     if d < 0:
         raise NotInComponent(f"vertices {ui} and {vi} are not connected")
     return d

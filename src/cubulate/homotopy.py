@@ -8,6 +8,10 @@ sitting one step closer, is pushed across the square spanned by the two
 (necessarily crossing) walls, and spurs are removed eagerly.  The moves
 are recorded as a replayable certificate and the maximal distance to
 the basepoint strictly decreases with every sweep.
+
+random_loop and contract_loop read distances and parents from the BFS
+tree that the complex keeps for the last start (CubeComplex.cached_tree),
+so any number of loops at one base costs one traversal.
 """
 
 from __future__ import annotations
@@ -167,7 +171,7 @@ def contract_loop(loop: EdgeLoop) -> ContractionCertificate:
     """
     X = loop.complex
     base = loop.indices[0]
-    dist = X.distances_from_index(base)
+    dist, _ = X.cached_tree(base)
     moves: list[Move] = []
     seq = _strip_backtracks(list(loop.indices), X, moves)
     while len(seq) > 1:
@@ -275,7 +279,8 @@ def random_loop(
     X: CubeComplex, rng: random.Random, steps: int | None = None
 ) -> EdgeLoop:
     """A seeded random closed loop at the complex base: a random walk
-    followed by the BFS-tree geodesic back to the start."""
+    followed by the BFS-tree geodesic back to the start (the tree is the
+    complex's cached one)."""
     if steps is None:
         steps = rng.randrange(2, 17)
     start = X.index_of(X.base)
@@ -283,7 +288,7 @@ def random_loop(
     for _ in range(steps):
         nbrs = [v for _, v in X.neighbors(walk[-1])]
         walk.append(rng.choice(nbrs))
-    _, parent = X.bfs_tree(start)
+    _, parent = X.cached_tree(start)
     v = walk[-1]
     while v != start:
         v = parent[v]

@@ -56,3 +56,9 @@ def forge_nested3_cubes(data):
         "2": [[vi, list(pair)] for pair in combinations(range(3), 2)],
         "3": [[vi, [0, 1, 2]]],
     }
+
+
+def drop_edge(data, index=0):
+    """A copy of a complex dict without its index-th edge."""
+    edges = data["edges"]
+    return {**data, "edges": edges[:index] + edges[index + 1 :]}

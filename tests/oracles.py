@@ -43,15 +43,16 @@ def edges_among(encodings):
     }
 
 
-def graph_distances(encodings, start):
-    """BFS distances in the Hamming-distance-1 graph on the encodings."""
+def graph_distances(encodings, start, dropped=()):
+    """BFS distances in the Hamming-distance-1 graph on the encodings,
+    without the edges whose endpoint pairs (as frozensets) are dropped."""
     dist = {start: 0}
     frontier = [start]
     while frontier:
         nxt = []
         for u in frontier:
             for v in encodings:
-                if v not in dist and hamming(u, v) == 1:
+                if v not in dist and hamming(u, v) == 1 and frozenset((u, v)) not in dropped:
                     dist[v] = dist[u] + 1
                     nxt.append(v)
         frontier = nxt

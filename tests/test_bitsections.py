@@ -20,6 +20,8 @@ from cubulate import (
     build_complex,
     can_flip,
     check_flag,
+    complex_from_dict,
+    complex_to_dict,
     find_corners,
     gen_crossing,
     is_admissible,
@@ -27,6 +29,7 @@ from cubulate import (
 )
 
 import oracles
+from helpers import drop_edge
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=80)
 
@@ -111,6 +114,29 @@ def test_whole_complex_matches_oracle(raw):
         for c in find_corners(X, k)
     }
     assert corners == oracles.corners_of(n, walls, admissible)
+
+
+@SETTINGS
+@given(wall_spaces(), st.integers(0, 63))
+def test_distance_table_matches_oracle(raw, cut):
+    """Distances among principal vertices, on the complex and on it with
+    one edge dropped (which may disconnect it: -1 there)."""
+    n, walls = raw
+    sp = WallSpace(n, walls)
+    X = build_complex(sp)
+    sources = sorted({X.find(principal_section(sp, p)) for p in range(n)})
+    data = complex_to_dict(X)
+    k = cut % len(data["edges"])
+    a, b, _ = data["edges"][k]
+    encodings = [s.encode() for s in X.vertices]
+    for Y, dropped in (
+        (X, ()),
+        (complex_from_dict(sp, drop_edge(data, k)), {frozenset((encodings[a], encodings[b]))}),
+    ):
+        table = Y.distance_table(sources)
+        for i, u in enumerate(sources):
+            dist = oracles.graph_distances(encodings, encodings[u], dropped)
+            assert [row[i] for row in table] == [dist.get(encodings[v], -1) for v in sources]
 
 
 @SETTINGS

@@ -7,9 +7,9 @@ import pytest
 
 from cubulate import WallSpace, build_complex, complex_from_dict, complex_to_dict
 from cubulate.cli import main
-from cubulate.families import gen_crossing, gen_nested
+from cubulate.families import gen_crossing, gen_nested, gen_tree
 
-from helpers import forge_nested3_cubes
+from helpers import drop_edge, forge_nested3_cubes
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SPACE3 = str(FIXTURES / "crossing3_space.json")
@@ -150,6 +150,21 @@ def test_check_forged_cubes_over_non_crossing_walls_fail_flag(capsys, tmp_path):
     report = json.loads(out)
     assert report["checks"]["flag"]["status"] == "fail"
     assert "do not cross" in report["checks"]["flag"]["witness"]
+
+
+def test_check_complex_with_a_dropped_edge_fails_metric(capsys, tmp_path):
+    space = gen_tree(2, 3)
+    space_file = tmp_path / "tree.json"
+    space_file.write_text(json.dumps(space.to_dict()))
+    cut = tmp_path / "cut.json"
+    cut.write_text(json.dumps(drop_edge(complex_to_dict(build_complex(space)))))
+    code, out, _ = run(capsys, "check", str(space_file), "--complex-in", str(cut))
+    assert code == 3
+    checks = json.loads(out)["checks"]
+    assert checks["flag"]["status"] == "pass"
+    assert checks["metric_correspondence"]["status"] == "fail"
+    assert "-1 edges apart" in checks["metric_correspondence"]["witness"]
+    assert checks["parity"]["status"] == "skipped"
 
 
 @pytest.mark.parametrize("key, value", [("edges", 5), ("cubes", {"2": 7})])

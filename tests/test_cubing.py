@@ -11,6 +11,7 @@ from cubulate import (
     CubeComplex,
     FlagViolation,
     InputError,
+    MetricMismatch,
     NotInComponent,
     Section,
     WallSpace,
@@ -19,6 +20,7 @@ from cubulate import (
     build_component,
     check_dimension_equals_intersection_number,
     check_flag,
+    check_metric_correspondence,
     complex_from_dict,
     complex_to_dict,
     dimension,
@@ -28,10 +30,16 @@ from cubulate import (
     to_dot,
     vertex_link,
 )
-from cubulate.families import gen_crossing, gen_nested, triangle_lattice
+from cubulate.families import gen_crossing, gen_nested, gen_tree, triangle_lattice
 
 import oracles
-from helpers import forge_nested3_cubes, random_wall_space, shipped_examples, small_examples
+from helpers import (
+    drop_edge,
+    forge_nested3_cubes,
+    random_wall_space,
+    shipped_examples,
+    small_examples,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -266,6 +274,40 @@ def test_graph_distance():
             )
 
 
+@pytest.mark.parametrize(
+    "space, witness",
+    [
+        (gen_tree(2, 3), "points 0 and 1 are separated by 2 walls but their "
+         "principal vertices are -1 edges apart"),
+        (gen_crossing(3), "points 0 and 1 are separated by 1 walls but their "
+         "principal vertices are 3 edges apart"),
+    ],
+    ids=["tree2x3", "crossing3"],
+)
+def test_metric_correspondence_rejects_a_dropped_edge(space, witness):
+    X = build_complex(space)
+    assert check_metric_correspondence(space, X)["pairs"] == 28
+    cut = complex_from_dict(space, drop_edge(complex_to_dict(X)))
+    assert len(cut.edges) == len(X.edges) - 1
+    with pytest.raises(MetricMismatch) as info:
+        check_metric_correspondence(space, cut)
+    assert str(info.value) == witness
+
+
+def test_edge_wall():
+    X = build_complex(triangle_lattice(2).space)
+    for u, v, w in X.edges:
+        assert X.edge_wall(u, v) == X.edge_wall(v, u) == w
+        assert X.edge_wall(X.vertices[u], X.vertices[v]) == w
+    u, v, _ = X.edges[0]
+    far = next(x for x in range(len(X.vertices)) if x != u and x not in X.adjacency[u].values())
+    for i, j in ((u, u), (u, far), (far, u)):
+        with pytest.raises(InputError, match="not adjacent"):
+            X.edge_wall(i, j)
+    with pytest.raises(NotInComponent):
+        X.edge_wall(u, len(X.vertices))
+
+
 def test_graph_distance_not_in_component():
     sp = gen_nested(3)
     X = build_complex(sp)
@@ -273,6 +315,10 @@ def test_graph_distance_not_in_component():
         graph_distance(X, Section.decode("101"), X.base)
     with pytest.raises(NotInComponent):
         X.index_of(99)
+    with pytest.raises(NotInComponent):
+        X.distance_table([0, 99])
+    with pytest.raises(InputError, match="distinct"):
+        X.distance_table([0, 0])
 
 
 def test_complex_json_roundtrip():

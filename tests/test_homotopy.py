@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -5,13 +7,17 @@ import pytest
 from cubulate import (
     CertificateError,
     ContractionStuck,
+    CubeComplex,
     EdgeLoop,
     Move,
     NotALoop,
     Section,
     build_complex,
+    check_metric_correspondence,
     contract_loop,
+    contraction_suite,
     loop_parity_check,
+    parity_suite,
     random_loop,
     remove_backtracks,
     replay_certificate,
@@ -161,3 +167,37 @@ def test_nested_loops_are_backtracks_only():
     for _ in range(10):
         cert = contract_loop(random_loop(X, rng))
         assert cert.square_moves == 0
+
+
+def test_suites_share_one_bfs_tree_and_the_metric_runs_none(monkeypatch):
+    tl = triangle_lattice(2)
+    X = build_complex(tl.space, base_point=tl.base_point)
+    traversals = []
+    bfs_tree = CubeComplex.bfs_tree
+
+    def counted(self, start):
+        traversals.append(start)
+        return bfs_tree(self, start)
+
+    monkeypatch.setattr(CubeComplex, "bfs_tree", counted)
+    check_metric_correspondence(tl.space, X)
+    assert traversals == []
+    parity_suite(X, 0, 20)
+    contraction_suite(X, 0, 20)
+    base = X.index_of(X.base)
+    assert traversals == [base]
+
+    dist, parent = X.cached_tree(base)
+    with pytest.raises(TypeError):
+        dist[0] = 5
+    with pytest.raises(TypeError):
+        parent[0] = 5
+    for Y in (copy.copy(X), copy.deepcopy(X), pickle.loads(pickle.dumps(X))):
+        assert Y.cached_tree(base) == (dist, parent)
+    assert traversals == [base]
+    fresh = bfs_tree(X, base)
+    assert (list(dist), list(parent)) == fresh
+    other = X.edges[0][1]
+    assert X.cached_tree(other) == tuple(map(tuple, bfs_tree(X, other)))
+    assert X.cached_tree(base) == (dist, parent)
+    assert traversals == [base, other, base]
