@@ -236,8 +236,8 @@ def check_equivariance(space: WallSpace, X: CubeComplex, gen: Generator) -> dict
     # sig[g.p] ^ sig[g.q] = P(sig[p] ^ sig[q]) has the same popcount as
     # sig[p] ^ sig[q]: wall_distance(g.p, g.q) = wall_distance(p, q).
     gv = []
-    for i, s in enumerate(X.vertices):
-        j = X.find(act_on_section(space, gen, s))
+    for i in range(len(X.codes)):
+        j = X._index.get(act_on_section(space, gen, X.section(i)).code)
         if j is None:
             raise EquivarianceViolation(
                 f"{name}: image of vertex {i} leaves the component"
@@ -284,7 +284,7 @@ def check_equivariance(space: WallSpace, X: CubeComplex, gen: Generator) -> dict
     return {
         "generator": name,
         "points": space.point_count,
-        "vertices": len(X.vertices),
+        "vertices": len(X.codes),
         "edges": len(X.edges),
         "corners": corners,
         "cubes": cube_total,
@@ -328,8 +328,9 @@ def orbit_and_stabilizer(
             symbols.append((g.name + "^-1", inverse_generator(space, g)))
     if not symbols:
         raise InputError("at least one generator is required")
+    sections = [X.section(i) for i in range(len(X.codes))]
     maps = {
-        name: [X.index_of(act_on_section(space, g, s)) for s in X.vertices]
+        name: [X.index_of(act_on_section(space, g, s)) for s in sections]
         for name, g in symbols
     }
     orbit = {start}

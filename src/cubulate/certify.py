@@ -128,6 +128,6 @@ def flag_suite(X: CubeComplex) -> dict:
     """Run the flag-link check; returns counts on success."""
     check_flag(X)
     return {
-        "vertices": len(X.vertices),
+        "vertices": len(X.codes),
         "squares": len(X.cubes.get(2, {})),
     }

@@ -27,11 +27,13 @@ from .certify import (
     parity_suite,
 )
 from .cubing import (
+    ComplexityBudgetExceeded,
     CubeComplex,
     build_complex,
     complex_from_dict,
     complex_to_dict,
     dimension,
+    resolve_max_vertices,
     to_dot,
 )
 from .errors import BudgetError, CertificateError, InputError
@@ -99,7 +101,7 @@ def _skipped_checks() -> dict:
 
 def _complex_summary(X: CubeComplex) -> dict:
     cubes = {str(k): len(X.cubes[k]) for k in sorted(X.cubes)}
-    return {"vertices": len(X.vertices), "edges": len(X.edges), "cubes": cubes}
+    return {"vertices": len(X.codes), "edges": len(X.edges), "cubes": cubes}
 
 
 def _base_report(command: str, space: WallSpace, digest: str) -> dict:
@@ -147,10 +149,15 @@ def cmd_check(args) -> int:
     if args.complex_in:
         data, _ = _load_json(args.complex_in)
         X = complex_from_dict(space, data)
+        cap = resolve_max_vertices(args.max_vertices)
+        if len(X.codes) > cap:
+            raise ComplexityBudgetExceeded(
+                f"complex has {len(X.codes)} vertices, over the vertex cap {cap}"
+            )
     else:
         X = build_complex(space, base_point=args.base, max_vertices=args.max_vertices)
     report = _base_report("check", space, digest)
-    report["base_point"] = X.index_of(X.base)
+    report["base_point"] = X.base
     report["seed"] = args.seed
     report["loops"] = args.loops
     report["complex"] = _complex_summary(X)

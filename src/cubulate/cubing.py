@@ -2,8 +2,10 @@
 
 The vertices are the admissible sections reachable from a base
 principal section by single-wall flips; edges join sections differing
-on exactly one wall.  Internally a vertex is its section's int code, so
-a flip is an XOR and the vertex index is a dict from codes.  A k-corner
+on exactly one wall.  A vertex is an index i into one tuple of codes:
+``X.codes[i]`` is its section's int, so a flip is an XOR and the lookup
+from a code back to its index is one dict.  ``X.section(i)`` rebuilds
+the Section when a caller needs one; the complex stores none.  A k-corner
 is a vertex together with k pairwise crossing walls all flipping
 admissibly there; each corner spans a unique k-cube whose 2^k vertices
 are obtained by flipping subsets of the corner's walls.  Cubes are
@@ -42,10 +44,8 @@ __all__ = [
     "build_complex",
     "find_corners",
     "dimension",
-    "check_dimension_equals_intersection_number",
     "vertex_link",
     "check_flag",
-    "graph_distance",
     "complex_to_dict",
     "complex_from_dict",
     "to_dot",
@@ -53,6 +53,12 @@ __all__ = [
 
 DEFAULT_MAX_VERTICES = 1 << 20
 MAX_VERTICES_ENV = "CUBULATE_MAX_VERTICES"
+
+
+def _is_int(x: object) -> bool:
+    """An int that is not a bool: JSON true and false load as bools, and
+    isinstance(True, int) holds."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class ComplexityBudgetExceeded(BudgetError):
@@ -97,59 +103,57 @@ class VertexLink:
 class CubeComplex:
     """A component of the admissible-section graph with attached cubes.
 
-    Treat instances as immutable once attach_cubes has run; the
-    ``vertices``, ``edges``, ``adjacency`` and ``cubes`` attributes are
-    read-only views of the construction.
+    A vertex is an index i: ``codes[i]`` is the int of its section (bit w
+    set when it chooses wall w's complement side), ``section(i)`` is that
+    Section and ``base`` is the index of the base vertex.  Treat
+    instances as immutable once attach_cubes has run; the ``codes``,
+    ``edges``, ``adjacency`` and ``cubes`` attributes are read-only views
+    of the construction.
     """
 
     def __init__(
         self,
         space: WallSpace,
-        base: Section,
-        vertices: Sequence[Section],
+        base: int,
+        codes: Sequence[int],
         edges: Sequence[tuple[int, int, int]],
         adjacency: Sequence[dict[int, int]],
     ):
         self.space = space
         self.base = base
-        self.vertices: tuple[Section, ...] = tuple(vertices)
+        self.codes: tuple[int, ...] = tuple(codes)
         self.edges: tuple[tuple[int, int, int], ...] = tuple(edges)
         self.adjacency: tuple[dict[int, int], ...] = tuple(dict(a) for a in adjacency)
-        self._codes: tuple[int, ...] = tuple(s.code for s in self.vertices)
-        self._index = {c: i for i, c in enumerate(self._codes)}
+        self._index = {c: i for i, c in enumerate(self.codes)}
         self.cubes: dict[int, dict[tuple[int, tuple[int, ...]], None]] = {}
         self.cubes_attached = False
         self._last_tree: tuple[int, tuple[int, ...], tuple[int, ...]] | None = None
 
     # -- lookups ----------------------------------------------------------
 
-    def find(self, section: Section) -> int | None:
-        if len(section) != self.space.wall_count:
-            return None
-        return self._index.get(section.code)
-
     def _flipped(self, vi: int, *walls: int) -> tuple[int, int | None]:
         """The code of vertex vi with the given walls flipped, and the
         index of that section, or None when it is not a vertex."""
-        code = self._codes[vi]
+        code = self.codes[vi]
         for w in walls:
             code ^= 1 << w
         return code, self._index.get(code)
 
     def index_of(self, v: "Section | int") -> int:
         if isinstance(v, Section):
-            i = self.find(v)
+            i = self._index.get(v.code) if len(v) == self.space.wall_count else None
             if i is None:
                 raise NotInComponent(f"section {v.encode()} is not a vertex")
             return i
-        if isinstance(v, bool) or not isinstance(v, int):
+        if not _is_int(v):
             raise NotInComponent(f"not a vertex: {v!r}")
-        if not 0 <= v < len(self.vertices):
-            raise NotInComponent(f"vertex index {v} outside 0..{len(self.vertices) - 1}")
+        if not 0 <= v < len(self.codes):
+            raise NotInComponent(f"vertex index {v} outside 0..{len(self.codes) - 1}")
         return v
 
     def section(self, i: int) -> Section:
-        return self.vertices[self.index_of(i)]
+        """The section of vertex i."""
+        return Section.from_code(self.codes[self.index_of(i)], self.space.wall_count)
 
     def neighbors(self, i: int) -> list[tuple[int, int]]:
         """(wall, neighbour index) pairs in ascending wall order."""
@@ -160,7 +164,7 @@ class CubeComplex:
         """The wall labelling the edge between two adjacent vertices."""
         u, v = self.index_of(i), self.index_of(j)
         # an edge's codes differ exactly on its wall; equal codes give -1
-        w = (self._codes[u] ^ self._codes[v]).bit_length() - 1
+        w = (self.codes[u] ^ self.codes[v]).bit_length() - 1
         if self.adjacency[u].get(w) != v:
             raise InputError(f"vertices {i} and {j} are not adjacent")
         return w
@@ -171,8 +175,8 @@ class CubeComplex:
         """Distances and BFS parents from a vertex index; unreached
         entries are -1.  Neighbours are visited in wall id order."""
         start = self.index_of(start)
-        dist = [-1] * len(self.vertices)
-        parent = [-1] * len(self.vertices)
+        dist = [-1] * len(self.codes)
+        parent = [-1] * len(self.codes)
         dist[start] = 0
         queue = deque([start])
         while queue:
@@ -214,7 +218,7 @@ class CubeComplex:
         if len(slot) != len(sources):
             raise InputError("distance_table needs distinct vertices")
         table = [[-1] * len(sources) for _ in sources]
-        seen = [0] * len(self.vertices)
+        seen = [0] * len(self.codes)
         frontier: dict[int, int] = {}
         for i, v in enumerate(sources):
             seen[v] = frontier[v] = 1 << i
@@ -244,14 +248,14 @@ class CubeComplex:
 
     def f_vector(self) -> tuple[int, ...]:
         """(vertices, edges, squares, 3-cubes, ...) up to the dimension."""
-        counts = [len(self.vertices), len(self.edges)]
+        counts = [len(self.codes), len(self.edges)]
         for k in sorted(self.cubes):
             counts.append(len(self.cubes[k]))
         return tuple(counts)
 
     def __repr__(self) -> str:
         return (
-            f"CubeComplex(vertices={len(self.vertices)}, edges={len(self.edges)}, "
+            f"CubeComplex(vertices={len(self.codes)}, edges={len(self.edges)}, "
             f"cubes={ {k: len(v) for k, v in self.cubes.items()} })"
         )
 
@@ -260,7 +264,7 @@ def resolve_max_vertices(requested: int | None = None) -> int:
     """The vertex cap: explicit argument, else the environment override
     CUBULATE_MAX_VERTICES, else the default 2^20."""
     if requested is not None:
-        if isinstance(requested, bool) or not isinstance(requested, int) or requested < 1:
+        if not _is_int(requested) or requested < 1:
             raise InputError(f"vertex cap must be a positive integer, got {requested!r}")
         return requested
     env = os.environ.get(MAX_VERTICES_ENV)
@@ -288,32 +292,31 @@ def build_component(
     """
     cap = resolve_max_vertices(max_vertices)
     m = space.wall_count
-    sigma = principal_section(space, base_point)
-    vertices = [sigma]
-    index = {sigma.code: 0}
+    codes = [principal_section(space, base_point).code]
+    index = {codes[0]: 0}
     adjacency: list[dict[int, int]] = [{}]
     edges: set[tuple[int, int, int]] = set()
     queue = deque([0])
     while queue:
         ui = queue.popleft()
-        s = vertices[ui]
-        for w in admissible_flips(space, s):
-            t = s.code ^ 1 << w
+        code = codes[ui]
+        for w in admissible_flips(space, Section.from_code(code, m)):
+            t = code ^ 1 << w
             vi = index.get(t)
             if vi is None:
-                if len(vertices) >= cap:
+                if len(codes) >= cap:
                     raise ComplexityBudgetExceeded(
                         f"component exceeds the vertex cap {cap}"
                     )
-                vi = len(vertices)
-                vertices.append(Section.from_code(t, m))
+                vi = len(codes)
+                codes.append(t)
                 index[t] = vi
                 adjacency.append({})
                 queue.append(vi)
             edges.add((min(ui, vi), max(ui, vi), w))
             adjacency[ui][w] = vi
             adjacency[vi][w] = ui
-    return CubeComplex(space, sigma, vertices, sorted(edges), adjacency)
+    return CubeComplex(space, 0, codes, sorted(edges), adjacency)
 
 
 def _cliques(cands: Sequence[int], cross: Sequence[int], min_size: int) -> Iterable[tuple[int, ...]]:
@@ -350,7 +353,7 @@ def _check_cubes(X: CubeComplex, cubes: dict) -> None:
     for k, registry in cubes.items():
         lower = cubes.get(k - 1, {})
         for vi, walls in registry:
-            code, reason = X._codes[vi], ""
+            code, reason = X.codes[vi], ""
             if k > 2:
                 for i, w in enumerate(walls):
                     facet = walls[:i] + walls[i + 1 :]
@@ -385,7 +388,7 @@ def attach_cubes(X: CubeComplex) -> CubeComplex:
         return X
     cross = X.space._crossing_masks
     cubes: dict[int, dict[tuple[int, tuple[int, ...]], None]] = {}
-    for vi, code in enumerate(X._codes):
+    for vi, code in enumerate(X.codes):
         zero_walls = [w for w in sorted(X.adjacency[vi]) if not code >> w & 1]
         for clique in _cliques(zero_walls, cross, 2):
             cubes.setdefault(len(clique), {})[(vi, clique)] = None
@@ -410,10 +413,10 @@ def build_complex(
 
 def find_corners(X: CubeComplex, k: int) -> list[Corner]:
     """All k-corners, ordered by (vertex index, wall tuple)."""
-    if isinstance(k, bool) or not isinstance(k, int) or k < 2:
+    if not _is_int(k) or k < 2:
         raise InputError(f"corner size must be an integer >= 2, got {k!r}")
     out: list[Corner] = []
-    for vi in range(len(X.vertices)):
+    for vi in range(len(X.codes)):
         out.extend(Corner(vi, c) for c in vertex_link(X, vi).simplices if len(c) == k)
     return out
 
@@ -425,12 +428,6 @@ def dimension(X: CubeComplex) -> int:
     if X.cubes:
         return max(X.cubes)
     return 1 if X.edges else 0
-
-
-def check_dimension_equals_intersection_number(X: CubeComplex) -> bool:
-    """Empirical comparison of the complex dimension with the maximum
-    pairwise-crossing wall family; reported, not asserted."""
-    return dimension(X) == X.space.intersection_number()
 
 
 def vertex_link(X: CubeComplex, v: "Section | int") -> VertexLink:
@@ -452,7 +449,7 @@ def _cube_key(
     span = 0
     for w in walls:
         span |= 1 << w
-    bi = X._index.get(X._codes[vi] & ~span)
+    bi = X._index.get(X.codes[vi] & ~span)
     if bi is None:
         return None
     return (bi, walls)
@@ -474,7 +471,7 @@ def check_flag(X: CubeComplex) -> bool:
     if not X.cubes_attached:
         raise InputError("attach cubes before checking the flag condition")
     squares = X.cubes.get(2, {})
-    for vi in range(len(X.vertices)):
+    for vi in range(len(X.codes)):
         incident = sorted(X.adjacency[vi])
         link_adj = [0] * X.space.wall_count
         for i, w1 in enumerate(incident):
@@ -494,24 +491,14 @@ def check_flag(X: CubeComplex) -> bool:
     return True
 
 
-def graph_distance(X: CubeComplex, u: "Section | int", v: "Section | int") -> int:
-    """Shortest edge-path length between two vertices (BFS)."""
-    ui = X.index_of(u)
-    vi = X.index_of(v)
-    d = X.bfs_tree(ui)[0][vi]
-    if d < 0:
-        raise NotInComponent(f"vertices {ui} and {vi} are not connected")
-    return d
-
-
 # -- serialization ----------------------------------------------------------
 
 
 def complex_to_dict(X: CubeComplex) -> dict:
     return {
         "walls": X.space.wall_count,
-        "base": X.base.encode(),
-        "vertices": [s.encode() for s in X.vertices],
+        "base": X.section(X.base).encode(),
+        "vertices": [X.section(i).encode() for i in range(len(X.codes))],
         "edges": [list(e) for e in X.edges],
         "cubes": {
             str(k): [[b, list(walls)] for b, walls in sorted(X.cubes[k])]
@@ -532,24 +519,22 @@ def complex_from_dict(space: WallSpace, data: object) -> CubeComplex:
     missing = {"walls", "base", "vertices", "edges", "cubes"} - set(data)
     if missing:
         raise InputError(f"complex input lacks keys: {sorted(missing)}")
-    if data["walls"] != space.wall_count:
-        raise InputError(
-            f"complex has {data['walls']} walls, wall space has {space.wall_count}"
-        )
+    m = space.wall_count
+    if not _is_int(data["walls"]) or data["walls"] != m:
+        raise InputError(f"complex has {data['walls']!r} walls, wall space has {m}")
     raw_vertices = data["vertices"]
     if not isinstance(raw_vertices, list) or not raw_vertices:
         raise InputError("'vertices' must be a nonempty list of encodings")
-    vertices = [Section.decode(t, space.wall_count) for t in raw_vertices]
-    codes = [s.code for s in vertices]
+    codes = [Section.decode(t, m).code for t in raw_vertices]
     index: dict[int, int] = {}
     for i, c in enumerate(codes):
         if c in index:
-            raise InputError(f"duplicate vertex encoding {vertices[i].encode()}")
+            raise InputError(f"duplicate vertex encoding {raw_vertices[i]}")
         index[c] = i
-    base = Section.decode(data["base"], space.wall_count)
-    if base.code not in index:
+    base = index.get(Section.decode(data["base"], m).code)
+    if base is None:
         raise InputError("base encoding is not among the vertices")
-    adjacency: list[dict[int, int]] = [{} for _ in vertices]
+    adjacency: list[dict[int, int]] = [{} for _ in codes]
     edges = []
     raw_edges = data["edges"]
     if not isinstance(raw_edges, list):
@@ -559,16 +544,16 @@ def complex_from_dict(space: WallSpace, data: object) -> CubeComplex:
             raise InputError(f"edge entries must be [u, v, wall], got {e!r}")
         u, v, w = e
         for i in (u, v):
-            if not isinstance(i, int) or not 0 <= i < len(vertices):
+            if not _is_int(i) or not 0 <= i < len(codes):
                 raise InputError(f"edge {e!r}: vertex index out of range")
-        if not isinstance(w, int) or not 0 <= w < space.wall_count:
+        if not _is_int(w) or not 0 <= w < m:
             raise InputError(f"edge {e!r}: wall out of range")
         if codes[u] ^ codes[v] != 1 << w:
             raise InputError(f"edge {e!r}: endpoints do not differ exactly on wall {w}")
         adjacency[u][w] = v
         adjacency[v][w] = u
         edges.append((min(u, v), max(u, v), w))
-    X = CubeComplex(space, base, vertices, sorted(set(edges)), adjacency)
+    X = CubeComplex(space, base, codes, sorted(set(edges)), adjacency)
     cubes: dict[int, dict[tuple[int, tuple[int, ...]], None]] = {}
     raw_cubes = data["cubes"]
     if not isinstance(raw_cubes, dict):
@@ -578,6 +563,10 @@ def complex_from_dict(space: WallSpace, data: object) -> CubeComplex:
             k = int(key)
         except (TypeError, ValueError):
             raise InputError(f"cube dimension key {key!r} is not an integer")
+        # "02" and " 2" would name dimension 2 too, and the later key
+        # would silently replace the earlier one
+        if key != str(k):
+            raise InputError(f"cube dimension key {key!r} is not written {str(k)!r}")
         if k < 2:
             raise InputError(f"cube dimension {k} must be >= 2")
         if not isinstance(raw_cubes[key], list):
@@ -587,13 +576,13 @@ def complex_from_dict(space: WallSpace, data: object) -> CubeComplex:
             if not (isinstance(entry, list) and len(entry) == 2):
                 raise InputError(f"cube entries must be [vertex, [walls]], got {entry!r}")
             b, walls = entry
-            if not isinstance(b, int) or not 0 <= b < len(vertices):
+            if not _is_int(b) or not 0 <= b < len(codes):
                 raise InputError(f"cube entry {entry!r}: vertex index out of range")
             if (
                 not isinstance(walls, list)
                 or len(walls) != k
+                or any(not _is_int(w) or not 0 <= w < m for w in walls)
                 or sorted(set(walls)) != walls
-                or any(not isinstance(w, int) or not 0 <= w < space.wall_count for w in walls)
             ):
                 raise InputError(f"cube entry {entry!r}: walls must be {k} sorted wall ids")
             registry[(b, tuple(walls))] = None
@@ -607,10 +596,9 @@ def to_dot(X: CubeComplex) -> str:
     """DOT text of the 1-skeleton; edges carry the wall id, the base
     vertex is drawn with a double border."""
     lines = ["graph cubing {", "  node [shape=circle];"]
-    base_index = X.index_of(X.base)
-    for i, s in enumerate(X.vertices):
-        mark = ", peripheries=2" if i == base_index else ""
-        lines.append(f'  v{i} [label="{s.encode()}"{mark}];')
+    for i in range(len(X.codes)):
+        mark = ", peripheries=2" if i == X.base else ""
+        lines.append(f'  v{i} [label="{X.section(i).encode()}"{mark}];')
     for u, v, w in X.edges:
         lines.append(f'  v{u} -- v{v} [label="{w}"];')
     lines.append("}")

@@ -83,9 +83,6 @@ class EdgeLoop:
             X.edge_wall(a, b) for a, b in zip(self.indices, self.indices[1:])
         )
 
-    def sections(self) -> tuple[Section, ...]:
-        return tuple(self.complex.vertices[i] for i in self.indices)
-
     def __repr__(self) -> str:
         return f"EdgeLoop(length={self.edge_length})"
 
@@ -283,7 +280,7 @@ def random_loop(
     complex's cached one)."""
     if steps is None:
         steps = rng.randrange(2, 17)
-    start = X.index_of(X.base)
+    start = X.base
     walk = [start]
     for _ in range(steps):
         nbrs = [v for _, v in X.neighbors(walk[-1])]

@@ -62,7 +62,7 @@ def test_criterion_2_tree_reproduction():
         enc = oracles.admissible_encodings(raw["points"], raw["walls"])
         X = build_complex(sp)
         assert X.cubes == {}, (family, params)
-        assert len(X.vertices) == len(enc), (family, params)
+        assert len(X.codes) == len(enc), (family, params)
         assert len(X.edges) == len(oracles.edges_among(enc)), (family, params)
     _report(2, f"{len(cases)} path/tree spaces: no squares, counts match brute force")
 
@@ -71,7 +71,7 @@ def test_criterion_3_metric_correspondence():
     checked = 0
     for name, sp, base in shipped_examples():
         X = build_complex(sp, base_point=base)
-        assert len(X.vertices) <= 2**12, name
+        assert len(X.codes) <= 2**12, name
         summary = check_metric_correspondence(sp, X)
         checked += summary["pairs"]
     _report(3, f"d(p,q) = d_1(sigma_p, sigma_q) on {checked} point pairs")
@@ -124,7 +124,7 @@ def test_criterion_7_triangle_lattice_embedding():
         assert tl.space.intersection_number() == 3, r
         X = build_complex(tl.space, base_point=tl.base_point)
         assert dimension(X) == 3, r
-        labels = [tl.vertex_label(s) for s in X.vertices]
+        labels = [tl.vertex_label(X.section(i)) for i in range(len(X.codes))]
         assert len(set(labels)) == len(labels), r
         for u, v, _ in X.edges:
             diff = [abs(a - b) for a, b in zip(labels[u], labels[v])]
@@ -157,7 +157,7 @@ def test_criterion_9_oracle_equivalence():
         raw = sp.to_dict()
         expect = oracles.admissible_encodings(raw["points"], raw["walls"])
         X = build_complex(sp, base_point=base)
-        assert {s.encode() for s in X.vertices} == expect, name
+        assert {X.section(i).encode() for i in range(len(X.codes))} == expect, name
         assert sp.intersection_number() == oracles.max_crossing_family(
             raw["points"], raw["walls"]
         ), name

@@ -115,7 +115,7 @@ def test_action_commutes_with_flips():
     ):
         g = validate_generator(sp, perm, "g")
         X = build_complex(sp)
-        for s in X.vertices:
+        for s in map(X.section, range(len(X.codes))):
             gs = act_on_section(sp, g, s)
             for w in admissible_flips(sp, s):
                 assert act_on_section(sp, g, flip(sp, s, w)) == flip(
@@ -128,7 +128,7 @@ def test_inverse_generator_roundtrip():
     g = cube_swap(sp, 1, 2, "s12")
     inv = inverse_generator(sp, g)
     X = build_complex(sp)
-    for s in X.vertices:
+    for s in map(X.section, range(len(X.codes))):
         assert act_on_section(sp, inv, act_on_section(sp, g, s)) == s
 
 
@@ -235,7 +235,7 @@ def test_check_equivariance_agrees_with_brute_force_oracle():
             report = None
         assert (report is not None) == (not violations), (g.name, violations[:3])
         if report is not None:
-            assert report["vertices"] == len(X.vertices)
+            assert report["vertices"] == len(X.codes)
             assert report["corners"] == corners, g.name
         verdicts.append(report is not None)
     assert verdicts == [True] * 5 + [False] * 2
@@ -250,7 +250,7 @@ def test_check_equivariance_needs_no_bfs_and_no_wall_distance(monkeypatch):
     monkeypatch.setattr(CubeComplex, "bfs_tree", forbidden)
     monkeypatch.setattr(WallSpace, "wall_distance", forbidden)
     for sp, X, g in built:
-        assert check_equivariance(sp, X, g)["vertices"] == len(X.vertices)
+        assert check_equivariance(sp, X, g)["vertices"] == len(X.codes)
 
 
 def test_corner_count_matches_enumerated_corners():
@@ -273,7 +273,7 @@ def test_orbit_identity_only():
     X = build_complex(sp)
     e = validate_generator(sp, list(range(8)), "e")
     orb = orbit_and_stabilizer(sp, X, [e], X.base)
-    assert orb.orbit == (X.index_of(X.base),)
+    assert orb.orbit == (X.base,)
 
 
 def test_orbit_sizes_under_swap_group():
@@ -282,7 +282,7 @@ def test_orbit_sizes_under_swap_group():
     gens = [cube_swap(sp, 0, 1, "s01"), cube_swap(sp, 1, 2, "s12")]
     orb = orbit_and_stabilizer(sp, X, gens, X.base)
     assert len(orb.orbit) == 1
-    neighbor = X.neighbors(X.index_of(X.base))[0][1]
+    neighbor = X.neighbors(X.base)[0][1]
     orb = orbit_and_stabilizer(sp, X, gens, neighbor)
     assert len(orb.orbit) == 3
     assert all(w[-1] in ("s01", "s12") for w in orb.stabilizer_words)
@@ -328,4 +328,4 @@ def test_equivariance_with_seeded_relabeled_space():
     X = build_complex(sp)
     e = validate_generator(sp, list(range(6)), "e")
     report = check_equivariance(sp, X, e)
-    assert report["vertices"] == len(X.vertices)
+    assert report["vertices"] == len(X.codes)

@@ -109,7 +109,7 @@ def test_whole_complex_matches_oracle(raw):
     assert X.f_vector() == oracles.f_vector(admissible)
     assert check_flag(X)
     corners = {
-        (X.vertices[c.vertex].encode(), frozenset(c.walls))
+        (X.section(c.vertex).encode(), frozenset(c.walls))
         for k in range(2, len(walls) + 1)
         for c in find_corners(X, k)
     }
@@ -124,11 +124,11 @@ def test_distance_table_matches_oracle(raw, cut):
     n, walls = raw
     sp = WallSpace(n, walls)
     X = build_complex(sp)
-    sources = sorted({X.find(principal_section(sp, p)) for p in range(n)})
+    sources = sorted({X.index_of(principal_section(sp, p)) for p in range(n)})
     data = complex_to_dict(X)
     k = cut % len(data["edges"])
     a, b, _ = data["edges"][k]
-    encodings = [s.encode() for s in X.vertices]
+    encodings = [X.section(i).encode() for i in range(len(X.codes))]
     for Y, dropped in (
         (X, ()),
         (complex_from_dict(sp, drop_edge(data, k)), {frozenset((encodings[a], encodings[b]))}),
@@ -172,4 +172,4 @@ def test_section_survives_copy_and_pickle():
         assert t == s and t.bits == (0, 1, 1) and len(t) == 3
     X = attach_cubes(build_complex(gen_crossing(3)))
     for Y in (copy.deepcopy(X), pickle.loads(pickle.dumps(X))):
-        assert Y.vertices == X.vertices and Y.cubes == X.cubes
+        assert (Y.codes, Y.base, Y.cubes) == (X.codes, X.base, X.cubes)

@@ -88,7 +88,7 @@ def test_build_out_file(capsys, tmp_path):
     data = json.loads(target.read_text())
     space = WallSpace.from_dict(json.loads(Path(SPACE3).read_text()))
     X = complex_from_dict(space, data)
-    assert len(X.vertices) == 8
+    assert len(X.codes) == 8
 
 
 def test_build_budget(capsys):
@@ -165,6 +165,34 @@ def test_check_complex_with_a_dropped_edge_fails_metric(capsys, tmp_path):
     assert checks["metric_correspondence"]["status"] == "fail"
     assert "-1 edges apart" in checks["metric_correspondence"]["witness"]
     assert checks["parity"]["status"] == "skipped"
+
+
+def _crossing3_complex(tmp_path):
+    cx = tmp_path / "c3.json"
+    cx.write_text(json.dumps(complex_to_dict(build_complex(gen_crossing(3)))))
+    return ["check", SPACE3, "--complex-in", str(cx), "--loops", "0"]
+
+
+def test_check_complex_in_obeys_max_vertices(capsys, tmp_path):
+    argv = _crossing3_complex(tmp_path)
+    code, out, err = run(capsys, *argv, "--max-vertices", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: complex has 8 vertices, over the vertex cap 2\n"
+    code, out, _ = run(capsys, *argv, "--max-vertices", "8")
+    assert code == 0 and json.loads(out)["complex"]["vertices"] == 8
+
+
+def test_check_complex_in_obeys_max_vertices_env(capsys, tmp_path, monkeypatch):
+    argv = _crossing3_complex(tmp_path)
+    monkeypatch.setenv("CUBULATE_MAX_VERTICES", "7")
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "over the vertex cap 7" in err
+    # the flag beats the environment, as for build
+    code, _, _ = run(capsys, *argv, "--max-vertices", "8")
+    assert code == 0
 
 
 @pytest.mark.parametrize("key, value", [("edges", 5), ("cubes", {"2": 7})])

@@ -18,15 +18,12 @@ from cubulate import (
     attach_cubes,
     build_complex,
     build_component,
-    check_dimension_equals_intersection_number,
     check_flag,
     check_metric_correspondence,
     complex_from_dict,
     complex_to_dict,
     dimension,
     find_corners,
-    graph_distance,
-    principal_section,
     to_dot,
     vertex_link,
 )
@@ -46,14 +43,14 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def test_component_counts():
     X = build_component(gen_crossing(3))
-    assert len(X.vertices) == 8
+    assert len(X.codes) == 8
     assert len(X.edges) == 12
     for n in (1, 3, 5):
         X = build_component(gen_nested(n))
-        assert len(X.vertices) == n + 1
+        assert len(X.codes) == n + 1
         assert len(X.edges) == n
     X = build_component(WallSpace(2, [[1]]))
-    assert len(X.vertices) == 2
+    assert len(X.codes) == 2
     assert len(X.edges) == 1
 
 
@@ -68,7 +65,7 @@ def test_component_equals_brute_force_sections():
         raw = sp.to_dict()
         expect = oracles.admissible_encodings(raw["points"], raw["walls"])
         X = build_component(sp, base_point=base)
-        got = {s.encode() for s in X.vertices}
+        got = {X.section(i).encode() for i in range(len(X.codes))}
         assert got == expect, name
         got_edges = {(min(u, v), max(u, v)) for u, v, _ in X.edges}
         want_edges = set()
@@ -82,7 +79,7 @@ def test_build_deterministic():
     sp = triangle_lattice(2).space
     a = build_complex(sp)
     b = build_complex(sp)
-    assert a.vertices == b.vertices
+    assert a.codes == b.codes
     assert a.edges == b.edges
     assert a.cubes == b.cubes
 
@@ -91,7 +88,7 @@ def test_edges_differ_on_label_only():
     for name, sp, base in shipped_examples():
         X = build_component(sp, base_point=base)
         for u, v, w in X.edges:
-            a, b = X.vertices[u], X.vertices[v]
+            a, b = X.section(u), X.section(v)
             diff = [i for i in range(sp.wall_count) if a.bits[i] != b.bits[i]]
             assert diff == [w], name
 
@@ -107,7 +104,7 @@ def test_vertex_budget_env(monkeypatch):
         build_component(gen_crossing(3))
     # explicit argument beats the environment
     X = build_component(gen_crossing(3), max_vertices=100)
-    assert len(X.vertices) == 8
+    assert len(X.codes) == 8
     monkeypatch.setenv("CUBULATE_MAX_VERTICES", "banana")
     with pytest.raises(InputError):
         build_component(gen_crossing(3))
@@ -169,9 +166,7 @@ def test_cube_faces_are_registered():
                         fixed = [w for w in walls if w not in sub]
                         for bits in itertools.product((0, 1), repeat=len(fixed)):
                             on = [w for w, t in zip(fixed, bits) if t]
-                            corner = X.vertices[b].toggle(*on) if on else X.vertices[b]
-                            fb = X.find(corner)
-                            assert fb is not None
+                            fb = X.index_of(X.section(b).toggle(*on))
                             assert (fb, sub) in X.cubes[size]
 
 
@@ -180,14 +175,14 @@ def test_cube_keys_are_canonical():
     for k, registry in X.cubes.items():
         assert len(registry) == len(set(registry))
         for b, walls in registry:
-            assert all(X.vertices[b].bits[w] == 0 for w in walls)
+            assert all(X.section(b).bits[w] == 0 for w in walls)
             assert list(walls) == sorted(walls)
 
 
 def test_dimension_equals_intersection_number_on_examples():
     for name, sp, base in shipped_examples():
         X = build_complex(sp, base_point=base)
-        assert check_dimension_equals_intersection_number(X), name
+        assert dimension(X) == sp.intersection_number(), name
 
 
 def test_vertex_link_shapes():
@@ -215,17 +210,17 @@ def test_check_flag_negative_fixture():
     with pytest.raises(FlagViolation) as info:
         check_flag(X)
     assert len(info.value.walls) == 3
-    assert 0 <= info.value.vertex < len(X.vertices)
+    assert 0 <= info.value.vertex < len(X.codes)
 
 
 def test_attach_cubes_rejects_component_missing_a_vertex():
     X = build_component(gen_crossing(3))
-    keep = [i for i, s in enumerate(X.vertices) if s.encode() != "111"]
+    keep = [i for i in range(len(X.codes)) if X.section(i).encode() != "111"]
     new = {old: i for i, old in enumerate(keep)}
     broken = CubeComplex(
         X.space,
         X.base,
-        [X.vertices[i] for i in keep],
+        [X.codes[i] for i in keep],
         [(new[u], new[v], w) for u, v, w in X.edges if u in new and v in new],
         [{w: new[j] for w, j in X.adjacency[i].items() if j in new} for i in keep],
     )
@@ -257,20 +252,22 @@ def test_check_flag_rejects_forged_cubes(space, tamper, witness):
     X = complex_from_dict(space, data)
     with pytest.raises(FlagViolation, match=witness) as info:
         check_flag(X)
-    assert 0 <= info.value.vertex < len(X.vertices)
+    assert 0 <= info.value.vertex < len(X.codes)
     assert info.value.walls
 
 
 def test_graph_distance():
     cube = gen_crossing(3)
     X = build_complex(cube)
-    assert graph_distance(X, X.base, X.base) == 0
-    anti = Section.decode("111")
-    assert graph_distance(X, X.base, anti) == 3
-    for u in range(len(X.vertices)):
-        for v in range(len(X.vertices)):
-            assert graph_distance(X, u, v) == oracles.hamming(
-                X.vertices[u].encode(), X.vertices[v].encode()
+    anti = X.index_of(Section.decode("111"))
+    assert X.distance_table([X.base, anti]) == [[0, 3], [3, 0]]
+    vertices = range(len(X.codes))
+    table = X.distance_table(vertices)
+    for u in vertices:
+        assert X.bfs_tree(u)[0] == table[u]
+        for v in vertices:
+            assert table[v][u] == oracles.hamming(
+                X.section(u).encode(), X.section(v).encode()
             )
 
 
@@ -298,21 +295,21 @@ def test_edge_wall():
     X = build_complex(triangle_lattice(2).space)
     for u, v, w in X.edges:
         assert X.edge_wall(u, v) == X.edge_wall(v, u) == w
-        assert X.edge_wall(X.vertices[u], X.vertices[v]) == w
+        assert X.edge_wall(X.section(u), X.section(v)) == w
     u, v, _ = X.edges[0]
-    far = next(x for x in range(len(X.vertices)) if x != u and x not in X.adjacency[u].values())
+    far = next(x for x in range(len(X.codes)) if x != u and x not in X.adjacency[u].values())
     for i, j in ((u, u), (u, far), (far, u)):
         with pytest.raises(InputError, match="not adjacent"):
             X.edge_wall(i, j)
     with pytest.raises(NotInComponent):
-        X.edge_wall(u, len(X.vertices))
+        X.edge_wall(u, len(X.codes))
 
 
 def test_graph_distance_not_in_component():
     sp = gen_nested(3)
     X = build_complex(sp)
     with pytest.raises(NotInComponent):
-        graph_distance(X, Section.decode("101"), X.base)
+        X.distance_table([Section.decode("101"), X.base])
     with pytest.raises(NotInComponent):
         X.index_of(99)
     with pytest.raises(NotInComponent):
@@ -326,10 +323,19 @@ def test_complex_json_roundtrip():
         X = build_complex(sp)
         data = json.loads(json.dumps(complex_to_dict(X)))
         Y = complex_from_dict(sp, data)
-        assert Y.vertices == X.vertices
+        assert Y.codes == X.codes and Y.base == X.base
         assert Y.edges == X.edges
         assert Y.cubes == X.cubes
         assert check_flag(Y)
+
+
+def one_wall_complex_counted_true(d):
+    """Replace d by the one-wall complex of nested(1) with its wall count
+    written as JSON true; the space to load it against is returned."""
+    sp = gen_nested(1)
+    d.clear()
+    d.update(complex_to_dict(build_complex(sp)), walls=True)
+    return sp
 
 
 @pytest.mark.parametrize(
@@ -345,12 +351,22 @@ def test_complex_json_roundtrip():
         lambda d: d["cubes"]["2"].append([0, [1, 0]]),
         lambda d: d.__setitem__("edges", 5),
         lambda d: d.__setitem__("cubes", {"2": 7}),
+        # JSON true and false load as bools, and isinstance(True, int) holds
+        pytest.param(lambda d: d["edges"].append([True, 3, 1]), id="bool_edge_vertex"),
+        pytest.param(lambda d: d["edges"].append([0, 1, False]), id="bool_edge_wall"),
+        pytest.param(lambda d: d["cubes"].__setitem__("2", [[False, [0, 1]]]), id="bool_cube_vertex"),
+        pytest.param(lambda d: d["cubes"].__setitem__("2", [[0, [False, True]]]), id="bool_cube_walls"),
+        pytest.param(one_wall_complex_counted_true, id="bool_wall_count"),
+        # a dimension key must be written as str(k): "02" and " 2" also name 2
+        pytest.param(lambda d: d.__setitem__("cubes", {"02": d["cubes"]["2"], "2": []}), id="key_02"),
+        pytest.param(lambda d: d.__setitem__("cubes", {" 2": d["cubes"]["2"]}), id="key_space_2"),
+        pytest.param(lambda d: d["cubes"].__setitem__("2", [[0, ["a", 1]]]), id="str_cube_wall"),
     ],
 )
 def test_complex_from_dict_rejects_malformed(mutate):
     sp = gen_crossing(2)
     data = complex_to_dict(build_complex(sp))
-    mutate(data)
+    sp = mutate(data) or sp
     with pytest.raises(InputError):
         complex_from_dict(sp, data)
 

@@ -54,7 +54,7 @@ def test_tree_small():
     raw = sp.to_dict()
     enc = oracles.admissible_encodings(raw["points"], raw["walls"])
     X = build_complex(sp)
-    assert (len(X.vertices), len(X.edges)) == (6, 5)
+    assert (len(X.codes), len(X.edges)) == (6, 5)
     assert len(enc) == 6
     assert X.cubes == {}
 
@@ -69,7 +69,7 @@ def test_tree_counts_match_oracle():
         raw = sp.to_dict()
         enc = oracles.admissible_encodings(raw["points"], raw["walls"])
         X = build_complex(sp)
-        assert len(X.vertices) == len(enc)
+        assert len(X.codes) == len(enc)
         assert len(X.edges) == len(oracles.edges_among(enc))
 
 
@@ -114,9 +114,9 @@ def test_triangle_lattice_labels():
     for r in (1, 2):
         tl = triangle_lattice(r)
         X = build_complex(tl.space, base_point=tl.base_point)
-        labels = [tl.vertex_label(s) for s in X.vertices]
+        labels = [tl.vertex_label(X.section(i)) for i in range(len(X.codes))]
         assert len(set(labels)) == len(labels)
-        assert tl.vertex_label(X.base) == (0, 0, 0)
+        assert tl.vertex_label(X.section(X.base)) == (0, 0, 0)
         for u, v, _ in X.edges:
             diff = [abs(a - b) for a, b in zip(labels[u], labels[v])]
             assert sorted(diff) == [0, 0, 1]

@@ -105,9 +105,9 @@ def digests(name, tmp: Path) -> dict:
     if name in BASES:
         # built from a non-zero base point, and a complex built from point
         # 0 that names that point's principal vertex as its base
-        base = BASES[name]
-        rebased = complex_to_dict(build_complex(WallSpace.from_dict(space)))
-        rebased["base"] = principal_section(WallSpace.from_dict(space), base).encode()
+        base, ws = BASES[name], WallSpace.from_dict(space)
+        rebased = complex_to_dict(build_complex(ws))
+        rebased["base"] = principal_section(ws, base).encode()
         rebased_file = tmp / "rebased.json"
         rebased_file.write_text(json.dumps(rebased))
         b = ["--base", str(base)]

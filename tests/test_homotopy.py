@@ -41,7 +41,7 @@ def test_edge_loop_accepts_sections_and_indices():
     by_enc = EdgeLoop(X, [Section.decode(t) for t in ("00", "10", "11", "01", "00")])
     assert by_enc.indices == (0, 1, 3, 2, 0)
     assert by_enc.wall_labels() == (0, 1, 0, 1)
-    assert [s.encode() for s in by_enc.sections()] == ["00", "10", "11", "01", "00"]
+    assert [X.section(i).encode() for i in by_enc.indices] == ["00", "10", "11", "01", "00"]
 
 
 def test_edge_loop_rejects_open_or_broken_paths():
@@ -137,7 +137,7 @@ def test_random_loop_is_seeded_and_closed():
     a = random_loop(X, random.Random(11))
     b = random_loop(X, random.Random(11))
     assert a.indices == b.indices
-    assert a.indices[0] == a.indices[-1] == X.index_of(X.base)
+    assert a.indices[0] == a.indices[-1] == X.base
     c = random_loop(X, random.Random(12), steps=9)
     assert c.indices[0] == c.indices[-1]
 
@@ -184,7 +184,7 @@ def test_suites_share_one_bfs_tree_and_the_metric_runs_none(monkeypatch):
     assert traversals == []
     parity_suite(X, 0, 20)
     contraction_suite(X, 0, 20)
-    base = X.index_of(X.base)
+    base = X.base
     assert traversals == [base]
 
     dist, parent = X.cached_tree(base)
