@@ -144,6 +144,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.complex_in and args.base is not None:
+        raise InputError("--base does not apply to --complex-in: the complex names its base")
     space, digest = _load_space(args.file)
     t0 = time.perf_counter()
     if args.complex_in:
@@ -155,7 +157,8 @@ def cmd_check(args) -> int:
                 f"complex has {len(X.codes)} vertices, over the vertex cap {cap}"
             )
     else:
-        X = build_complex(space, base_point=args.base, max_vertices=args.max_vertices)
+        base = 0 if args.base is None else args.base
+        X = build_complex(space, base_point=base, max_vertices=args.max_vertices)
     report = _base_report("check", space, digest)
     report["base_point"] = X.base
     report["seed"] = args.seed
@@ -278,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed for the loop suites")
     p.add_argument("--complex-in", help="check this complex JSON instead of building")
     p.add_argument("--timings", action="store_true", help="include wall-clock timings")
-    p.set_defaults(func=cmd_check)
+    # None tells an omitted --base from --base 0, which --complex-in rejects
+    p.set_defaults(func=cmd_check, base=None)
 
     p = sub.add_parser("export", help="export the complex as DOT or JSON")
     p.add_argument("file")

@@ -14,6 +14,16 @@ the cube's walls, sorted wall set), so the same cube found from
 different corners registers once.  A registered k-cube is checked
 through its 2k facets, not its 2^k vertices (_check_cubes).
 
+Cliques of walls are enumerated as spans, the wall masks with bit w set
+for each member (_cliques), and decoded to wall tuples only where a
+registry key, a link simplex or a witness needs one (_walls).  The cube
+stages look a cube up by an int key, ``code | span << m`` for the code
+of its canonical vertex and its span on m walls: codes fill the low m
+bits and spans the bits above, so the key is injective.  The cube
+through any vertex with code c spanned by s has the key
+``c & ~s | s << m``, so the flag check costs one set membership test per
+corner.
+
 Everything is deterministic: vertices are indexed in BFS discovery
 order from the base with neighbour walls visited in id order.
 """
@@ -319,46 +329,79 @@ def build_component(
     return CubeComplex(space, 0, codes, sorted(edges), adjacency)
 
 
-def _cliques(cands: Sequence[int], cross: Sequence[int], min_size: int) -> Iterable[tuple[int, ...]]:
-    """All cliques of the crossing graph among the candidate walls with at
-    least min_size members, in lexicographic order."""
-    out: list[tuple[int, ...]] = []
+def _span(walls: Iterable[int]) -> int:
+    """The wall mask with bit w set for each given wall."""
+    span = 0
+    for w in walls:
+        span |= 1 << w
+    return span
 
-    def grow(prefix: tuple[int, ...], rest: Sequence[int]) -> None:
-        for idx, w in enumerate(rest):
-            nxt = prefix + (w,)
-            if len(nxt) >= min_size:
+
+def _walls(span: int) -> tuple[int, ...]:
+    """The walls of a wall mask, in ascending order."""
+    out = []
+    while span:
+        low = span & -span
+        out.append(low.bit_length() - 1)
+        span ^= low
+    return tuple(out)
+
+
+def _cliques(cands: int, link: Sequence[int], min_size: int) -> list[int]:
+    """The span of every clique with at least min_size members among the
+    candidate walls (a mask) in the graph whose neighbourhoods are the
+    masks link[w], in lexicographic order of the sorted wall tuples.
+
+    Each step takes the lowest remaining candidate w, narrows the rest to
+    rest & link[w] and carries the span down, so a clique costs O(1) int
+    operations on top of the one it extends.
+    """
+    out: list[int] = []
+
+    def grow(span: int, size: int, rest: int) -> None:
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            nxt = span | low
+            if size >= min_size:
                 out.append(nxt)
-            compatible = [x for x in rest[idx + 1 :] if cross[w] >> x & 1]
+            compatible = rest & link[low.bit_length() - 1]
             if compatible:
-                grow(nxt, compatible)
+                grow(nxt, size + 1, compatible)
 
-    grow((), list(cands))
+    grow(0, 1, cands)
     return out
 
 
-def _check_cubes(X: CubeComplex, cubes: dict) -> None:
+def _check_cubes(X: CubeComplex, cubes: dict, keys: set[int]) -> None:
     """Raise FlagViolation unless X carries every cube of the registry.
 
-    A square needs crossing walls, the listed sides of both at its
-    vertex and its four edges.  A k-cube with k >= 3 needs its 2k facets
-    registered: over each k-1 of its walls, at its vertex and across the
-    remaining wall.  By induction on k that gives each k-cube its 2^k
-    vertices and its whole 1-skeleton (the two facets across one wall
-    hold every vertex and the edges on the other walls; the facets
+    ``keys`` holds the int key ``codes[b] | span << m`` of every
+    registered cube (b, walls), span being the cube's wall mask: the
+    code fills the low m bits and the span the bits above, so a key
+    names one cube.  A square needs crossing walls, the listed sides of
+    both at its vertex and its four edges.  A k-cube with k >= 3 needs
+    its 2k facets registered: over each k-1 of its walls, at its vertex
+    (key ``code | (span ^ low) << m``) and across the remaining wall
+    (key ``(code ^ low) | (span ^ low) << m``, present only when that
+    code is a vertex's).  By induction on k that gives each k-cube its
+    2^k vertices and its whole 1-skeleton (the two facets across one
+    wall hold every vertex and the edges on the other walls; the facets
     across a second wall hold the edges on the first), walls that
     pairwise cross and the listed sides at its vertex.  O(sum_k k^2 f_k).
     """
-    cross, adj = X.space._crossing_masks, X.adjacency
+    cross, adj, m = X.space._crossing_masks, X.adjacency, X.space.wall_count
     for k, registry in cubes.items():
-        lower = cubes.get(k - 1, {})
         for vi, walls in registry:
             code, reason = X.codes[vi], ""
             if k > 2:
-                for i, w in enumerate(walls):
-                    facet = walls[:i] + walls[i + 1 :]
-                    if (vi, facet) not in lower or (X._index.get(code ^ 1 << w), facet) not in lower:
-                        reason = f"its facet over walls {list(facet)} is not registered"
+                span = _span(walls)
+                for w in walls:
+                    low = 1 << w
+                    facet = (span ^ low) << m
+                    if (code | facet) not in keys or (code ^ low | facet) not in keys:
+                        missing = list(_walls(span ^ low))
+                        reason = f"its facet over walls {missing} is not registered"
             else:
                 w1, w2 = walls
                 a, b = adj[vi].get(w1), adj[vi].get(w2)
@@ -382,19 +425,22 @@ def attach_cubes(X: CubeComplex) -> CubeComplex:
     Corners are enumerated at each cube's canonical vertex (the one
     choosing every listed side of the cube's walls), so every cube is
     found exactly once; one pass over the registry (_check_cubes) then
-    verifies every cube's vertices and 1-skeleton.
+    verifies every cube's vertices and 1-skeleton against the int keys
+    collected on the way.
     """
     if X.cubes_attached:
         return X
-    cross = X.space._crossing_masks
+    cross, m = X.space._crossing_masks, X.space.wall_count
     cubes: dict[int, dict[tuple[int, tuple[int, ...]], None]] = {}
+    keys: set[int] = set()
     for vi, code in enumerate(X.codes):
-        zero_walls = [w for w in sorted(X.adjacency[vi]) if not code >> w & 1]
-        for clique in _cliques(zero_walls, cross, 2):
-            cubes.setdefault(len(clique), {})[(vi, clique)] = None
+        for span in _cliques(_span(X.adjacency[vi]) & ~code, cross, 2):
+            walls = _walls(span)
+            cubes.setdefault(len(walls), {})[(vi, walls)] = None
+            keys.add(code | span << m)
     cubes = {k: cubes[k] for k in sorted(cubes)}
     try:
-        _check_cubes(X, cubes)
+        _check_cubes(X, cubes, keys)
     except FlagViolation as e:
         raise AdmissibilityAssertionFailed(str(e)) from e
     X.cubes = cubes
@@ -434,22 +480,18 @@ def vertex_link(X: CubeComplex, v: "Section | int") -> VertexLink:
     """The link of a vertex: incident walls as points, corners as
     simplices (a k-corner contributes a (k-1)-simplex)."""
     vi = X.index_of(v)
-    cross = X.space._crossing_masks
     incident = tuple(sorted(X.adjacency[vi]))
-    simplices = tuple(_cliques(incident, cross, 2))
-    return VertexLink(vertex=vi, points=incident, simplices=simplices)
+    spans = _cliques(_span(incident), X.space._crossing_masks, 2)
+    return VertexLink(vertex=vi, points=incident, simplices=tuple(map(_walls, spans)))
 
 
 def _cube_key(
     X: CubeComplex, vi: int, walls: tuple[int, ...]
 ) -> tuple[int, tuple[int, ...]] | None:
-    """Canonical key of the cube through the vertex spanned by the walls,
-    or None when the canonical vertex is missing.  The walls must be
-    sorted: they are the key's wall tuple as given."""
-    span = 0
-    for w in walls:
-        span |= 1 << w
-    bi = X._index.get(X.codes[vi] & ~span)
+    """Canonical registry key of the cube through the vertex spanned by
+    the walls, or None when the canonical vertex is missing.  The walls
+    must be sorted: they are the key's wall tuple as given."""
+    bi = X._index.get(X.codes[vi] & ~_span(walls))
     if bi is None:
         return None
     return (bi, walls)
@@ -459,35 +501,47 @@ def check_flag(X: CubeComplex) -> bool:
     """Certify that every vertex link is a flag complex and that every
     registered cube is a cube of the complex.
 
-    In each link, join two incident walls when the square they span at
-    the vertex is a registered cube; every clique of that graph must
-    then carry a registered cube of matching dimension.  Then every
-    registered cube must be in the complex, by attach_cubes' own pass
-    (_check_cubes); facet closure alone is weaker than the flag condition
-    (three squares at a corner with no far vertex pass it).  Works on
-    externally supplied complexes, so a missing, forged or misplaced
-    cube is detected and reported with a witness.
+    One set holds the int key ``codes[b] | span << m`` of every
+    registered cube (b, walls), built in O(sum_k k f_k); the cube through
+    a vertex with code c spanned by a wall mask s then has the key
+    ``c & ~s | s << m``, so each lookup is one membership test.  In each
+    link, join two incident walls when the square they span at the
+    vertex is registered; every clique of that graph must then carry a
+    registered cube, which costs one test per corner (sum_k 2^k f_k
+    corners in all).  Then every registered cube must be in the complex,
+    by attach_cubes' own pass (_check_cubes) over the same keys; facet
+    closure alone is weaker than the flag condition (three squares at a
+    corner with no far vertex pass it).  Works on externally supplied
+    complexes, so a missing, forged or misplaced cube is detected and
+    reported with a witness.
     """
     if not X.cubes_attached:
         raise InputError("attach cubes before checking the flag condition")
-    squares = X.cubes.get(2, {})
-    for vi in range(len(X.codes)):
+    m = X.space.wall_count
+    keys = {
+        X.codes[b] | _span(walls) << m
+        for registry in X.cubes.values()
+        for b, walls in registry
+    }
+    for vi, code in enumerate(X.codes):
         incident = sorted(X.adjacency[vi])
-        link_adj = [0] * X.space.wall_count
+        link = [0] * m
         for i, w1 in enumerate(incident):
             for w2 in incident[i + 1 :]:
-                if _cube_key(X, vi, (w1, w2)) in squares:
-                    link_adj[w1] |= 1 << w2
-                    link_adj[w2] |= 1 << w1
-        for clique in _cliques(incident, link_adj, 3):
-            if _cube_key(X, vi, clique) not in X.cubes.get(len(clique), {}):
+                s = 1 << w1 | 1 << w2
+                if (code & ~s | s << m) in keys:
+                    link[w1] |= 1 << w2
+                    link[w2] |= 1 << w1
+        for span in _cliques(_span(incident), link, 3):
+            if (code & ~span | span << m) not in keys:
+                walls = _walls(span)
                 raise FlagViolation(
                     vi,
-                    clique,
-                    f"vertex {vi}: walls {list(clique)} span pairwise squares "
-                    f"but no {len(clique)}-cube is registered",
+                    walls,
+                    f"vertex {vi}: walls {list(walls)} span pairwise squares "
+                    f"but no {len(walls)}-cube is registered",
                 )
-    _check_cubes(X, X.cubes)
+    _check_cubes(X, X.cubes, keys)
     return True
 
 

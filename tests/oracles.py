@@ -234,3 +234,32 @@ def equivariance_violations(point_count, walls, perm, wall_perm, side_swap):
         if (image(e), frozenset(wall_perm[w] for w in S)) not in corners:
             violations.append(f"corner at {e} over walls {sorted(S)}")
     return violations, len(corners)
+
+
+def flag_violations(encodings, cubes):
+    """Brute-force flag check of every vertex link.
+
+    ``cubes`` holds (encoding, walls) pairs; each names the cube of the
+    encodings that agree with the encoding off the walls, whichever of
+    its vertices is given.  At an encoding e the link's points are the
+    walls that flip e to another encoding, two points are joined when
+    the square they span through e is among the cubes, and every set of
+    three or more pairwise joined points must span one of the cubes.
+    Returns the (encoding, sorted walls) sets that do not, sorted.
+    """
+    def cube(e, walls):
+        chars = list(e)
+        for i in walls:
+            chars[i] = "0"
+        return "".join(chars), frozenset(walls)
+
+    present = {cube(e, S) for e, S in cubes}
+    violations = []
+    for e in sorted(encodings):
+        points = [i for i in range(len(e)) if _flipped(e, i) in encodings]
+        joined = {pair for pair in combinations(points, 2) if cube(e, pair) in present}
+        for k in range(3, len(points) + 1):
+            for S in combinations(points, k):
+                if all(pair in joined for pair in combinations(S, 2)) and cube(e, S) not in present:
+                    violations.append((e, S))
+    return violations

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubulate import (
+    FlagViolation,
     Section,
     WallSpace,
     admissible_flips,
@@ -114,6 +115,39 @@ def test_whole_complex_matches_oracle(raw):
         for c in find_corners(X, k)
     }
     assert corners == oracles.corners_of(n, walls, admissible)
+
+
+def _inside(small, big):
+    """Whether the cube (encoding, walls) small is a face of big."""
+    (e, S), (f, T) = small, big
+    return set(S) < set(T) and all(e[i] == f[i] for i in range(len(e)) if i not in T)
+
+
+# each example runs the brute-force oracle once per registered cube
+@settings(SETTINGS, max_examples=40)
+@given(wall_spaces())
+def test_check_flag_matches_flag_oracle(raw):
+    """check_flag passes the built complex; without any one registered
+    cube it fails exactly when a link stops being flag (the oracle) or
+    the cube was a face of a registered cube (facet closure)."""
+    n, walls = raw
+    X = build_complex(WallSpace(n, walls))
+    encodings = [X.section(i).encode() for i in range(len(X.codes))]
+    registered = {c: (encodings[c[0]], c[1]) for k in X.cubes for c in X.cubes[k]}
+    assert check_flag(X)
+    assert oracles.flag_violations(set(encodings), registered.values()) == []
+    for dropped, as_text in registered.items():
+        rest = [c for c in registered.values() if c != as_text]
+        expect = bool(oracles.flag_violations(set(encodings), rest)) or any(
+            _inside(as_text, c) for c in rest
+        )
+        Y = copy.copy(X)
+        Y.cubes = {k: {c: None for c in X.cubes[k] if c != dropped} for k in X.cubes}
+        if expect:
+            with pytest.raises(FlagViolation):
+                check_flag(Y)
+        else:
+            assert check_flag(Y)
 
 
 @SETTINGS

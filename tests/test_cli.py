@@ -195,6 +195,19 @@ def test_check_complex_in_obeys_max_vertices_env(capsys, tmp_path, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("base", ["0", "5"])
+def test_check_complex_in_rejects_base(capsys, tmp_path, base):
+    """The loaded complex names its own base, so --base would be ignored."""
+    argv = _crossing3_complex(tmp_path)
+    argv[argv.index("--complex-in") + 1] = str(tmp_path / "never_read.json")
+    code, out, err = run(capsys, *argv, "--base", base)
+    assert code == 1
+    assert out == ""
+    assert err == "error: --base does not apply to --complex-in: the complex names its base\n"
+    code, out, _ = run(capsys, *_crossing3_complex(tmp_path))
+    assert code == 0 and json.loads(out)["base_point"] == 0
+
+
 @pytest.mark.parametrize("key, value", [("edges", 5), ("cubes", {"2": 7})])
 def test_check_malformed_complex_is_input_error(capsys, tmp_path, key, value):
     data = json.loads((FIXTURES / "crossing3_missing_cube.json").read_text())

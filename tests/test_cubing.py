@@ -203,6 +203,23 @@ def test_check_flag_passes_on_generated():
         assert check_flag(X), name
 
 
+@pytest.mark.parametrize(
+    "space", [gen_crossing(4), triangle_lattice(2).space], ids=["crossing4", "triangle2"]
+)
+def test_cube_stages_use_int_keys(monkeypatch, space):
+    """attach_cubes and check_flag look cubes up by int key alone; the
+    registry key (_cube_key) is left to the loop and action suites."""
+    import cubulate.cubing as cubing
+
+    def no_registry_key(*args):
+        raise AssertionError("_cube_key called")
+
+    monkeypatch.setattr(cubing, "_cube_key", no_registry_key)
+    X = attach_cubes(build_component(space))
+    assert X.cubes[2]
+    assert check_flag(X)
+
+
 def test_check_flag_negative_fixture():
     sp = WallSpace.from_dict(json.loads((FIXTURES / "crossing3_space.json").read_text()))
     data = json.loads((FIXTURES / "crossing3_missing_cube.json").read_text())
