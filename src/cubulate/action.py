@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .cubing import CubeComplex, _cube_key
+from .cubing import CubeComplex, _walls
 from .errors import BudgetError, CertificateError, InputError
 from .sections import Section, is_admissible, principal_section
 from .wallspace import WallSpace
@@ -266,12 +266,19 @@ def check_equivariance(space: WallSpace, X: CubeComplex, gen: Generator) -> dict
     # the edge check maps those edges to edges at the image vertex with
     # the image walls, so corners go to corners, injectively because gv
     # and wall_perm are injective.
+    #
+    # Cubes.  The image of the cube keyed code | span << m is the cube
+    # through the image vertex spanned by the image walls; wall_perm is a
+    # permutation, so the image lies in the same registry.
+    m = space.wall_count
+    full = (1 << m) - 1
     cube_total = 0
     for k, registry in X.cubes.items():
-        for b, walls in registry:
-            image_walls = tuple(sorted(gen.wall_perm[w] for w in walls))
-            image_key = _cube_key(X, gv[b], image_walls)
-            if image_key is None or image_key not in X.cubes.get(k, {}):
+        for key in registry:
+            b, walls, image = X._index[key & full], _walls(key >> m), 0
+            for w in walls:
+                image |= 1 << gen.wall_perm[w]
+            if (X.codes[gv[b]] & ~image | image << m) not in registry:
                 raise EquivarianceViolation(
                     f"{name}: {k}-cube at vertex {b} over walls {list(walls)} "
                     f"has no image cube"

@@ -8,21 +8,21 @@ from a code back to its index is one dict.  ``X.section(i)`` rebuilds
 the Section when a caller needs one; the complex stores none.  A k-corner
 is a vertex together with k pairwise crossing walls all flipping
 admissibly there; each corner spans a unique k-cube whose 2^k vertices
-are obtained by flipping subsets of the corner's walls.  Cubes are
-keyed canonically by (index of the vertex choosing every listed side of
-the cube's walls, sorted wall set), so the same cube found from
-different corners registers once.  A registered k-cube is checked
-through its 2k facets, not its 2^k vertices (_check_cubes).
-
-Cliques of walls are enumerated as spans, the wall masks with bit w set
-for each member (_cliques), and decoded to wall tuples only where a
-registry key, a link simplex or a witness needs one (_walls).  The cube
-stages look a cube up by an int key, ``code | span << m`` for the code
-of its canonical vertex and its span on m walls: codes fill the low m
-bits and spans the bits above, so the key is injective.  The cube
+are obtained by flipping subsets of the corner's walls.  A cube has one
+key, the int ``code | span << m``: the code of its canonical vertex (the
+one choosing every listed side of the cube's walls) and its span, the
+wall mask with bit w set for each of its walls, on m walls.  Codes fill
+the low m bits and spans the bits above, so the key is injective, and
+the same cube found from different corners registers once.  The cube
 through any vertex with code c spanned by s has the key
-``c & ~s | s << m``, so the flag check costs one set membership test per
-corner.
+``c & ~s | s << m``, so the flag check, the loop suites and the action
+check each find a cube with one dict membership test.  A registered
+k-cube is checked through its 2k facets, not its 2^k vertices
+(_check_cubes).
+
+Cliques of walls are enumerated as spans (_cliques).  Spans are decoded
+to wall tuples only at the boundaries: the JSON form, link simplices and
+witnesses (_walls).
 
 Everything is deterministic: vertices are indexed in BFS discovery
 order from the base with neighbour walls visited in id order.
@@ -81,7 +81,8 @@ class AdmissibilityAssertionFailed(CertificateError):
 
 class FlagViolation(CertificateError):
     """A clique of squares in a vertex link spans no registered cube, or
-    a registered cube (vertex, walls) is not in the complex."""
+    a registered cube is not in the complex; the witness cube is decoded
+    to its vertex index and wall tuple."""
 
     def __init__(self, vertex: int, walls: tuple[int, ...], message: str):
         super().__init__(message)
@@ -115,10 +116,12 @@ class CubeComplex:
 
     A vertex is an index i: ``codes[i]`` is the int of its section (bit w
     set when it chooses wall w's complement side), ``section(i)`` is that
-    Section and ``base`` is the index of the base vertex.  Treat
-    instances as immutable once attach_cubes has run; the ``codes``,
-    ``edges``, ``adjacency`` and ``cubes`` attributes are read-only views
-    of the construction.
+    Section and ``base`` is the index of the base vertex.
+    ``cubes[k]`` holds the key ``codes[b] | span << m`` of each k-cube,
+    b being its canonical vertex and span its wall mask, in insertion
+    order (a dict with None values).  Treat instances as immutable once
+    attach_cubes has run; the ``codes``, ``edges``, ``adjacency`` and
+    ``cubes`` attributes are read-only views of the construction.
     """
 
     def __init__(
@@ -135,7 +138,7 @@ class CubeComplex:
         self.edges: tuple[tuple[int, int, int], ...] = tuple(edges)
         self.adjacency: tuple[dict[int, int], ...] = tuple(dict(a) for a in adjacency)
         self._index = {c: i for i, c in enumerate(self.codes)}
-        self.cubes: dict[int, dict[tuple[int, tuple[int, ...]], None]] = {}
+        self.cubes: dict[int, dict[int, None]] = {}
         self.cubes_attached = False
         self._last_tree: tuple[int, tuple[int, ...], tuple[int, ...]] | None = None
 
@@ -373,37 +376,40 @@ def _cliques(cands: int, link: Sequence[int], min_size: int) -> list[int]:
     return out
 
 
-def _check_cubes(X: CubeComplex, cubes: dict, keys: set[int]) -> None:
+def _check_cubes(X: CubeComplex, cubes: dict[int, dict[int, None]]) -> None:
     """Raise FlagViolation unless X carries every cube of the registry.
 
-    ``keys`` holds the int key ``codes[b] | span << m`` of every
-    registered cube (b, walls), span being the cube's wall mask: the
-    code fills the low m bits and the span the bits above, so a key
-    names one cube.  A square needs crossing walls, the listed sides of
-    both at its vertex and its four edges.  A k-cube with k >= 3 needs
-    its 2k facets registered: over each k-1 of its walls, at its vertex
-    (key ``code | (span ^ low) << m``) and across the remaining wall
-    (key ``(code ^ low) | (span ^ low) << m``, present only when that
-    code is a vertex's).  By induction on k that gives each k-cube its
-    2^k vertices and its whole 1-skeleton (the two facets across one
-    wall hold every vertex and the edges on the other walls; the facets
-    across a second wall hold the edges on the first), walls that
-    pairwise cross and the listed sides at its vertex.  O(sum_k k^2 f_k).
+    A key ``code | span << m`` names the cube at the vertex with that
+    code over the walls of span.  A square needs crossing walls, the
+    listed sides of both at its vertex and its four edges.  A k-cube
+    with k >= 3 needs its 2k facets in ``cubes[k - 1]``: over each k-1 of
+    its walls, at its vertex (key ``code | (span ^ low) << m``) and across
+    the remaining wall (key ``(code ^ low) | (span ^ low) << m``, present
+    only when that code is a vertex's).  By induction on k that gives
+    each k-cube its 2^k vertices and its whole 1-skeleton (the two facets
+    across one wall hold every vertex and the edges on the other walls;
+    the facets across a second wall hold the edges on the first), walls
+    that pairwise cross and the listed sides at its vertex.
+    O(sum_k k^2 f_k).
     """
     cross, adj, m = X.space._crossing_masks, X.adjacency, X.space.wall_count
+    full = (1 << m) - 1
     for k, registry in cubes.items():
-        for vi, walls in registry:
-            code, reason = X.codes[vi], ""
+        facets = cubes.get(k - 1, {})
+        for key in registry:
+            code, span, reason = key & full, key >> m, ""
             if k > 2:
-                span = _span(walls)
-                for w in walls:
-                    low = 1 << w
+                rest = span
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
                     facet = (span ^ low) << m
-                    if (code | facet) not in keys or (code ^ low | facet) not in keys:
+                    if (code | facet) not in facets or (code ^ low | facet) not in facets:
                         missing = list(_walls(span ^ low))
                         reason = f"its facet over walls {missing} is not registered"
             else:
-                w1, w2 = walls
+                w1, w2 = _walls(span)
+                vi = X._index[code]
                 a, b = adj[vi].get(w1), adj[vi].get(w2)
                 if not cross[w1] >> w2 & 1:
                     reason = "its walls do not cross"
@@ -413,6 +419,7 @@ def _check_cubes(X: CubeComplex, cubes: dict, keys: set[int]) -> None:
                 elif a is None or b is None or w2 not in adj[a] or w1 not in adj[b]:
                     reason = "one of its edges is missing"
             if reason:
+                vi, walls = X._index[code], _walls(span)
                 raise FlagViolation(
                     vi, walls, f"vertex {vi}: the {k}-cube over walls {list(walls)} "
                     f"is not in the complex: {reason}"
@@ -424,23 +431,20 @@ def attach_cubes(X: CubeComplex) -> CubeComplex:
 
     Corners are enumerated at each cube's canonical vertex (the one
     choosing every listed side of the cube's walls), so every cube is
-    found exactly once; one pass over the registry (_check_cubes) then
-    verifies every cube's vertices and 1-skeleton against the int keys
-    collected on the way.
+    found exactly once and registered under its key
+    ``code | span << m``; one pass over the registry (_check_cubes) then
+    verifies every cube's vertices and 1-skeleton.
     """
     if X.cubes_attached:
         return X
     cross, m = X.space._crossing_masks, X.space.wall_count
-    cubes: dict[int, dict[tuple[int, tuple[int, ...]], None]] = {}
-    keys: set[int] = set()
+    cubes: dict[int, dict[int, None]] = {}
     for vi, code in enumerate(X.codes):
         for span in _cliques(_span(X.adjacency[vi]) & ~code, cross, 2):
-            walls = _walls(span)
-            cubes.setdefault(len(walls), {})[(vi, walls)] = None
-            keys.add(code | span << m)
+            cubes.setdefault(span.bit_count(), {})[code | span << m] = None
     cubes = {k: cubes[k] for k in sorted(cubes)}
     try:
-        _check_cubes(X, cubes, keys)
+        _check_cubes(X, cubes)
     except FlagViolation as e:
         raise AdmissibilityAssertionFailed(str(e)) from e
     X.cubes = cubes
@@ -485,55 +489,39 @@ def vertex_link(X: CubeComplex, v: "Section | int") -> VertexLink:
     return VertexLink(vertex=vi, points=incident, simplices=tuple(map(_walls, spans)))
 
 
-def _cube_key(
-    X: CubeComplex, vi: int, walls: tuple[int, ...]
-) -> tuple[int, tuple[int, ...]] | None:
-    """Canonical registry key of the cube through the vertex spanned by
-    the walls, or None when the canonical vertex is missing.  The walls
-    must be sorted: they are the key's wall tuple as given."""
-    bi = X._index.get(X.codes[vi] & ~_span(walls))
-    if bi is None:
-        return None
-    return (bi, walls)
-
-
 def check_flag(X: CubeComplex) -> bool:
     """Certify that every vertex link is a flag complex and that every
     registered cube is a cube of the complex.
 
-    One set holds the int key ``codes[b] | span << m`` of every
-    registered cube (b, walls), built in O(sum_k k f_k); the cube through
-    a vertex with code c spanned by a wall mask s then has the key
-    ``c & ~s | s << m``, so each lookup is one membership test.  In each
-    link, join two incident walls when the square they span at the
-    vertex is registered; every clique of that graph must then carry a
-    registered cube, which costs one test per corner (sum_k 2^k f_k
-    corners in all).  Then every registered cube must be in the complex,
-    by attach_cubes' own pass (_check_cubes) over the same keys; facet
-    closure alone is weaker than the flag condition (three squares at a
-    corner with no far vertex pass it).  Works on externally supplied
-    complexes, so a missing, forged or misplaced cube is detected and
-    reported with a witness.
+    The cube through a vertex with code c spanned by a wall mask s has
+    the key ``c & ~s | s << m``, so each lookup is one membership test in
+    the registry ``X.cubes[k]`` for the popcount k of s.  In each link,
+    join two incident walls when the square they span at the vertex is
+    registered; every clique of that graph must then carry a registered
+    cube, which costs one test per corner (sum_k 2^k f_k corners in
+    all).  Then every registered cube must be in the complex, by
+    attach_cubes' own pass (_check_cubes); facet closure alone is weaker
+    than the flag condition (three squares at a corner with no far
+    vertex pass it).  Works on externally supplied complexes, so a
+    missing, forged or misplaced cube is detected and reported with a
+    witness.
     """
     if not X.cubes_attached:
         raise InputError("attach cubes before checking the flag condition")
-    m = X.space.wall_count
-    keys = {
-        X.codes[b] | _span(walls) << m
-        for registry in X.cubes.values()
-        for b, walls in registry
-    }
+    m, cubes = X.space.wall_count, X.cubes
+    by_size = [cubes.get(k, {}) for k in range(m + 1)]
+    squares = cubes.get(2, {})
     for vi, code in enumerate(X.codes):
         incident = sorted(X.adjacency[vi])
         link = [0] * m
         for i, w1 in enumerate(incident):
             for w2 in incident[i + 1 :]:
                 s = 1 << w1 | 1 << w2
-                if (code & ~s | s << m) in keys:
+                if (code & ~s | s << m) in squares:
                     link[w1] |= 1 << w2
                     link[w2] |= 1 << w1
         for span in _cliques(_span(incident), link, 3):
-            if (code & ~span | span << m) not in keys:
+            if (code & ~span | span << m) not in by_size[span.bit_count()]:
                 walls = _walls(span)
                 raise FlagViolation(
                     vi,
@@ -541,7 +529,7 @@ def check_flag(X: CubeComplex) -> bool:
                     f"vertex {vi}: walls {list(walls)} span pairwise squares "
                     f"but no {len(walls)}-cube is registered",
                 )
-    _check_cubes(X, X.cubes, keys)
+    _check_cubes(X, cubes)
     return True
 
 
@@ -549,13 +537,17 @@ def check_flag(X: CubeComplex) -> bool:
 
 
 def complex_to_dict(X: CubeComplex) -> dict:
+    """The JSON form; each cube key is decoded to [vertex, [walls]],
+    sorted by vertex index, then wall tuple."""
+    m = X.space.wall_count
+    full = (1 << m) - 1
     return {
-        "walls": X.space.wall_count,
+        "walls": m,
         "base": X.section(X.base).encode(),
         "vertices": [X.section(i).encode() for i in range(len(X.codes))],
         "edges": [list(e) for e in X.edges],
         "cubes": {
-            str(k): [[b, list(walls)] for b, walls in sorted(X.cubes[k])]
+            str(k): sorted([X._index[key & full], list(_walls(key >> m))] for key in X.cubes[k])
             for k in sorted(X.cubes)
         },
     }
@@ -608,7 +600,7 @@ def complex_from_dict(space: WallSpace, data: object) -> CubeComplex:
         adjacency[v][w] = u
         edges.append((min(u, v), max(u, v), w))
     X = CubeComplex(space, base, codes, sorted(set(edges)), adjacency)
-    cubes: dict[int, dict[tuple[int, tuple[int, ...]], None]] = {}
+    cubes: dict[int, dict[int, None]] = {}
     raw_cubes = data["cubes"]
     if not isinstance(raw_cubes, dict):
         raise InputError("'cubes' must be an object keyed by dimension")
@@ -625,7 +617,7 @@ def complex_from_dict(space: WallSpace, data: object) -> CubeComplex:
             raise InputError(f"cube dimension {k} must be >= 2")
         if not isinstance(raw_cubes[key], list):
             raise InputError(f"cubes of dimension {k} must be a list of [vertex, [walls]]")
-        registry: dict[tuple[int, tuple[int, ...]], None] = {}
+        registry: dict[int, None] = {}
         for entry in raw_cubes[key]:
             if not (isinstance(entry, list) and len(entry) == 2):
                 raise InputError(f"cube entries must be [vertex, [walls]], got {entry!r}")
@@ -639,7 +631,7 @@ def complex_from_dict(space: WallSpace, data: object) -> CubeComplex:
                 or sorted(set(walls)) != walls
             ):
                 raise InputError(f"cube entry {entry!r}: walls must be {k} sorted wall ids")
-            registry[(b, tuple(walls))] = None
+            registry[codes[b] | _span(walls) << m] = None
         cubes[k] = registry
     X.cubes = {k: cubes[k] for k in sorted(cubes)}
     X.cubes_attached = True

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cubing import CubeComplex, NotInComponent, _cube_key
+from .cubing import CubeComplex, NotInComponent
 from .errors import CertificateError, InputError
 from .sections import Section
 
@@ -203,7 +203,8 @@ def contract_loop(loop: EdgeLoop) -> ContractionCertificate:
                     f"opposite corner "
                     f"{Section.from_code(opposite, X.space.wall_count).encode()} is not a vertex"
                 )
-            if _cube_key(X, sigma, walls) not in X.cubes.get(2, {}):
+            s = 1 << wa | 1 << wb
+            if (X.codes[sigma] & ~s | s << X.space.wall_count) not in X.cubes.get(2, {}):
                 raise ContractionStuck(
                     f"square over walls {list(walls)} at vertex {sigma} is not registered"
                 )

@@ -335,24 +335,16 @@ class WallSpace:
 def _max_clique_size(adj: Sequence[int]) -> int:
     """Exact maximum clique size via branch and bound.
 
-    Vertices are relabelled along a degeneracy ordering, then searched
-    with the classic greedy-colouring bound.  Exponential worst case,
-    exact always; intended for the desk-scale wall counts here.
+    Vertices are relabelled by degree, densest first (ties by index),
+    then searched with the classic greedy-colouring bound.  The order
+    only steers the search, so one O(n log n) sort serves.  Exponential
+    worst case, exact always; intended for the desk-scale wall counts
+    here.
     """
     n = len(adj)
     if n == 0:
         return 0
-    alive = (1 << n) - 1
-    order = []
-    for _ in range(n):
-        v = min(
-            (u for u in range(n) if alive >> u & 1),
-            key=lambda u: ((adj[u] & alive).bit_count(), u),
-        )
-        order.append(v)
-        alive ^= 1 << v
-    # last removed first: densest core gets the small indices
-    order.reverse()
+    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
     pos = {v: i for i, v in enumerate(order)}
     radj = [0] * n
     for v in range(n):

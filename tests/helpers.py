@@ -1,9 +1,10 @@
 """Shared fixtures: the shipped example registry, a seeded random
-wall-space generator for property checks and a forged complex."""
+wall-space generator for property checks, a forged complex and the
+decoding of a cube registry."""
 
 from itertools import combinations
 
-from cubulate import WallSpace
+from cubulate import Section, WallSpace, validate_generator
 from cubulate.families import gen_crossing, gen_nested, gen_tree, triangle_lattice
 
 
@@ -48,6 +49,25 @@ def random_wall_space(rng, point_count=8, wall_count=6):
     return WallSpace(point_count, walls)
 
 
+def swap_bits(p, i, j):
+    bi, bj = p >> i & 1, p >> j & 1
+    return p & ~(1 << i) & ~(1 << j) | bi << j | bj << i
+
+
+def cube_swap(space, i, j, name):
+    """The crossing(n) generator swapping coordinates i and j."""
+    return validate_generator(space, [swap_bits(p, i, j) for p in space.points()], name)
+
+
+def lattice_reflection(radius):
+    """The triangle lattice's wall space with the reflection swapping its
+    m and n axes."""
+    tl = triangle_lattice(radius)
+    index = {c: i for i, c in enumerate(tl.cells)}
+    perm = [index[(c.orient, c.n, c.m)] for c in tl.cells]
+    return tl.space, validate_generator(tl.space, perm, "t")
+
+
 def forge_nested3_cubes(data):
     """Register every square and the 3-cube of a nested(3) complex dict
     at its vertex 000, though no two of its walls cross."""
@@ -55,6 +75,20 @@ def forge_nested3_cubes(data):
     data["cubes"] = {
         "2": [[vi, list(pair)] for pair in combinations(range(3), 2)],
         "3": [[vi, [0, 1, 2]]],
+    }
+
+
+def cube_pairs(X, registry):
+    """The (vertex index, sorted wall tuple) pair of each int key
+    ``code | span << m`` of a cube registry of X, keyed by that key in
+    registry order."""
+    m = X.space.wall_count
+    return {
+        key: (
+            X.index_of(Section.from_code(key & (1 << m) - 1, m)),
+            tuple(w for w in range(m) if key >> m + w & 1),
+        )
+        for key in registry
     }
 
 

@@ -106,12 +106,22 @@ def walls_cross(point_count, walls, i, j):
     return all((a & b) for a in (hi, hic) for b in (hj, hjc))
 
 
-def max_crossing_family(point_count, walls):
-    """Largest pairwise-crossing wall set by descending-size enumeration.
+def max_clique(vertex_count, edges):
+    """Largest set of pairwise adjacent vertices by descending-size
+    enumeration; ``edges`` holds the pairs (i, j) with i < j.
 
-    Pairwise crossing is closed under subsets, so the first size that
-    admits a family is the maximum.
+    Pairwise adjacency is closed under subsets, so the first size that
+    admits a set is the maximum.
     """
+    for size in range(vertex_count, 1, -1):
+        for combo in combinations(range(vertex_count), size):
+            if all(pair in edges for pair in combinations(combo, 2)):
+                return size
+    return min(vertex_count, 1)
+
+
+def max_crossing_family(point_count, walls):
+    """Largest pairwise-crossing wall set."""
     m = len(walls)
     cross = {
         (i, j)
@@ -119,11 +129,7 @@ def max_crossing_family(point_count, walls):
         for j in range(i + 1, m)
         if walls_cross(point_count, walls, i, j)
     }
-    for size in range(m, 1, -1):
-        for combo in combinations(range(m), size):
-            if all(pair in cross for pair in combinations(combo, 2)):
-                return size
-    return 1
+    return max_clique(m, cross)
 
 
 def ncube_f_vector(n):

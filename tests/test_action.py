@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import random
@@ -25,20 +26,12 @@ from cubulate import (
     validate_generator,
 )
 from cubulate.cubing import CubeComplex, find_corners
-from cubulate.families import gen_crossing, gen_nested, triangle_lattice
+from cubulate.families import gen_crossing, gen_nested
 
 import oracles
+from helpers import cube_swap, lattice_reflection, swap_bits
 
 FIXTURES = Path(__file__).parent / "fixtures"
-
-
-def swap_bits(p, i, j):
-    bi, bj = p >> i & 1, p >> j & 1
-    return p & ~(1 << i) & ~(1 << j) | bi << j | bj << i
-
-
-def cube_swap(space, i, j, name):
-    return validate_generator(space, [swap_bits(p, i, j) for p in space.points()], name)
 
 
 def test_identity_generator():
@@ -148,6 +141,20 @@ def test_check_equivariance_passes():
     assert report["edges"] == 4
 
 
+def test_check_equivariance_catches_a_missing_image_cube():
+    """Without the square over walls 0 and 2 at vertex 0, the swap of
+    walls 0 and 1 sends the square over walls 1 and 2 there to no cube."""
+    sp = gen_crossing(3)
+    X = build_complex(sp)
+    Y = copy.copy(X)
+    dropped = X.codes[0] | 0b101 << 3
+    Y.cubes = {k: {c: None for c in r if c != dropped} for k, r in X.cubes.items()}
+    assert len(Y.cubes[2]) == len(X.cubes[2]) - 1
+    with pytest.raises(EquivarianceViolation) as info:
+        check_equivariance(sp, Y, cube_swap(sp, 0, 1, "s01"))
+    assert str(info.value) == "s01: 2-cube at vertex 0 over walls [1, 2] has no image cube"
+
+
 def test_check_equivariance_catches_forged_wall_map():
     sp = gen_nested(4)
     X = build_complex(sp)
@@ -193,15 +200,6 @@ def test_check_equivariance_catches_forged_generator_structure(call, field, valu
             check_equivariance(sp, X, forged)
         else:
             orbit_and_stabilizer(sp, X, [forged], 0)
-
-
-def lattice_reflection(radius):
-    """The triangle lattice's wall space with the reflection swapping its
-    m and n axes."""
-    tl = triangle_lattice(radius)
-    index = {c: i for i, c in enumerate(tl.cells)}
-    perm = [index[(c.orient, c.n, c.m)] for c in tl.cells]
-    return tl.space, validate_generator(tl.space, perm, "t")
 
 
 def equivariance_cases():

@@ -30,7 +30,7 @@ from cubulate import (
 )
 
 import oracles
-from helpers import drop_edge
+from helpers import cube_pairs, drop_edge
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=80)
 
@@ -133,7 +133,11 @@ def test_check_flag_matches_flag_oracle(raw):
     n, walls = raw
     X = build_complex(WallSpace(n, walls))
     encodings = [X.section(i).encode() for i in range(len(X.codes))]
-    registered = {c: (encodings[c[0]], c[1]) for k in X.cubes for c in X.cubes[k]}
+    registered = {
+        key: (encodings[b], walls)
+        for k in X.cubes
+        for key, (b, walls) in cube_pairs(X, X.cubes[k]).items()
+    }
     assert check_flag(X)
     assert oracles.flag_violations(set(encodings), registered.values()) == []
     for dropped, as_text in registered.items():

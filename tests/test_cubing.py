@@ -18,10 +18,12 @@ from cubulate import (
     attach_cubes,
     build_complex,
     build_component,
+    check_equivariance,
     check_flag,
     check_metric_correspondence,
     complex_from_dict,
     complex_to_dict,
+    contraction_suite,
     dimension,
     find_corners,
     to_dot,
@@ -31,8 +33,11 @@ from cubulate.families import gen_crossing, gen_nested, gen_tree, triangle_latti
 
 import oracles
 from helpers import (
+    cube_pairs,
+    cube_swap,
     drop_edge,
     forge_nested3_cubes,
+    lattice_reflection,
     random_wall_space,
     shipped_examples,
     small_examples,
@@ -159,22 +164,24 @@ def test_f_vector_matches_oracle():
 def test_cube_faces_are_registered():
     for sp in (gen_crossing(4), triangle_lattice(1).space):
         X = build_complex(sp)
+        pairs = {k: set(cube_pairs(X, X.cubes[k]).values()) for k in X.cubes}
         for k in sorted(X.cubes):
-            for b, walls in X.cubes[k]:
+            for b, walls in pairs[k]:
                 for size in range(2, k):
                     for sub in itertools.combinations(walls, size):
                         fixed = [w for w in walls if w not in sub]
                         for bits in itertools.product((0, 1), repeat=len(fixed)):
                             on = [w for w, t in zip(fixed, bits) if t]
                             fb = X.index_of(X.section(b).toggle(*on))
-                            assert (fb, sub) in X.cubes[size]
+                            assert (fb, sub) in pairs[size]
 
 
 def test_cube_keys_are_canonical():
     X = build_complex(gen_crossing(4))
     for k, registry in X.cubes.items():
-        assert len(registry) == len(set(registry))
-        for b, walls in registry:
+        pairs = list(cube_pairs(X, registry).values())
+        assert len(pairs) == len(set(pairs))
+        for b, walls in pairs:
             assert all(X.section(b).bits[w] == 0 for w in walls)
             assert list(walls) == sorted(walls)
 
@@ -204,20 +211,27 @@ def test_check_flag_passes_on_generated():
 
 
 @pytest.mark.parametrize(
-    "space", [gen_crossing(4), triangle_lattice(2).space], ids=["crossing4", "triangle2"]
+    "space, gen",
+    [(gen_crossing(4), cube_swap(gen_crossing(4), 0, 1, "s01")), lattice_reflection(2)],
+    ids=["crossing4", "triangle2"],
 )
-def test_cube_stages_use_int_keys(monkeypatch, space):
-    """attach_cubes and check_flag look cubes up by int key alone; the
-    registry key (_cube_key) is left to the loop and action suites."""
+def test_cube_stages_use_int_keys(space, gen):
+    """The int key ``code | span << m`` is the only cube key: no
+    translation to a second form is left, every key of X.cubes[k] spans
+    k walls, and the contraction and equivariance suites, which look
+    squares and image cubes up by key, pass."""
     import cubulate.cubing as cubing
 
-    def no_registry_key(*args):
-        raise AssertionError("_cube_key called")
-
-    monkeypatch.setattr(cubing, "_cube_key", no_registry_key)
+    assert not hasattr(cubing, "_cube_key")
     X = attach_cubes(build_component(space))
+    m = space.wall_count
     assert X.cubes[2]
+    for k, registry in X.cubes.items():
+        for key in registry:
+            assert type(key) is int and (key >> m).bit_count() == k
     assert check_flag(X)
+    assert contraction_suite(X, seed=3, runs=20)["square_moves"] > 0
+    assert check_equivariance(space, X, gen)["cubes"] == sum(map(len, X.cubes.values()))
 
 
 def test_check_flag_negative_fixture():

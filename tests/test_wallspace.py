@@ -1,6 +1,9 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubulate import (
     DuplicateWall,
@@ -13,6 +16,7 @@ from cubulate import (
     WallsCross,
 )
 from cubulate.families import gen_crossing, gen_nested
+from cubulate.wallspace import _max_clique_size
 
 import oracles
 from helpers import random_wall_space, shipped_examples
@@ -163,6 +167,25 @@ def test_intersection_number_matches_oracle():
             assert sp.intersection_number() == oracles.max_crossing_family(
                 raw["points"], raw["walls"]
             ), name
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    st.integers(0, 11).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (1 << n * (n - 1) // 2) - 1))
+    )
+)
+def test_max_clique_size_matches_oracle(graph):
+    """The branch and bound on neighbour masks against brute force; bit
+    i of the drawn int keeps the i-th vertex pair as an edge."""
+    n, chosen = graph
+    pairs = combinations(range(n), 2)
+    edges = {pair for i, pair in enumerate(pairs) if chosen >> i & 1}
+    adj = [0] * n
+    for i, j in edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    assert _max_clique_size(adj) == oracles.max_clique(n, edges)
 
 
 def test_separates_from_wall_nested():
