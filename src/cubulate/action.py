@@ -19,8 +19,7 @@ check_equivariance rather than recomputed.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .cubing import CubeComplex, _walls
 from .errors import BudgetError, CertificateError, InputError
@@ -59,8 +58,7 @@ class BudgetExceeded(BudgetError):
     """Word enumeration grew past the configured budget."""
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     """A validated point permutation with its induced wall data.
 
     wall_perm[i] is the image wall of wall i; side_swap[i] is 1 when the
@@ -298,8 +296,7 @@ def check_equivariance(space: WallSpace, X: CubeComplex, gen: Generator) -> dict
     }
 
 
-@dataclass(frozen=True)
-class OrbitStabilizer:
+class OrbitStabilizer(NamedTuple):
     vertex: int
     orbit: tuple[int, ...]
     stabilizer_words: tuple[tuple[str, ...], ...]

@@ -27,13 +27,11 @@ from .certify import (
     parity_suite,
 )
 from .cubing import (
-    ComplexityBudgetExceeded,
     CubeComplex,
     build_complex,
     complex_from_dict,
     complex_to_dict,
     dimension,
-    resolve_max_vertices,
     to_dot,
 )
 from .errors import BudgetError, CertificateError, InputError
@@ -150,12 +148,7 @@ def cmd_check(args) -> int:
     t0 = time.perf_counter()
     if args.complex_in:
         data, _ = _load_json(args.complex_in)
-        X = complex_from_dict(space, data)
-        cap = resolve_max_vertices(args.max_vertices)
-        if len(X.codes) > cap:
-            raise ComplexityBudgetExceeded(
-                f"complex has {len(X.codes)} vertices, over the vertex cap {cap}"
-            )
+        X = complex_from_dict(space, data, args.max_vertices)
     else:
         base = 0 if args.base is None else args.base
         X = build_complex(space, base_point=base, max_vertices=args.max_vertices)

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BudgetError, CertificateError, InputError
@@ -101,8 +100,7 @@ class Corner(NamedTuple):
     walls: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class VertexLink:
+class VertexLink(NamedTuple):
     """The link of a vertex: one point per incident edge wall, one
     (k-1)-simplex per k-corner."""
 
@@ -553,12 +551,16 @@ def complex_to_dict(X: CubeComplex) -> dict:
     }
 
 
-def complex_from_dict(space: WallSpace, data: object) -> CubeComplex:
+def complex_from_dict(
+    space: WallSpace, data: object, max_vertices: int | None = None
+) -> CubeComplex:
     """Rebuild a complex from its JSON form without re-deriving cubes.
 
     Structural well-formedness (edge labels consistent with the vertex
     encodings) is enforced; completeness of the cube dictionary is not,
     so broken complexes can be loaded and then failed by check_flag.
+    A vertex list longer than the cap (see resolve_max_vertices) raises
+    ComplexityBudgetExceeded before any encoding is decoded.
     """
     if not isinstance(data, dict):
         raise InputError("complex input must be a JSON object")
@@ -571,6 +573,11 @@ def complex_from_dict(space: WallSpace, data: object) -> CubeComplex:
     raw_vertices = data["vertices"]
     if not isinstance(raw_vertices, list) or not raw_vertices:
         raise InputError("'vertices' must be a nonempty list of encodings")
+    cap = resolve_max_vertices(max_vertices)
+    if len(raw_vertices) > cap:
+        raise ComplexityBudgetExceeded(
+            f"complex has {len(raw_vertices)} vertices, over the vertex cap {cap}"
+        )
     codes = [Section.decode(t, m).code for t in raw_vertices]
     index: dict[int, int] = {}
     for i, c in enumerate(codes):

@@ -8,7 +8,6 @@ triangular lattice patch, whose complex embeds into the integer grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InputError
@@ -54,10 +53,12 @@ def gen_crossing(n: int) -> WallSpace:
 
 def gen_nested(n: int) -> WallSpace:
     """Points 0..n with the nested walls {x >= i} for i = 1..n.  No two
-    walls cross; the complex is a path with n+1 vertices."""
+    walls cross; the complex is a path with n+1 vertices.  1 <= n <= 4095,
+    so at most 4096 points, as for the tree family; the bound is checked
+    before any of the n wall lists is built."""
     _check_int(n, "n")
-    if n < 1:
-        raise SizeOutOfRange(f"nested size n must be >= 1, got {n}")
+    if not 1 <= n <= 4095:
+        raise SizeOutOfRange(f"nested size n must be in 1..4095, got {n}")
     return WallSpace(n + 1, [list(range(i, n + 1)) for i in range(1, n + 1)])
 
 
@@ -135,8 +136,7 @@ def _cells_at_corner(x: int, y: int) -> tuple[Cell, ...]:
     )
 
 
-@dataclass(frozen=True)
-class TriangleLattice:
+class TriangleLattice(NamedTuple):
     """A triangular-lattice patch with its wall space and grid labelling.
 
     Walls come from the three parallel line families: family 0 counts m,

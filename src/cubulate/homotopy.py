@@ -17,8 +17,7 @@ so any number of loops at one base costs one traversal.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cubing import CubeComplex, NotInComponent
 from .errors import CertificateError, InputError
@@ -96,8 +95,7 @@ def loop_parity_check(loop: EdgeLoop) -> bool:
     return loop.edge_length % 2 == 0 and all(c % 2 == 0 for c in counts.values())
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     """One certificate step: a spur removal or a push across a square.
 
     ``at`` is the position in the loop at the time the move applies; for
@@ -114,8 +112,7 @@ class Move:
         return {"type": self.kind, "at": self.at, "walls": list(self.walls)}
 
 
-@dataclass(frozen=True)
-class ContractionCertificate:
+class ContractionCertificate(NamedTuple):
     base: int
     initial: tuple[int, ...]
     moves: tuple[Move, ...]

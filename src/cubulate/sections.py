@@ -18,8 +18,7 @@ walls with a side inside it, so a flip test is one AND and one compare.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import CubulateError, InputError
 from .wallspace import WallSpace
@@ -220,8 +219,7 @@ def geodesic_path(space: WallSpace, p: int, q: int) -> list[Section]:
     return path
 
 
-@dataclass(frozen=True)
-class WallEquivalenceClass:
+class WallEquivalenceClass(NamedTuple):
     representative: int
     members: tuple[int, ...]
 

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import json
 import random
 from pathlib import Path
@@ -194,7 +193,7 @@ def test_check_equivariance_catches_forged_generator_structure(call, field, valu
     sp = gen_nested(4)
     X = build_complex(sp)
     r = validate_generator(sp, [4 - x for x in range(5)], "r")
-    forged = dataclasses.replace(r, **{field: value})
+    forged = r._replace(**{field: value})
     with pytest.raises(EquivarianceViolation, match=witness):
         if call == "check":
             check_equivariance(sp, X, forged)
@@ -213,9 +212,9 @@ def equivariance_cases():
     cases.append((n4, validate_generator(n4, [4 - x for x in range(5)], "r")))
     cases.append(lattice_reflection(2))
     identity = validate_generator(n4, list(range(5)), "e")
-    cases.append((n4, dataclasses.replace(identity, name="walls", wall_perm=(3, 2, 1, 0))))
+    cases.append((n4, identity._replace(name="walls", wall_perm=(3, 2, 1, 0))))
     s01 = cube_swap(c3, 0, 1, "s01")
-    cases.append((c3, dataclasses.replace(s01, name="sides", side_swap=(0, 0, 1))))
+    cases.append((c3, s01._replace(name="sides", side_swap=(0, 0, 1))))
     return cases
 
 

@@ -183,6 +183,20 @@ def test_check_complex_in_obeys_max_vertices(capsys, tmp_path):
     assert code == 0 and json.loads(out)["complex"]["vertices"] == 8
 
 
+def test_check_complex_in_applies_the_cap_before_decoding(capsys, tmp_path):
+    data = complex_to_dict(build_complex(gen_crossing(3)))
+    data["vertices"][-1] = "not-a-section"
+    cx = tmp_path / "c3.json"
+    cx.write_text(json.dumps(data))
+    argv = ["check", SPACE3, "--complex-in", str(cx), "--loops", "0"]
+    code, out, err = run(capsys, *argv, "--max-vertices", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: complex has 8 vertices, over the vertex cap 2\n"
+    code, _, _ = run(capsys, *argv, "--max-vertices", "8")
+    assert code == 1
+
+
 def test_check_complex_in_obeys_max_vertices_env(capsys, tmp_path, monkeypatch):
     argv = _crossing3_complex(tmp_path)
     monkeypatch.setenv("CUBULATE_MAX_VERTICES", "7")
@@ -302,6 +316,20 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"points": 3, "walls": [[1, 2], [2]]}
+
+
+@pytest.mark.parametrize("n", ["4096", "1000000000"])
+def test_generate_nested_rejects_oversize_before_building(capsys, monkeypatch, n):
+    import cubulate.families as families
+
+    def no_range(*args):
+        raise AssertionError("a wall list was built for an oversized n")
+
+    monkeypatch.setattr(families, "range", no_range, raising=False)
+    code, out, err = run(capsys, "generate", "--family", "nested", "--param", n)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: nested size n must be in 1..4095, got {n}\n"
 
 
 @pytest.mark.parametrize(

@@ -42,6 +42,20 @@ def test_nested_small():
         gen_nested(0)
 
 
+@pytest.mark.parametrize("n", [4096, 10**9])
+def test_nested_bound_checked_before_building(monkeypatch, n):
+    """4095 walls give 4096 points, the tree family's bound; an oversized
+    n is refused before any of its n wall lists is built."""
+    import cubulate.families as families
+
+    def no_range(*args):
+        raise AssertionError("a wall list was built for an oversized n")
+
+    monkeypatch.setattr(families, "range", no_range, raising=False)
+    with pytest.raises(SizeOutOfRange, match=f"must be in 1..4095, got {n}"):
+        gen_nested(n)
+
+
 def test_tree_small():
     sp = gen_tree(2, 1)
     assert sp.point_count == 2
