@@ -7,170 +7,27 @@ links, loop contraction certificates, and equivariance of induced group
 actions.
 """
 
-from .errors import BudgetError, CertificateError, CubulateError, InputError
-from .wallspace import (
-    DuplicateWall,
-    EmptyHalfSpace,
-    EmptyWallFamily,
-    PointOutOfRange,
-    SameWall,
-    WallSpace,
-    WallsCross,
-)
-from .sections import (
-    InadmissibleFlip,
-    Section,
-    WallEquivalenceClass,
-    admissible_flips,
-    can_flip,
-    flip,
-    geodesic_path,
-    is_admissible,
-    principal_section,
-    wall_equivalence_classes,
-)
-from .cubing import (
-    AdmissibilityAssertionFailed,
-    ComplexityBudgetExceeded,
-    Corner,
-    CubeComplex,
-    FlagViolation,
-    NotInComponent,
-    VertexLink,
-    attach_cubes,
-    build_complex,
-    build_component,
-    check_flag,
-    complex_from_dict,
-    complex_to_dict,
-    dimension,
-    find_corners,
-    to_dot,
-    vertex_link,
-)
-from .homotopy import (
-    ContractionCertificate,
-    ContractionStuck,
-    EdgeLoop,
-    Move,
-    NotALoop,
-    contract_loop,
-    loop_parity_check,
-    random_loop,
-    remove_backtracks,
-    replay_certificate,
-)
-from .action import (
-    BudgetExceeded,
-    EquivarianceViolation,
-    Generator,
-    HalfSpaceNotPreserved,
-    NotBijective,
-    OrbitStabilizer,
-    act_on_section,
-    check_equivariance,
-    inverse_generator,
-    load_generators,
-    orbit_and_stabilizer,
-    validate_generator,
-)
-from .certify import (
-    MetricMismatch,
-    ParityViolation,
-    ReplayMismatch,
-    check_metric_correspondence,
-    contraction_suite,
-    flag_suite,
-    parity_suite,
-)
-from .families import (
-    Cell,
-    SizeOutOfRange,
-    TriangleLattice,
-    gen_crossing,
-    gen_nested,
-    gen_tree,
-    gen_triangle_lattice,
-    triangle_lattice,
-)
+from . import action, certify, cubing, errors, families, homotopy, sections, wallspace
+from .errors import *
+from .wallspace import *
+from .sections import *
+from .cubing import *
+from .homotopy import *
+from .action import *
+from .certify import *
+from .families import *
 
 __version__ = "0.1.0"
 
+# each module's __all__ is the one list of its public names
 __all__ = [
     "__version__",
-    "CubulateError",
-    "InputError",
-    "BudgetError",
-    "CertificateError",
-    "WallSpace",
-    "EmptyHalfSpace",
-    "DuplicateWall",
-    "PointOutOfRange",
-    "EmptyWallFamily",
-    "SameWall",
-    "WallsCross",
-    "Section",
-    "InadmissibleFlip",
-    "WallEquivalenceClass",
-    "principal_section",
-    "is_admissible",
-    "can_flip",
-    "flip",
-    "admissible_flips",
-    "geodesic_path",
-    "wall_equivalence_classes",
-    "CubeComplex",
-    "Corner",
-    "VertexLink",
-    "ComplexityBudgetExceeded",
-    "AdmissibilityAssertionFailed",
-    "FlagViolation",
-    "NotInComponent",
-    "build_component",
-    "build_complex",
-    "attach_cubes",
-    "find_corners",
-    "dimension",
-    "vertex_link",
-    "check_flag",
-    "complex_to_dict",
-    "complex_from_dict",
-    "to_dot",
-    "EdgeLoop",
-    "NotALoop",
-    "ContractionStuck",
-    "Move",
-    "ContractionCertificate",
-    "loop_parity_check",
-    "remove_backtracks",
-    "contract_loop",
-    "replay_certificate",
-    "random_loop",
-    "Generator",
-    "NotBijective",
-    "HalfSpaceNotPreserved",
-    "EquivarianceViolation",
-    "BudgetExceeded",
-    "OrbitStabilizer",
-    "validate_generator",
-    "inverse_generator",
-    "load_generators",
-    "act_on_section",
-    "check_equivariance",
-    "orbit_and_stabilizer",
-    "MetricMismatch",
-    "ParityViolation",
-    "ReplayMismatch",
-    "check_metric_correspondence",
-    "parity_suite",
-    "contraction_suite",
-    "flag_suite",
-    "Cell",
-    "TriangleLattice",
-    "SizeOutOfRange",
-    "gen_crossing",
-    "gen_nested",
-    "gen_tree",
-    "gen_triangle_lattice",
-    "triangle_lattice",
+    *errors.__all__,
+    *wallspace.__all__,
+    *sections.__all__,
+    *cubing.__all__,
+    *homotopy.__all__,
+    *action.__all__,
+    *certify.__all__,
+    *families.__all__,
 ]

@@ -34,7 +34,6 @@ __all__ = [
     "EquivarianceViolation",
     "BudgetExceeded",
     "validate_generator",
-    "inverse_generator",
     "load_generators",
     "act_on_section",
     "check_equivariance",
@@ -117,10 +116,6 @@ def validate_generator(space: WallSpace, perm: Sequence[int], name: str = "g") -
     )
 
 
-def inverse_generator(space: WallSpace, gen: Generator) -> Generator:
-    return validate_generator(space, gen.inverse_perm, name=gen.name + "^-1")
-
-
 def load_generators(space: WallSpace, data: object) -> list[Generator]:
     """Parse {"generators": [{"name": ..., "perm": [...]}, ...]}."""
     if not isinstance(data, dict) or "generators" not in data:
@@ -136,6 +131,11 @@ def load_generators(space: WallSpace, data: object) -> list[Generator]:
         name = entry["name"]
         if not isinstance(name, str) or not name:
             raise InputError(f"generator {i}: name must be a nonempty string")
+        # words are printed space-separated and inverses are named g^-1
+        if name.endswith("^-1") or any(c.isspace() for c in name):
+            raise InputError(
+                f"generator {i}: name {name!r} may not end in '^-1' or contain whitespace"
+            )
         if name in seen:
             raise InputError(f"generator name {name!r} appears twice")
         seen.add(name)
@@ -303,10 +303,6 @@ class OrbitStabilizer(NamedTuple):
     word_length: int
 
 
-def _formal_inverse(name: str) -> str:
-    return name[: -len("^-1")] if name.endswith("^-1") else name + "^-1"
-
-
 def orbit_and_stabilizer(
     space: WallSpace,
     X: CubeComplex,
@@ -318,20 +314,27 @@ def orbit_and_stabilizer(
     """Orbit of a vertex under the generated group, with the stabilizer
     described by all generator words up to the given length fixing it.
 
-    Inverses are adjoined automatically (skipped for involutions).
-    Raises EquivarianceViolation when a generator is not well formed
-    (as in check_equivariance) and BudgetExceeded when the word
-    enumeration grows past max_words.
+    Inverses are adjoined automatically (skipped for involutions) under
+    the name g^-1.  Raises InputError when two generators, adjoined
+    inverses included, share a name, EquivarianceViolation when a
+    generator is not well formed (as in check_equivariance) and
+    BudgetExceeded when the word enumeration grows past max_words.
     """
     start = X.index_of(vertex)
     symbols: list[tuple[str, Generator]] = []
+    inverse_of: dict[str, str] = {}
     for g in generators:
         _check_generator(space, g)
         symbols.append((g.name, g))
         if g.inverse_perm != g.perm:
-            symbols.append((g.name + "^-1", inverse_generator(space, g)))
+            inverse = g.name + "^-1"
+            symbols.append((inverse, validate_generator(space, g.inverse_perm, inverse)))
+            inverse_of[g.name], inverse_of[inverse] = inverse, g.name
     if not symbols:
         raise InputError("at least one generator is required")
+    names = [name for name, _ in symbols]
+    if len(set(names)) != len(names):
+        raise InputError(f"generator names clash, adjoined inverses included: {names}")
     sections = [X.section(i) for i in range(len(X.codes))]
     maps = {
         name: [X.index_of(act_on_section(space, g, s)) for s in sections]
@@ -353,7 +356,7 @@ def orbit_and_stabilizer(
         nxt = []
         for word, at in frontier:
             for name, _ in symbols:
-                if word and _formal_inverse(word[-1]) == name:
+                if word and inverse_of.get(word[-1]) == name:
                     continue
                 explored += 1
                 if explored > max_words:

@@ -42,7 +42,6 @@ __all__ = [
     "DEFAULT_MAX_VERTICES",
     "MAX_VERTICES_ENV",
     "CubeComplex",
-    "Corner",
     "VertexLink",
     "ComplexityBudgetExceeded",
     "AdmissibilityAssertionFailed",
@@ -51,7 +50,6 @@ __all__ = [
     "build_component",
     "attach_cubes",
     "build_complex",
-    "find_corners",
     "dimension",
     "vertex_link",
     "check_flag",
@@ -91,13 +89,6 @@ class FlagViolation(CertificateError):
 
 class NotInComponent(InputError):
     """A section or index is not a vertex of this complex."""
-
-
-class Corner(NamedTuple):
-    """A vertex index plus pairwise crossing walls flipping admissibly there."""
-
-    vertex: int
-    walls: tuple[int, ...]
 
 
 class VertexLink(NamedTuple):
@@ -457,16 +448,6 @@ def build_complex(
 ) -> CubeComplex:
     """build_component followed by attach_cubes."""
     return attach_cubes(build_component(space, base_point, max_vertices))
-
-
-def find_corners(X: CubeComplex, k: int) -> list[Corner]:
-    """All k-corners, ordered by (vertex index, wall tuple)."""
-    if not _is_int(k) or k < 2:
-        raise InputError(f"corner size must be an integer >= 2, got {k!r}")
-    out: list[Corner] = []
-    for vi in range(len(X.codes)):
-        out.extend(Corner(vi, c) for c in vertex_link(X, vi).simplices if len(c) == k)
-    return out
 
 
 def dimension(X: CubeComplex) -> int:

@@ -6,6 +6,8 @@ status 3.  Concrete errors live next to the operations that raise them
 and subclass one of the three categories below.
 """
 
+__all__ = ["CubulateError", "InputError", "BudgetError", "CertificateError"]
+
 
 class CubulateError(Exception):
     """Base class for every error raised by this package."""

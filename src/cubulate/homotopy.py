@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple, Sequence
 
-from .cubing import CubeComplex, NotInComponent
+from .cubing import CubeComplex, NotInComponent, _is_int
 from .errors import CertificateError, InputError
 from .sections import Section
 
@@ -30,7 +30,6 @@ __all__ = [
     "NotALoop",
     "ContractionStuck",
     "loop_parity_check",
-    "remove_backtracks",
     "contract_loop",
     "replay_certificate",
     "random_loop",
@@ -129,27 +128,17 @@ class ContractionCertificate(NamedTuple):
         return [m.to_dict() for m in self.moves]
 
 
-def _strip_backtracks(
-    seq: list[int], X: CubeComplex, moves: list[Move] | None
-) -> list[int]:
+def _strip_backtracks(seq: list[int], X: CubeComplex, moves: list[Move]) -> list[int]:
     """Delete (v, w, v) spurs until none remain, recording the removals."""
     i = 1
     while i < len(seq) - 1:
         if seq[i - 1] == seq[i + 1]:
-            if moves is not None:
-                w = X.edge_wall(seq[i - 1], seq[i])
-                moves.append(Move("backtrack", i, (w,)))
+            moves.append(Move("backtrack", i, (X.edge_wall(seq[i - 1], seq[i]),)))
             del seq[i : i + 2]
             i = max(i - 1, 1)
         else:
             i += 1
     return seq
-
-
-def remove_backtracks(loop: EdgeLoop) -> EdgeLoop:
-    """The loop with all immediate backtracks removed."""
-    seq = _strip_backtracks(list(loop.indices), loop.complex, None)
-    return EdgeLoop(loop.complex, seq)
 
 
 def contract_loop(loop: EdgeLoop) -> ContractionCertificate:
@@ -230,27 +219,39 @@ def replay_certificate(
     X: CubeComplex, initial: Sequence["Section | int"], moves: Sequence[Move]
 ) -> list[int]:
     """Apply a recorded move sequence to the initial loop, verifying each
-    move, and return the final vertex index sequence."""
+    move, and return the final vertex index sequence.  A square move
+    must name two distinct walls spanning a registered square at the
+    vertex it replaces."""
     seq = list(EdgeLoop(X, initial).indices)
+    m = X.space.wall_count
+    squares = X.cubes.get(2, {})
     for n, mv in enumerate(moves):
         i = mv.at
-        if not 1 <= i < len(seq) - 1:
-            raise CertificateError(f"move {n}: position {i} out of range")
+        if not _is_int(i) or not 1 <= i < len(seq) - 1:
+            raise CertificateError(f"move {n}: position {i!r} out of range")
+        walls = mv.walls
+        if not isinstance(walls, (tuple, list)) or not all(
+            _is_int(w) and 0 <= w < m for w in walls
+        ):
+            raise CertificateError(f"move {n}: walls {walls!r} out of range")
         if mv.kind == "backtrack":
-            if len(mv.walls) != 1:
+            if len(walls) != 1:
                 raise CertificateError(f"move {n}: backtrack needs one wall")
             if seq[i - 1] != seq[i + 1]:
                 raise CertificateError(f"move {n}: no spur at position {i}")
-            if X.edge_wall(seq[i - 1], seq[i]) != mv.walls[0]:
+            if X.edge_wall(seq[i - 1], seq[i]) != walls[0]:
                 raise CertificateError(f"move {n}: wall does not match the spur")
             del seq[i : i + 2]
         elif mv.kind == "square":
-            if len(mv.walls) != 2:
-                raise CertificateError(f"move {n}: square needs two walls")
-            w1, w2 = mv.walls
-            m = X.space.wall_count
-            if not all(isinstance(w, int) and 0 <= w < m for w in mv.walls):
-                raise CertificateError(f"move {n}: square walls {list(mv.walls)} out of range")
+            if len(walls) != 2 or walls[0] == walls[1]:
+                raise CertificateError(f"move {n}: square needs two distinct walls")
+            w1, w2 = walls
+            s = 1 << w1 | 1 << w2
+            if (X.codes[seq[i]] & ~s | s << m) not in squares:
+                raise CertificateError(
+                    f"move {n}: square over walls {list(walls)} at vertex "
+                    f"{seq[i]} is not registered"
+                )
             target, ti = X._flipped(seq[i], w1, w2)
             if ti is None:
                 raise CertificateError(

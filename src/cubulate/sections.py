@@ -18,27 +18,17 @@ walls with a side inside it, so a flip test is one AND and one compare.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
-from .errors import CubulateError, InputError
+from .errors import InputError
 from .wallspace import WallSpace
 
 __all__ = [
     "Section",
-    "InadmissibleFlip",
-    "WallEquivalenceClass",
     "principal_section",
     "is_admissible",
-    "can_flip",
-    "flip",
     "admissible_flips",
-    "geodesic_path",
-    "wall_equivalence_classes",
 ]
-
-
-class InadmissibleFlip(CubulateError):
-    """Flipping the requested wall would break admissibility."""
 
 
 class Section:
@@ -87,23 +77,6 @@ class Section:
 
     def __len__(self) -> int:
         return self._width
-
-    def _wall(self, wall: int) -> int:
-        """A wall index, negative ones counted from the end as for a tuple."""
-        if not -self._width <= wall < self._width:
-            raise IndexError("section wall index out of range")
-        return wall % self._width
-
-    def side(self, wall: int) -> int:
-        return self.code >> self._wall(wall) & 1
-
-    def toggle(self, *walls: int) -> "Section":
-        """Flip the given sides unconditionally; admissibility is NOT
-        checked here (see flip for the checked operation)."""
-        code = self.code
-        for w in walls:
-            code ^= 1 << self._wall(w)
-        return Section.from_code(code, self._width)
 
     def encode(self) -> str:
         return format(self.code, f"0{self._width}b")[::-1] if self._width else ""
@@ -158,25 +131,6 @@ def is_admissible(space: WallSpace, s: Section) -> bool:
     return True
 
 
-def can_flip(space: WallSpace, s: Section, wall: int) -> bool:
-    """Whether flipping the wall keeps an admissible section admissible
-    (Roller: no other chosen side lies in the wall's chosen side)."""
-    _check_section(space, s)
-    space._check_wall(wall)
-    code = s.code
-    inside_listed, inside_any = space._flip_masks[wall][code >> wall & 1]
-    return code & inside_any == inside_listed
-
-
-def flip(space: WallSpace, s: Section, wall: int) -> Section:
-    """Flip one wall of an admissible section, or reject the move."""
-    if not can_flip(space, s, wall):
-        raise InadmissibleFlip(
-            f"wall {wall}: the flipped side is disjoint from another chosen side"
-        )
-    return s.toggle(wall)
-
-
 def admissible_flips(space: WallSpace, s: Section) -> list[int]:
     """All walls that flip admissibly, in ascending id order."""
     _check_section(space, s)
@@ -187,55 +141,3 @@ def admissible_flips(space: WallSpace, s: Section) -> list[int]:
         if code & inside_any == inside_listed:
             out.append(w)
     return out
-
-
-def geodesic_path(space: WallSpace, p: int, q: int) -> list[Section]:
-    """Edge path of sections from the principal section of p to that of q.
-
-    Each step flips one wall still separating p from q whose p-side is
-    inclusion-minimal among the remaining ones (lowest wall id on ties),
-    so the path length equals the wall distance and every intermediate
-    section stays admissible.
-    """
-    cur = principal_section(space, p)
-    path = [cur]
-    remaining = space.separating_walls(p, q)
-    side_mask = {
-        w: space.mask(2 * w + space.side_of(w, p)) for w in remaining
-    }
-    while remaining:
-        minimal = [
-            w
-            for w in remaining
-            if not any(
-                x != w and side_mask[x] | side_mask[w] == side_mask[w]
-                for x in remaining
-            )
-        ]
-        w0 = min(minimal)
-        cur = flip(space, cur, w0)
-        path.append(cur)
-        remaining.remove(w0)
-    return path
-
-
-class WallEquivalenceClass(NamedTuple):
-    representative: int
-    members: tuple[int, ...]
-
-
-def wall_equivalence_classes(space: WallSpace) -> tuple[WallEquivalenceClass, ...]:
-    """Partition of the points into zero-wall-distance classes.
-
-    Two points are equivalent when no wall separates them; the classes
-    are returned ordered by smallest member, which also serves as the
-    representative.  Principal sections are constant on each class and
-    distinct across classes.
-    """
-    groups: dict[int, list[int]] = {}
-    for p, sig in enumerate(space._signatures):
-        groups.setdefault(sig, []).append(p)
-    classes = sorted(groups.values(), key=lambda g: g[0])
-    return tuple(
-        WallEquivalenceClass(representative=g[0], members=tuple(g)) for g in classes
-    )

@@ -36,7 +36,6 @@ __all__ = [
     "PointOutOfRange",
     "EmptyWallFamily",
     "SameWall",
-    "WallsCross",
 ]
 
 
@@ -58,10 +57,6 @@ class EmptyWallFamily(InputError):
 
 class SameWall(InputError):
     """A two-wall operation was called with the same wall twice."""
-
-
-class WallsCross(InputError):
-    """separates_from_wall is only defined for non-crossing walls."""
 
 
 def _bit_indices(mask: int) -> Iterator[int]:
@@ -263,23 +258,6 @@ class WallSpace:
         if self._iw is None:
             self._iw = _max_clique_size(self._crossing_masks)
         return self._iw
-
-    def separates_from_wall(self, k: int, p: int, h: int) -> bool:
-        """True when wall k sits between the point p and wall h.
-
-        Both walls must not cross; with k_p and h_p the sides containing
-        p, the test is the proper inclusion k_p < h_p.
-        """
-        self._check_point(p)
-        self._check_wall(k)
-        self._check_wall(h)
-        if k == h:
-            raise SameWall(f"separates_from_wall needs distinct walls, got {k} twice")
-        if self.crosses(k, h):
-            raise WallsCross(f"walls {k} and {h} cross")
-        kp = self._masks[2 * k + self.side_of(k, p)]
-        hp = self._masks[2 * h + self.side_of(h, p)]
-        return kp != hp and kp | hp == hp
 
     # -- admissibility support ------------------------------------------
 

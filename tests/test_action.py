@@ -12,19 +12,19 @@ from cubulate import (
     HalfSpaceNotPreserved,
     InputError,
     NotBijective,
+    Section,
     WallSpace,
     act_on_section,
     admissible_flips,
     build_complex,
     check_equivariance,
-    flip,
-    inverse_generator,
     load_generators,
     orbit_and_stabilizer,
     principal_section,
     validate_generator,
+    vertex_link,
 )
-from cubulate.cubing import CubeComplex, find_corners
+from cubulate.cubing import CubeComplex
 from cubulate.families import gen_crossing, gen_nested
 
 import oracles
@@ -110,15 +110,16 @@ def test_action_commutes_with_flips():
         for s in map(X.section, range(len(X.codes))):
             gs = act_on_section(sp, g, s)
             for w in admissible_flips(sp, s):
-                assert act_on_section(sp, g, flip(sp, s, w)) == flip(
-                    sp, gs, g.wall_perm[w]
-                )
+                t = Section.from_code(s.code ^ 1 << w, sp.wall_count)
+                gt = Section.from_code(gs.code ^ 1 << g.wall_perm[w], sp.wall_count)
+                assert act_on_section(sp, g, t) == gt
 
 
 def test_inverse_generator_roundtrip():
     sp = gen_crossing(3)
     g = cube_swap(sp, 1, 2, "s12")
-    inv = inverse_generator(sp, g)
+    # built the way orbit_and_stabilizer adjoins it
+    inv = validate_generator(sp, g.inverse_perm, "s12^-1")
     X = build_complex(sp)
     for s in map(X.section, range(len(X.codes))):
         assert act_on_section(sp, inv, act_on_section(sp, g, s)) == s
@@ -260,7 +261,7 @@ def test_corner_count_matches_enumerated_corners():
     ]
     for sp, g in cases:
         X = build_complex(sp)
-        enumerated = sum(len(find_corners(X, k)) for k in range(2, sp.wall_count + 1))
+        enumerated = sum(len(vertex_link(X, v).simplices) for v in range(len(X.codes)))
         assert check_equivariance(sp, X, g)["corners"] == enumerated, g.name
     assert enumerated > 0
 
@@ -283,6 +284,20 @@ def test_orbit_sizes_under_swap_group():
     orb = orbit_and_stabilizer(sp, X, gens, neighbor)
     assert len(orb.orbit) == 3
     assert all(w[-1] in ("s01", "s12") for w in orb.stabilizer_words)
+
+
+def test_orbit_rejects_names_that_clash_with_adjoined_inverses():
+    sp = gen_crossing(3)
+    X = build_complex(sp)
+    # moves coordinate i to i + 1 mod 3: order 3, so a^-1 is adjoined
+    a = validate_generator(sp, [(p << 1 | p >> 2) & 7 for p in range(8)], "a")
+    impostor = validate_generator(sp, list(range(8)), "a^-1")
+    for gens in ([a, impostor], [impostor, a], [a, a]):
+        with pytest.raises(InputError, match="clash"):
+            orbit_and_stabilizer(sp, X, gens, X.base)
+    neighbor = X.neighbors(X.base)[0][1]
+    words = orbit_and_stabilizer(sp, X, [a], neighbor, word_length=3).stabilizer_words
+    assert words == (("a", "a", "a"), ("a^-1", "a^-1", "a^-1"))
 
 
 def test_orbit_budget():

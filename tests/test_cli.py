@@ -308,6 +308,23 @@ def test_act_half_space_breaking_generator(capsys):
     assert "half-space" in err.lower()
 
 
+@pytest.mark.parametrize("name", ["s12^-1", "s 12", "s12\n"])
+def test_act_rejects_generator_names_words_cannot_spell(capsys, monkeypatch, tmp_path, name):
+    # stabilizer words are space-separated and adjoined inverses end in ^-1
+    def no_build(*args, **kwargs):
+        raise AssertionError("the complex was built")
+
+    monkeypatch.setattr("cubulate.cli.build_complex", no_build)
+    data = json.loads((FIXTURES / "generators_swaps.json").read_text())
+    data["generators"][1]["name"] = name
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps(data))
+    code, out, err = run(capsys, "act", SPACE3, "--generators", str(gens))
+    assert code == 1
+    assert out == ""
+    assert "may not end in '^-1' or contain whitespace" in err
+
+
 def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "cubulate.cli", "generate", "--family", "nested", "--param", "2"],

@@ -25,7 +25,6 @@ from cubulate import (
     complex_to_dict,
     contraction_suite,
     dimension,
-    find_corners,
     to_dot,
     vertex_link,
 )
@@ -115,18 +114,6 @@ def test_vertex_budget_env(monkeypatch):
         build_component(gen_crossing(3))
 
 
-def test_find_corners():
-    X = build_component(gen_crossing(3))
-    corners3 = find_corners(X, 3)
-    assert len(corners3) == 8
-    assert all(c.walls == (0, 1, 2) for c in corners3)
-    assert len(find_corners(X, 2)) == 8 * 3
-    X = build_component(gen_nested(4))
-    assert find_corners(X, 2) == []
-    with pytest.raises(InputError):
-        find_corners(X, 1)
-
-
 def test_attach_cubes_cube_model():
     X = build_complex(gen_crossing(3))
     assert X.f_vector() == (8, 12, 6, 1)
@@ -172,7 +159,8 @@ def test_cube_faces_are_registered():
                         fixed = [w for w in walls if w not in sub]
                         for bits in itertools.product((0, 1), repeat=len(fixed)):
                             on = [w for w, t in zip(fixed, bits) if t]
-                            fb = X.index_of(X.section(b).toggle(*on))
+                            code = X.codes[b] ^ sum(1 << w for w in on)
+                            fb = X.index_of(Section.from_code(code, sp.wall_count))
                             assert (fb, sub) in pairs[size]
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from cubulate import WallSpace, build_complex, check_flag, dimension, find_corners
+from cubulate import WallSpace, build_complex, check_flag, dimension
 from cubulate.families import (
     FAMILIES,
     SizeOutOfRange,
@@ -102,7 +102,6 @@ def test_triangle_lattice_radius_one():
     X = build_complex(tl.space, base_point=tl.base_point)
     assert X.f_vector() == (20, 36, 21, 4)
     assert dimension(X) == 3
-    assert find_corners(X, 3)
     assert check_flag(X)
 
 

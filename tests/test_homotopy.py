@@ -14,12 +14,13 @@ from cubulate import (
     Section,
     build_complex,
     check_metric_correspondence,
+    complex_from_dict,
+    complex_to_dict,
     contract_loop,
     contraction_suite,
     loop_parity_check,
     parity_suite,
     random_loop,
-    remove_backtracks,
     replay_certificate,
 )
 from cubulate.families import gen_crossing, gen_nested, triangle_lattice
@@ -66,16 +67,6 @@ def test_parity_trivial_and_square():
     assert sorted(labels) == [0, 0, 1, 1]
 
 
-def test_remove_backtracks():
-    X = square_complex()
-    spur = EdgeLoop(X, [0, 1, 0])
-    assert remove_backtracks(spur).is_trivial
-    clean = square_loop(X)
-    assert remove_backtracks(clean).indices == clean.indices
-    with_spur = EdgeLoop(X, [0, 1, 0, 1, 3, 2, 0])
-    assert remove_backtracks(with_spur).indices == (0, 1, 3, 2, 0)
-
-
 def test_contract_square_boundary():
     X = square_complex()
     cert = contract_loop(square_loop(X))
@@ -103,9 +94,10 @@ def test_certificate_json_shape():
 def test_replay_rejects_tampering():
     X = square_complex()
     cert = contract_loop(square_loop(X))
-    bad_wall = [Move("square", cert.moves[0].at, (0, 0))] + list(cert.moves[1:])
-    with pytest.raises(CertificateError):
-        replay_certificate(X, cert.initial, bad_wall)
+    for walls in ((0, 0), (1, 1)):
+        bad_wall = [Move("square", cert.moves[0].at, walls)] + list(cert.moves[1:])
+        with pytest.raises(CertificateError, match="two distinct walls"):
+            replay_certificate(X, cert.initial, bad_wall)
     bad_pos = [Move(cert.moves[0].kind, 99, cert.moves[0].walls)]
     with pytest.raises(CertificateError):
         replay_certificate(X, cert.initial, bad_pos)
@@ -121,6 +113,40 @@ def test_replay_rejects_square_walls_out_of_range():
     for walls in ((0, 2), (-1, 0), (0, 99)):
         with pytest.raises(CertificateError, match="out of range"):
             replay_certificate(X, cert.initial, [Move("square", at, walls)])
+
+
+def test_replay_rejects_a_square_the_complex_does_not_have():
+    # the square's boundary, loaded with no squares, is not null-homotopic
+    moves = contract_loop(square_loop(square_complex())).moves
+    assert [m.kind for m in moves] == ["square", "backtrack", "backtrack"]
+    data = complex_to_dict(square_complex())
+    data["cubes"] = {}
+    X = complex_from_dict(gen_crossing(2), data)
+    with pytest.raises(CertificateError, match="not registered"):
+        replay_certificate(X, [0, 1, 3, 2, 0], moves)
+
+
+@pytest.mark.parametrize(
+    "move",
+    [
+        Move("square", 2.0, (0, 1)),
+        Move("square", True, (0, 1)),
+        Move("square", 2, (0.0, 1)),
+        Move("square", 2, (False, True)),
+        Move("square", 2, 5),
+        Move("backtrack", 1, (True,)),
+        Move("backtrack", 1.0, (1,)),
+    ],
+    ids=repr,
+)
+def test_replay_rejects_non_int_positions_and_walls(move):
+    # Move("backtrack", 1, (1,)) replays on the spur [0, 2, 0]; a bool or
+    # float stand-in for 1 must not
+    X = square_complex()
+    assert replay_certificate(X, [0, 2, 0], [Move("backtrack", 1, (1,))]) == [0]
+    loop = [0, 2, 0] if move.kind == "backtrack" else [0, 1, 3, 2, 0]
+    with pytest.raises(CertificateError, match="out of range"):
+        replay_certificate(X, loop, [move])
 
 
 def test_contraction_stuck_on_broken_complex():

@@ -1,6 +1,6 @@
 """The CLI starts lean, and its value classes stay immutable.
 
-The seven value classes are NamedTuples, so importing the CLI pulls in
+The six value classes are NamedTuples, so importing the CLI pulls in
 neither ``dataclasses`` nor ``inspect``; these tests keep it that way.
 """
 
@@ -20,7 +20,6 @@ from cubulate import (
 from cubulate.cli import main
 from cubulate.families import gen_crossing, gen_nested
 from cubulate.homotopy import ContractionCertificate, Move
-from cubulate.sections import wall_equivalence_classes
 
 SPACE3 = str(Path(__file__).parent / "fixtures" / "crossing3_space.json")
 
@@ -58,7 +57,6 @@ def _value_objects():
     g = validate_generator(sp, [4 - x for x in range(5)], "r")
     move = Move("backtrack", 1, (0,))
     return [
-        wall_equivalence_classes(sp)[0],
         vertex_link(X, 0),
         move,
         ContractionCertificate(base=0, initial=(0, 1, 0), moves=(move,)),

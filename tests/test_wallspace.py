@@ -13,7 +13,6 @@ from cubulate import (
     PointOutOfRange,
     SameWall,
     WallSpace,
-    WallsCross,
 )
 from cubulate.families import gen_crossing, gen_nested
 from cubulate.wallspace import _max_clique_size
@@ -186,37 +185,6 @@ def test_max_clique_size_matches_oracle(graph):
         adj[i] |= 1 << j
         adj[j] |= 1 << i
     assert _max_clique_size(adj) == oracles.max_clique(n, edges)
-
-
-def test_separates_from_wall_nested():
-    sp = nested4()
-    # the side of wall 1 holding point 3 is {2,3}, inside wall 0's {1,2,3}
-    assert sp.separates_from_wall(1, 3, 0)
-    assert not sp.separates_from_wall(0, 3, 1)
-    # seen from point 0 the inclusions reverse
-    assert sp.separates_from_wall(1, 0, 2)
-    assert not sp.separates_from_wall(2, 0, 1)
-
-
-def test_separates_from_wall_errors():
-    cube = gen_crossing(2)
-    with pytest.raises(WallsCross):
-        cube.separates_from_wall(0, 0, 1)
-    sp = nested4()
-    with pytest.raises(SameWall):
-        sp.separates_from_wall(1, 3, 1)
-
-
-def test_separates_from_wall_antisymmetric():
-    sp = gen_nested(5)
-    for p in sp.points():
-        for k in sp.walls():
-            for h in sp.walls():
-                if k == h:
-                    continue
-                assert not (
-                    sp.separates_from_wall(k, p, h) and sp.separates_from_wall(h, p, k)
-                )
 
 
 def test_to_dict_roundtrip():
