@@ -9,10 +9,11 @@ check_equivariance certifies this action on a complex in time linear
 in the size of the complex, with no BFS.  It checks directly that the
 generator's maps are permutations, that principal vertices go to the
 principal vertices of the image points, that the vertex map stays in
-the component and is injective, that edges go to edges and that cubes
-go to registered cubes.  That the wall pseudo-metric and the edge-path
-metric are preserved and that corners go to corners follows from those
-checks (Sageev 1995; Chepoi 2000); the argument is spelled out in
+the component, that edges go to edges and that cubes go to registered
+cubes.  That vertex images are admissible and the vertex map is
+injective, that the wall pseudo-metric and the edge-path metric are
+preserved and that corners go to corners follows from those checks
+(Sageev 1995; Chepoi 2000); the argument is spelled out in
 check_equivariance rather than recomputed.
 """
 
@@ -24,7 +25,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .cubing import CubeComplex, _walls
 from .errors import BudgetError, CertificateError, InputError
 from .sections import Section, is_admissible, principal_section
-from .wallspace import WallSpace
+from .wallspace import WallSpace, _is_int
 
 __all__ = [
     "Generator",
@@ -85,9 +86,7 @@ def validate_generator(space: WallSpace, perm: Sequence[int], name: str = "g") -
     induced wall permutation and side swaps."""
     perm = tuple(perm)
     n = space.point_count
-    if len(perm) != n or any(
-        isinstance(p, bool) or not isinstance(p, int) for p in perm
-    ) or sorted(perm) != list(range(n)):
+    if len(perm) != n or not all(map(_is_int, perm)) or sorted(perm) != list(range(n)):
         raise NotBijective(f"{name}: not a permutation of 0..{n - 1}")
     mask_to_id = {space.mask(a): a for a in range(2 * space.wall_count)}
     wall_perm = []
@@ -145,20 +144,37 @@ def load_generators(space: WallSpace, data: object) -> list[Generator]:
     return out
 
 
-def act_on_section(space: WallSpace, gen: Generator, s: Section) -> Section:
-    """The image section: on each image wall, the image of the side the
-    original section chose on the source wall."""
+def _image_code(gen: Generator, s: Section) -> int:
+    """The code of the image section: on each image wall, the image of
+    the side s chose on the source wall."""
     image = 0
     # as in is_admissible, the encoding spells the bits in wall order
     for j, swap, bit in zip(gen.wall_perm, gen.side_swap, s.encode()):
         if swap != (bit == "1"):
             image |= 1 << j
-    t = Section.from_code(image, space.wall_count)
+    return image
+
+
+def act_on_section(space: WallSpace, gen: Generator, s: Section) -> Section:
+    """The image section, checked for admissibility."""
+    t = Section.from_code(_image_code(gen, s), space.wall_count)
     if not is_admissible(space, t):
         raise EquivarianceViolation(
             f"{gen.name}: image of section {s.encode()} is not admissible"
         )
     return t
+
+
+def _vertex_map(X: CubeComplex, gen: Generator) -> list[int]:
+    """The index of each vertex's image; raises EquivarianceViolation at
+    the first vertex whose image is not a vertex of X."""
+    m = X.space.wall_count
+    gv = [X._index.get(_image_code(gen, Section.from_code(c, m))) for c in X.codes]
+    if None in gv:
+        raise EquivarianceViolation(
+            f"{gen.name}: image of vertex {gv.index(None)} leaves the component"
+        )
+    return gv
 
 
 def _check_permutation(name: str, label: str, values: Sequence[int], size: int) -> None:
@@ -169,7 +185,7 @@ def _check_permutation(name: str, label: str, values: Sequence[int], size: int) 
         )
     first = [-1] * size
     for i, x in enumerate(values):
-        if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < size:
+        if not _is_int(x) or not 0 <= x < size:
             raise EquivarianceViolation(
                 f"{name}: {label}[{i}] = {x!r} is not in 0..{size - 1}"
             )
@@ -210,11 +226,12 @@ def check_equivariance(space: WallSpace, X: CubeComplex, gen: Generator) -> dict
     Checked directly: the generator's point and wall maps are
     permutations and its side swaps are bits; principal vertices map to
     the principal vertices of the image points; the vertex map stays in
-    the component and is injective; edges map to edges with relabelled
-    walls; cubes map to registered cubes.  Implied, and argued in the
-    comments below rather than recomputed: the wall pseudo-metric and the
-    edge-path metric are preserved on all pairs, and corners map to
-    corners.  Costs O(n*m + V*m + E + sum_k k*f_k) time and O(V) memory.
+    the component; edges map to edges with relabelled walls; cubes map
+    to registered cubes.  Implied, and argued in the comments below
+    rather than recomputed: vertex images are admissible, the vertex map
+    is injective, the wall pseudo-metric and the edge-path metric are
+    preserved on all pairs, and corners map to corners.  Costs
+    O(n*m + V*m + E + sum_k k*f_k) time and O(V) memory.
     Returns a summary of what was checked; raises EquivarianceViolation
     with a witness otherwise.
     """
@@ -233,16 +250,12 @@ def check_equivariance(space: WallSpace, X: CubeComplex, gen: Generator) -> dict
     # permutation, by _check_generator) and S is the swap mask.  So
     # sig[g.p] ^ sig[g.q] = P(sig[p] ^ sig[q]) has the same popcount as
     # sig[p] ^ sig[q]: wall_distance(g.p, g.q) = wall_distance(p, q).
-    gv = []
-    for i in range(len(X.codes)):
-        j = X._index.get(act_on_section(space, gen, X.section(i)).code)
-        if j is None:
-            raise EquivarianceViolation(
-                f"{name}: image of vertex {i} leaves the component"
-            )
-        gv.append(j)
-    if len(set(gv)) != len(gv):
-        raise EquivarianceViolation(f"{name}: the action is not injective on vertices")
+    #
+    # Admissibility.  By the same identity the point bijection g maps wall
+    # w's side b onto wall_perm[w]'s side b ^ S_w, so disjoint sides go to
+    # disjoint sides and the images of admissible sections need no test.
+    # Injectivity.  On codes the vertex map is c -> P(c ^ S).
+    gv = _vertex_map(X, gen)
     for u, v, w in X.edges:
         w2 = gen.wall_perm[w]
         if X.adjacency[gv[u]].get(w2) != gv[v]:
@@ -317,35 +330,41 @@ def orbit_and_stabilizer(
     Inverses are adjoined automatically (skipped for involutions) under
     the name g^-1.  Raises InputError when two generators, adjoined
     inverses included, share a name, EquivarianceViolation when a
-    generator is not well formed (as in check_equivariance) and
-    BudgetExceeded when the word enumeration grows past max_words.
+    generator is not well formed (as in check_equivariance) or sends a
+    vertex out of the component, and BudgetExceeded when the word
+    enumeration grows past max_words.
     """
     start = X.index_of(vertex)
-    symbols: list[tuple[str, Generator]] = []
+    generators = list(generators)
+    names: list[str] = []
     inverse_of: dict[str, str] = {}
     for g in generators:
         _check_generator(space, g)
-        symbols.append((g.name, g))
+        names.append(g.name)
         if g.inverse_perm != g.perm:
             inverse = g.name + "^-1"
-            symbols.append((inverse, validate_generator(space, g.inverse_perm, inverse)))
+            names.append(inverse)
             inverse_of[g.name], inverse_of[inverse] = inverse, g.name
-    if not symbols:
+    if not names:
         raise InputError("at least one generator is required")
-    names = [name for name, _ in symbols]
     if len(set(names)) != len(names):
         raise InputError(f"generator names clash, adjoined inverses included: {names}")
-    sections = [X.section(i) for i in range(len(X.codes))]
-    maps = {
-        name: [X.index_of(act_on_section(space, g, s)) for s in sections]
-        for name, g in symbols
-    }
+    # Once _check_generator has accepted wall_perm, c -> P(c ^ S) is
+    # injective (see check_equivariance), so a vertex map that stays in
+    # the finite component permutes it.  g^-1 acts by the inverse
+    # permutation: the vertices sorted by their images under g.
+    symbols: list[tuple[str, list[int]]] = []
+    for g in generators:
+        gv = _vertex_map(X, g)
+        symbols.append((g.name, gv))
+        if g.name in inverse_of:
+            symbols.append((inverse_of[g.name], sorted(range(len(gv)), key=gv.__getitem__)))
     orbit = {start}
     queue = deque([start])
     while queue:
         u = queue.popleft()
-        for name, _ in symbols:
-            v = maps[name][u]
+        for _, vertex_map in symbols:
+            v = vertex_map[u]
             if v not in orbit:
                 orbit.add(v)
                 queue.append(v)
@@ -355,7 +374,7 @@ def orbit_and_stabilizer(
     for _ in range(word_length):
         nxt = []
         for word, at in frontier:
-            for name, _ in symbols:
+            for name, vertex_map in symbols:
                 if word and inverse_of.get(word[-1]) == name:
                     continue
                 explored += 1
@@ -364,7 +383,7 @@ def orbit_and_stabilizer(
                         f"word enumeration exceeded the budget of {max_words}"
                     )
                 w2 = word + (name,)
-                at2 = maps[name][at]
+                at2 = vertex_map[at]
                 if at2 == start:
                     words.append(w2)
                 nxt.append((w2, at2))

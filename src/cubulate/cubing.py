@@ -36,7 +36,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BudgetError, CertificateError, InputError
 from .sections import Section, admissible_flips, principal_section
-from .wallspace import WallSpace
+from .wallspace import WallSpace, _is_int
 
 __all__ = [
     "DEFAULT_MAX_VERTICES",
@@ -60,12 +60,6 @@ __all__ = [
 
 DEFAULT_MAX_VERTICES = 1 << 20
 MAX_VERTICES_ENV = "CUBULATE_MAX_VERTICES"
-
-
-def _is_int(x: object) -> bool:
-    """An int that is not a bool: JSON true and false load as bools, and
-    isinstance(True, int) holds."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class ComplexityBudgetExceeded(BudgetError):

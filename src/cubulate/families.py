@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from .errors import InputError
 from .sections import Section
-from .wallspace import WallSpace
+from .wallspace import WallSpace, _is_int
 
 __all__ = [
     "SizeOutOfRange",
@@ -32,7 +32,7 @@ class SizeOutOfRange(InputError):
 
 
 def _check_int(value: int, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise SizeOutOfRange(f"{name} must be an integer, got {value!r}")
     return value
 

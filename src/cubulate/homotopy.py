@@ -1,7 +1,9 @@
 """Loops in the 1-skeleton and their contraction certificates.
 
 Every closed edge path has even length and flips every wall an even
-number of times; loop_parity_check verifies both mechanically.
+number of times: each edge of a complex flips exactly its wall's bit
+(build_component and complex_from_dict both enforce it), and a closed
+path returns every bit to its start.  Nothing here recounts it.
 contract_loop shrinks a loop to its basepoint by sweeping the vertices
 furthest from the basepoint: each such vertex, its two loop neighbours
 sitting one step closer, is pushed across the square spanned by the two
@@ -19,9 +21,10 @@ from __future__ import annotations
 import random
 from typing import NamedTuple, Sequence
 
-from .cubing import CubeComplex, NotInComponent, _is_int
+from .cubing import CubeComplex, NotInComponent
 from .errors import CertificateError, InputError
 from .sections import Section
+from .wallspace import _is_int
 
 __all__ = [
     "EdgeLoop",
@@ -29,7 +32,6 @@ __all__ = [
     "ContractionCertificate",
     "NotALoop",
     "ContractionStuck",
-    "loop_parity_check",
     "contract_loop",
     "replay_certificate",
     "random_loop",
@@ -70,28 +72,8 @@ class EdgeLoop:
     def edge_length(self) -> int:
         return len(self.indices) - 1
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.edge_length == 0
-
-    def wall_labels(self) -> tuple[int, ...]:
-        """The wall flipped by each edge, in path order."""
-        X = self.complex
-        return tuple(
-            X.edge_wall(a, b) for a, b in zip(self.indices, self.indices[1:])
-        )
-
     def __repr__(self) -> str:
         return f"EdgeLoop(length={self.edge_length})"
-
-
-def loop_parity_check(loop: EdgeLoop) -> bool:
-    """True when the loop has even length and flips every wall an even
-    number of times."""
-    counts: dict[int, int] = {}
-    for w in loop.wall_labels():
-        counts[w] = counts.get(w, 0) + 1
-    return loop.edge_length % 2 == 0 and all(c % 2 == 0 for c in counts.values())
 
 
 class Move(NamedTuple):

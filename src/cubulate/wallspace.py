@@ -39,6 +39,12 @@ __all__ = [
 ]
 
 
+def _is_int(x: object) -> bool:
+    """An int that is not a bool: JSON true and false load as bools, and
+    isinstance(True, int) holds."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class EmptyHalfSpace(InputError):
     """A listed side or its complement contains no point."""
 
@@ -75,7 +81,7 @@ class WallSpace:
     """
 
     def __init__(self, point_count: int, walls: Sequence[Iterable[int]]):
-        if isinstance(point_count, bool) or not isinstance(point_count, int):
+        if not _is_int(point_count):
             raise InputError("point count must be an integer")
         if point_count < 1:
             raise InputError("point count must be positive")
@@ -89,7 +95,7 @@ class WallSpace:
         for w, side in enumerate(walls):
             mask = 0
             for p in side:
-                if isinstance(p, bool) or not isinstance(p, int):
+                if not _is_int(p):
                     raise PointOutOfRange(f"wall {w}: point {p!r} is not an integer")
                 if not 0 <= p < point_count:
                     raise PointOutOfRange(
@@ -149,15 +155,15 @@ class WallSpace:
         return tuple(_bit_indices(self.mask(half_space_id)))
 
     def _check_point(self, p: int) -> None:
-        if isinstance(p, bool) or not isinstance(p, int) or not 0 <= p < self._n:
+        if not _is_int(p) or not 0 <= p < self._n:
             raise PointOutOfRange(f"point {p!r} outside 0..{self._n - 1}")
 
     def _check_wall(self, w: int) -> None:
-        if isinstance(w, bool) or not isinstance(w, int) or not 0 <= w < self.wall_count:
+        if not _is_int(w) or not 0 <= w < self.wall_count:
             raise InputError(f"wall {w!r} outside 0..{self.wall_count - 1}")
 
     def _check_half_space(self, a: int) -> None:
-        if isinstance(a, bool) or not isinstance(a, int) or not 0 <= a < len(self._masks):
+        if not _is_int(a) or not 0 <= a < len(self._masks):
             raise InputError(f"half-space id {a!r} outside 0..{len(self._masks) - 1}")
 
     # -- separation and the wall pseudo-metric --------------------------

@@ -1,7 +1,9 @@
 """Shared fixtures: the shipped example registry, a seeded random
-wall-space generator for property checks, a forged complex and the
-decoding of a cube registry."""
+wall-space generator for property checks, a forged complex, the
+decoding of a cube registry and an independent count of a loop's wall
+flips."""
 
+from collections import Counter
 from itertools import combinations
 
 from cubulate import Section, WallSpace, validate_generator
@@ -96,3 +98,22 @@ def drop_edge(data, index=0):
     """A copy of a complex dict without its index-th edge."""
     edges = data["edges"]
     return {**data, "edges": edges[:index] + edges[index + 1 :]}
+
+
+def loop_flip_counts(X, loop):
+    """{wall: number of edges of the loop flipping it}, read off the codes
+    along loop.indices.  Asserts that each edge flips exactly one wall."""
+    counts = Counter()
+    for a, b in zip(loop.indices, loop.indices[1:]):
+        diff = X.codes[a] ^ X.codes[b]
+        assert diff.bit_count() == 1, (a, b)
+        counts[diff.bit_length() - 1] += 1
+    return counts
+
+
+def assert_even_loop(X, loop):
+    """The loop has even length and flips every wall an even number of
+    times, counted here rather than by the package."""
+    counts = loop_flip_counts(X, loop)
+    assert loop.edge_length % 2 == 0, loop.indices
+    assert all(c % 2 == 0 for c in counts.values()), (loop.indices, counts)

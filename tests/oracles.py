@@ -269,3 +269,57 @@ def flag_violations(encodings, cubes):
                 if all(pair in joined for pair in combinations(S, 2)) and cube(e, S) not in present:
                     violations.append((e, S))
     return violations
+
+
+def orbit_and_stabilizer(point_count, walls, generators, start, word_length):
+    """Orbit of an encoding and its stabilizer words, from point maps.
+
+    ``generators`` is a list of (name, point permutation).  Each point
+    map acts on encodings through the half-spaces it moves: the listed
+    side of wall w goes onto a side of some wall j, and the encoding's
+    bit w moves to bit j, flipped when that side is j's complement.  The
+    inverse of every map that is not an involution is adjoined as
+    name^-1 right after it.  Words are listed by length, then in symbol
+    order, skipping a symbol right after its own inverse; those that
+    bring ``start`` back are the stabilizer words.  Returns (orbit as a
+    set of encodings, stabilizer words as a tuple of name tuples).
+    """
+    sides = side_sets(point_count, walls)
+
+    def action(perm):
+        wall_perm, side_swap = [], []
+        for listed, _ in sides:
+            image = frozenset(perm[p] for p in listed)
+            for j, pair in enumerate(sides):
+                if image in pair:
+                    wall_perm.append(j)
+                    side_swap.append(pair.index(image))
+        assert len(wall_perm) == len(walls), "the map does not move half-spaces to half-spaces"
+        return lambda e: encoding_image(e, wall_perm, side_swap)
+
+    symbols, inverse_of = [], {}
+    for name, perm in generators:
+        symbols.append((name, action(perm)))
+        inverse = [0] * point_count
+        for p, q in enumerate(perm):
+            inverse[q] = p
+        if inverse != list(perm):
+            symbols.append((name + "^-1", action(inverse)))
+            inverse_of[name], inverse_of[name + "^-1"] = name + "^-1", name
+    orbit = {start}
+    frontier = [start]
+    while frontier:
+        images = {act(e) for e in frontier for _, act in symbols}
+        frontier = images - orbit
+        orbit |= images
+    words = []
+    level = [((), start)]
+    for _ in range(word_length):
+        level = [
+            (word + (name,), act(e))
+            for word, e in level
+            for name, act in symbols
+            if not word or inverse_of.get(word[-1]) != name
+        ]
+        words.extend(word for word, e in level if e == start)
+    return orbit, tuple(words)

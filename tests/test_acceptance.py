@@ -7,6 +7,7 @@ values computed by the independent oracles in oracles.py.
 """
 
 import json
+import random
 import time
 from pathlib import Path
 
@@ -21,14 +22,14 @@ from cubulate import (
     complex_from_dict,
     contraction_suite,
     dimension,
-    parity_suite,
+    random_loop,
     validate_generator,
     check_equivariance,
 )
 from cubulate.families import gen_crossing, gen_nested, gen_tree, triangle_lattice
 
 import oracles
-from helpers import shipped_examples, small_examples
+from helpers import assert_even_loop, shipped_examples, small_examples
 
 SEED = 2026
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -78,11 +79,14 @@ def test_criterion_3_metric_correspondence():
 
 
 def test_criterion_4_even_loops():
+    # the loops parity_suite draws, with the flips counted here
     total = 0
     for name, sp, base in shipped_examples():
         X = build_complex(sp, base_point=base)
-        summary = parity_suite(X, SEED, runs=100)
-        total += summary["loops"]
+        rng = random.Random(f"{SEED}:parity")
+        for _ in range(100):
+            assert_even_loop(X, random_loop(X, rng))
+        total += 100
     _report(4, f"{total} seeded loops (seed {SEED}) all even with even wall counts")
 
 

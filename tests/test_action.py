@@ -300,6 +300,54 @@ def test_orbit_rejects_names_that_clash_with_adjoined_inverses():
     assert words == (("a", "a", "a"), ("a^-1", "a^-1", "a^-1"))
 
 
+def orbit_cases():
+    """(space, generators): the crossing(3) swaps, the order-3 rotation of
+    crossing(3), whose inverse is adjoined, alone and with a swap (words
+    mixing a and a^-1 tell a^-1 from a), the nested(4) reflection and the
+    triangle-lattice(2) axis reflection."""
+    c3 = gen_crossing(3)
+    n4 = gen_nested(4)
+    lattice, t = lattice_reflection(2)
+    a = validate_generator(c3, [(p << 1 | p >> 2) & 7 for p in range(8)], "a")
+    return [
+        (c3, [cube_swap(c3, i, j, f"s{i}{j}") for i, j in ((0, 1), (1, 2), (0, 2))]),
+        (c3, [a]),
+        (c3, [a, cube_swap(c3, 0, 1, "s01")]),
+        (n4, [validate_generator(n4, [4 - x for x in range(5)], "r")]),
+        (lattice, [t]),
+    ]
+
+
+@pytest.mark.parametrize("at", ["base", "neighbour"])
+def test_orbit_and_stabilizer_agree_with_oracle(at):
+    found_words = 0
+    for sp, gens in orbit_cases():
+        X = build_complex(sp)
+        start = X.base if at == "base" else X.neighbors(X.base)[0][1]
+        raw = sp.to_dict()
+        orbit, words = oracles.orbit_and_stabilizer(
+            raw["points"],
+            raw["walls"],
+            [(g.name, g.perm) for g in gens],
+            X.section(start).encode(),
+            word_length=4,
+        )
+        orb = orbit_and_stabilizer(sp, X, gens, start, word_length=4)
+        assert {X.section(i).encode() for i in orb.orbit} == orbit, gens[0].name
+        assert orb.stabilizer_words == words, gens[0].name
+        found_words += len(words)
+    assert found_words > 0
+
+
+def test_orbit_reports_a_vertex_that_leaves_the_component():
+    sp, forged = equivariance_cases()[5]
+    assert forged.name == "walls"
+    X = build_complex(sp)
+    with pytest.raises(EquivarianceViolation) as info:
+        orbit_and_stabilizer(sp, X, [forged], X.base)
+    assert str(info.value) == "walls: image of vertex 1 leaves the component"
+
+
 def test_orbit_budget():
     sp = gen_crossing(3)
     X = build_complex(sp)

@@ -167,6 +167,19 @@ def test_check_complex_with_a_dropped_edge_fails_metric(capsys, tmp_path):
     assert checks["parity"]["status"] == "skipped"
 
 
+def test_check_complex_with_a_self_loop_edge_exits_before_the_suites(capsys, tmp_path):
+    """Loops are even only because every edge flips exactly one wall, so
+    a self-loop must stop the load, before any suite reports."""
+    data = complex_to_dict(build_complex(gen_crossing(3)))
+    data["edges"].append([0, 0, 0])
+    cx = tmp_path / "self_loop.json"
+    cx.write_text(json.dumps(data))
+    code, out, err = run(capsys, "check", SPACE3, "--complex-in", str(cx))
+    assert code == 1
+    assert out == ""
+    assert err == "error: edge [0, 0, 0]: endpoints do not differ exactly on wall 0\n"
+
+
 def _crossing3_complex(tmp_path):
     cx = tmp_path / "c3.json"
     cx.write_text(json.dumps(complex_to_dict(build_complex(gen_crossing(3)))))

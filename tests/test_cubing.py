@@ -357,6 +357,17 @@ def one_wall_complex_counted_true(d):
     return sp
 
 
+# Each edge flips exactly its wall's bit, so every closed loop is even
+# and the parity suite need not count; these two edges break that.  They
+# stay lambdas so that the unnamed cases keep their ids <lambda>0..9.
+two_wall_edge = lambda d: d["edges"].append([0, 3, 0])
+self_loop_edge = lambda d: d["edges"].append([0, 0, 0])
+WITNESSES = {
+    two_wall_edge: r"edge \[0, 3, 0\]: endpoints do not differ exactly on wall 0",
+    self_loop_edge: r"edge \[0, 0, 0\]: endpoints do not differ exactly on wall 0",
+}
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -364,7 +375,7 @@ def one_wall_complex_counted_true(d):
         lambda d: d.__setitem__("walls", 5),
         lambda d: d.__setitem__("base", "111111"),
         lambda d: d["vertices"].append(d["vertices"][0]),
-        lambda d: d["edges"].append([0, 3, 0]),
+        two_wall_edge,
         lambda d: d["edges"].__setitem__(0, [0, 1]),
         lambda d: d.__setitem__("cubes", {"1": []}),
         lambda d: d["cubes"]["2"].append([0, [1, 0]]),
@@ -380,13 +391,14 @@ def one_wall_complex_counted_true(d):
         pytest.param(lambda d: d.__setitem__("cubes", {"02": d["cubes"]["2"], "2": []}), id="key_02"),
         pytest.param(lambda d: d.__setitem__("cubes", {" 2": d["cubes"]["2"]}), id="key_space_2"),
         pytest.param(lambda d: d["cubes"].__setitem__("2", [[0, ["a", 1]]]), id="str_cube_wall"),
+        pytest.param(self_loop_edge, id="self_loop_edge"),
     ],
 )
 def test_complex_from_dict_rejects_malformed(mutate):
     sp = gen_crossing(2)
     data = complex_to_dict(build_complex(sp))
     sp = mutate(data) or sp
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=WITNESSES.get(mutate)):
         complex_from_dict(sp, data)
 
 

@@ -18,14 +18,13 @@ from cubulate import (
     complex_to_dict,
     contract_loop,
     contraction_suite,
-    loop_parity_check,
     parity_suite,
     random_loop,
     replay_certificate,
 )
 from cubulate.families import gen_crossing, gen_nested, triangle_lattice
 
-from helpers import shipped_examples
+from helpers import assert_even_loop, loop_flip_counts, shipped_examples
 
 
 def square_complex():
@@ -41,7 +40,8 @@ def test_edge_loop_accepts_sections_and_indices():
     X = square_complex()
     by_enc = EdgeLoop(X, [Section.decode(t) for t in ("00", "10", "11", "01", "00")])
     assert by_enc.indices == (0, 1, 3, 2, 0)
-    assert by_enc.wall_labels() == (0, 1, 0, 1)
+    steps = zip(by_enc.indices, by_enc.indices[1:])
+    assert [X.edge_wall(a, b) for a, b in steps] == [0, 1, 0, 1]
     assert [X.section(i).encode() for i in by_enc.indices] == ["00", "10", "11", "01", "00"]
 
 
@@ -59,12 +59,13 @@ def test_edge_loop_rejects_open_or_broken_paths():
 
 def test_parity_trivial_and_square():
     X = square_complex()
-    assert loop_parity_check(EdgeLoop(X, [0]))
+    trivial = EdgeLoop(X, [0])
+    assert_even_loop(X, trivial)
+    assert loop_flip_counts(X, trivial) == {}
     loop = square_loop(X)
     assert loop.edge_length == 4
-    assert loop_parity_check(loop)
-    labels = loop.wall_labels()
-    assert sorted(labels) == [0, 0, 1, 1]
+    assert_even_loop(X, loop)
+    assert loop_flip_counts(X, loop) == {0: 2, 1: 2}
 
 
 def test_contract_square_boundary():
@@ -183,7 +184,7 @@ def test_parity_on_examples():
     for name, sp, base in shipped_examples():
         X = build_complex(sp, base_point=base)
         for _ in range(5):
-            assert loop_parity_check(random_loop(X, rng)), name
+            assert_even_loop(X, random_loop(X, rng))
 
 
 def test_nested_loops_are_backtracks_only():
