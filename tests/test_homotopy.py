@@ -1,4 +1,6 @@
 import copy
+import hashlib
+import json
 import pickle
 import random
 
@@ -22,7 +24,7 @@ from cubulate import (
     random_loop,
     replay_certificate,
 )
-from cubulate.families import gen_crossing, gen_nested, triangle_lattice
+from cubulate.families import gen_crossing, gen_nested, gen_tree, triangle_lattice
 
 from helpers import assert_even_loop, loop_flip_counts, shipped_examples
 
@@ -185,6 +187,47 @@ def test_parity_on_examples():
         X = build_complex(sp, base_point=base)
         for _ in range(5):
             assert_even_loop(X, random_loop(X, rng))
+
+
+# sha256 over 200 seeded certificates per space, one JSON line
+# [base, initial, [[kind, at, walls], ...]] each, recorded before the
+# contraction sweep became one loop over the first furthest vertex
+CERTIFICATE_DIGESTS = {
+    "crossing4": "d81523cd92e98f205f7d492c06634b90d425bb1dd63e005d5d1a6eac955ff543",
+    "crossing6": "f003215f98ad6a46fe9b40277e9c258ae193cd5680543617c3258cca1371f313",
+    "triangle2": "e9c4de1f95a2e8f9534e95a21308cf73f589e7c5aa1b2a5119d31486ff61fcbe",
+    "triangle4": "b6df03fcceb1bebb15da2fc15e22e7a1b76c36916c6c7b07a6087ce2ab0af5d9",
+    "nested5": "7bdbd9de6fba707789476abac619f73003def2556db438d2a30ef94e75b7df54",
+    "tree2x4": "9d234a634dafebd2403e94df1d566087f4723c651254426c382a7f668055fa73",
+}
+
+
+def _lattice(radius):
+    tl = triangle_lattice(radius)
+    return tl.space, tl.base_point
+
+
+PINNED_SPACES = {
+    "crossing4": lambda: (gen_crossing(4), 0),
+    "crossing6": lambda: (gen_crossing(6), 0),
+    "triangle2": lambda: _lattice(2),
+    "triangle4": lambda: _lattice(4),
+    "nested5": lambda: (gen_nested(5), 0),
+    "tree2x4": lambda: (gen_tree(2, 4), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_DIGESTS))
+def test_contraction_certificates_are_pinned(name):
+    sp, base = PINNED_SPACES[name]()
+    X = build_complex(sp, base_point=base)
+    rng = random.Random(f"pin:{name}")
+    digest = hashlib.sha256()
+    for _ in range(200):
+        c = contract_loop(random_loop(X, rng))
+        moves = [[m.kind, m.at, list(m.walls)] for m in c.moves]
+        digest.update(json.dumps([c.base, list(c.initial), moves]).encode() + b"\n")
+    assert digest.hexdigest() == CERTIFICATE_DIGESTS[name]
 
 
 def test_nested_loops_are_backtracks_only():
