@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .cubing import CubeComplex, _walls
 from .errors import BudgetError, CertificateError, InputError
-from .sections import Section, is_admissible, principal_section
+from .sections import Section, _check_section, is_admissible, principal_section
 from .wallspace import WallSpace, _is_int
 
 __all__ = [
@@ -61,15 +61,16 @@ class BudgetExceeded(BudgetError):
 class Generator(NamedTuple):
     """A validated point permutation with its induced wall data.
 
-    wall_perm[i] is the image wall of wall i; side_swap[i] is 1 when the
-    listed side of wall i maps onto the complement side of its image.
+    perm[p] is the image point of point p; wall_perm[i] is the image
+    wall of wall i; side_swap[i] is 1 when the listed side of wall i maps
+    onto the complement side of its image.  The inverse is not stored:
+    orbit_and_stabilizer inverts the vertex map where it needs g^-1.
     """
 
     name: str
     perm: tuple[int, ...]
     wall_perm: tuple[int, ...]
     side_swap: tuple[int, ...]
-    inverse_perm: tuple[int, ...]
 
 
 def _apply_perm_to_mask(mask: int, perm: Sequence[int]) -> int:
@@ -103,16 +104,7 @@ def validate_generator(space: WallSpace, perm: Sequence[int], name: str = "g") -
         side_swap.append(a & 1)
     if sorted(wall_perm) != list(range(space.wall_count)):
         raise HalfSpaceNotPreserved(f"{name}: walls do not map bijectively")
-    inverse = [0] * n
-    for p, q in enumerate(perm):
-        inverse[q] = p
-    return Generator(
-        name=name,
-        perm=perm,
-        wall_perm=tuple(wall_perm),
-        side_swap=tuple(side_swap),
-        inverse_perm=tuple(inverse),
-    )
+    return Generator(name, perm, tuple(wall_perm), tuple(side_swap))
 
 
 def load_generators(space: WallSpace, data: object) -> list[Generator]:
@@ -156,7 +148,9 @@ def _image_code(gen: Generator, s: Section) -> int:
 
 
 def act_on_section(space: WallSpace, gen: Generator, s: Section) -> Section:
-    """The image section, checked for admissibility."""
+    """The image section, checked for admissibility; raises InputError
+    when s has the wrong number of walls."""
+    _check_section(space, s)
     t = Section.from_code(_image_code(gen, s), space.wall_count)
     if not is_admissible(space, t):
         raise EquivarianceViolation(
@@ -199,14 +193,9 @@ def _check_permutation(name: str, label: str, values: Sequence[int], size: int) 
 def _check_generator(space: WallSpace, gen: Generator) -> None:
     """The structure the implied checks of check_equivariance and the
     word search of orbit_and_stabilizer rest on: perm and wall_perm are
-    permutations, inverse_perm inverts perm and every side swap is 0 or
-    1.  A Generator can be built without validate_generator, so this is
-    checked, not assumed."""
+    permutations and every side swap is 0 or 1.  A Generator can be
+    built without validate_generator, so this is checked, not assumed."""
     _check_permutation(gen.name, "perm", gen.perm, space.point_count)
-    if len(gen.inverse_perm) != space.point_count or any(
-        gen.inverse_perm[q] != p for p, q in enumerate(gen.perm)
-    ):
-        raise EquivarianceViolation(f"{gen.name}: inverse_perm does not invert perm")
     _check_permutation(gen.name, "wall_perm", gen.wall_perm, space.wall_count)
     if len(gen.side_swap) != space.wall_count:
         raise EquivarianceViolation(
@@ -235,15 +224,18 @@ def check_equivariance(space: WallSpace, X: CubeComplex, gen: Generator) -> dict
     Returns a summary of what was checked; raises EquivarianceViolation
     with a witness otherwise.
     """
-    name = gen.name
+    name, m = gen.name, space.wall_count
     _check_generator(space, gen)
+    # an image equal to a principal section is admissible, so no image
+    # Section is built or tested
     for p in range(space.point_count):
-        expected = principal_section(space, gen.perm[p])
-        got = act_on_section(space, gen, principal_section(space, p))
+        got = _image_code(gen, principal_section(space, p))
+        expected = space._signatures[gen.perm[p]]
         if got != expected:
             raise EquivarianceViolation(
                 f"{name}: point {p}: image of its principal section is "
-                f"{got.encode()}, expected {expected.encode()}"
+                f"{Section.from_code(got, m).encode()}, "
+                f"expected {Section.from_code(expected, m).encode()}"
             )
     # Wall distance.  The loop above proves sig[g.p] = P(sig[p]) ^ S for
     # every point p, where P moves bit w to bit wall_perm[w] (a bit
@@ -281,7 +273,6 @@ def check_equivariance(space: WallSpace, X: CubeComplex, gen: Generator) -> dict
     # Cubes.  The image of the cube keyed code | span << m is the cube
     # through the image vertex spanned by the image walls; wall_perm is a
     # permutation, so the image lies in the same registry.
-    m = space.wall_count
     full = (1 << m) - 1
     cube_total = 0
     for k, registry in X.cubes.items():
@@ -341,7 +332,7 @@ def orbit_and_stabilizer(
     for g in generators:
         _check_generator(space, g)
         names.append(g.name)
-        if g.inverse_perm != g.perm:
+        if any(g.perm[q] != p for p, q in enumerate(g.perm)):  # not an involution
             inverse = g.name + "^-1"
             names.append(inverse)
             inverse_of[g.name], inverse_of[inverse] = inverse, g.name

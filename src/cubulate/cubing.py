@@ -18,7 +18,8 @@ through any vertex with code c spanned by s has the key
 ``c & ~s | s << m``, so the flag check, the loop suites and the action
 check each find a cube with one dict membership test.  A registered
 k-cube is checked through its 2k facets, not its 2^k vertices
-(_check_cubes).
+(_check_cubes), once, by check_flag.  The 1-skeleton is stored once,
+as the adjacency maps; the sorted edge list is derived from them.
 
 Cliques of walls are enumerated as spans (_cliques).  Spans are decoded
 to wall tuples only at the boundaries: the JSON form, link simplices and
@@ -44,7 +45,6 @@ __all__ = [
     "CubeComplex",
     "VertexLink",
     "ComplexityBudgetExceeded",
-    "AdmissibilityAssertionFailed",
     "FlagViolation",
     "NotInComponent",
     "build_component",
@@ -64,10 +64,6 @@ MAX_VERTICES_ENV = "CUBULATE_MAX_VERTICES"
 
 class ComplexityBudgetExceeded(BudgetError):
     """The component grew past the configured vertex cap."""
-
-
-class AdmissibilityAssertionFailed(CertificateError):
-    """A cube found at a corner lacks a vertex, edge or facet: an internal bug."""
 
 
 class FlagViolation(CertificateError):
@@ -100,9 +96,11 @@ class CubeComplex:
     A vertex is an index i: ``codes[i]`` is the int of its section (bit w
     set when it chooses wall w's complement side), ``section(i)`` is that
     Section and ``base`` is the index of the base vertex.
-    ``cubes[k]`` holds the key ``codes[b] | span << m`` of each k-cube,
-    b being its canonical vertex and span its wall mask, in insertion
-    order (a dict with None values).  Treat instances as immutable once
+    ``adjacency[i]`` maps the wall of each edge at i to its far end;
+    ``edges``, the sorted ``(u, v, wall)`` triples with u < v, is derived
+    from it.  ``cubes[k]`` holds the key ``codes[b] | span << m`` of each
+    k-cube, b being its canonical vertex and span its wall mask, in
+    insertion order (a dict with None values).  Treat instances as immutable once
     attach_cubes has run; the ``codes``, ``edges``, ``adjacency`` and
     ``cubes`` attributes are read-only views of the construction.
     """
@@ -112,14 +110,15 @@ class CubeComplex:
         space: WallSpace,
         base: int,
         codes: Sequence[int],
-        edges: Sequence[tuple[int, int, int]],
         adjacency: Sequence[dict[int, int]],
     ):
         self.space = space
         self.base = base
         self.codes: tuple[int, ...] = tuple(codes)
-        self.edges: tuple[tuple[int, int, int], ...] = tuple(edges)
         self.adjacency: tuple[dict[int, int], ...] = tuple(dict(a) for a in adjacency)
+        self.edges: tuple[tuple[int, int, int], ...] = tuple(sorted(
+            (u, v, w) for u, a in enumerate(self.adjacency) for w, v in a.items() if u < v
+        ))
         self._index = {c: i for i, c in enumerate(self.codes)}
         self.cubes: dict[int, dict[int, None]] = {}
         self.cubes_attached = False
@@ -291,7 +290,6 @@ def build_component(
     codes = [principal_section(space, base_point).code]
     index = {codes[0]: 0}
     adjacency: list[dict[int, int]] = [{}]
-    edges: set[tuple[int, int, int]] = set()
     queue = deque([0])
     while queue:
         ui = queue.popleft()
@@ -309,10 +307,9 @@ def build_component(
                 index[t] = vi
                 adjacency.append({})
                 queue.append(vi)
-            edges.add((min(ui, vi), max(ui, vi), w))
             adjacency[ui][w] = vi
             adjacency[vi][w] = ui
-    return CubeComplex(space, 0, codes, sorted(edges), adjacency)
+    return CubeComplex(space, 0, codes, adjacency)
 
 
 def _span(walls: Iterable[int]) -> int:
@@ -359,8 +356,8 @@ def _cliques(cands: int, link: Sequence[int], min_size: int) -> list[int]:
     return out
 
 
-def _check_cubes(X: CubeComplex, cubes: dict[int, dict[int, None]]) -> None:
-    """Raise FlagViolation unless X carries every cube of the registry.
+def _check_cubes(X: CubeComplex) -> None:
+    """Raise FlagViolation unless X carries every cube of its registry.
 
     A key ``code | span << m`` names the cube at the vertex with that
     code over the walls of span.  A square needs crossing walls, the
@@ -375,7 +372,7 @@ def _check_cubes(X: CubeComplex, cubes: dict[int, dict[int, None]]) -> None:
     that pairwise cross and the listed sides at its vertex.
     O(sum_k k^2 f_k).
     """
-    cross, adj, m = X.space._crossing_masks, X.adjacency, X.space.wall_count
+    cross, adj, m, cubes = X.space._crossing_masks, X.adjacency, X.space.wall_count, X.cubes
     full = (1 << m) - 1
     for k, registry in cubes.items():
         facets = cubes.get(k - 1, {})
@@ -415,8 +412,11 @@ def attach_cubes(X: CubeComplex) -> CubeComplex:
     Corners are enumerated at each cube's canonical vertex (the one
     choosing every listed side of the cube's walls), so every cube is
     found exactly once and registered under its key
-    ``code | span << m``; one pass over the registry (_check_cubes) then
-    verifies every cube's vertices and 1-skeleton.
+    ``code | span << m``.  The cubes are not checked here: by Roller's
+    flip criterion, flipping any subset of pairwise crossing walls that
+    each flip admissibly keeps a section admissible, so every cube found
+    at a corner of a built component lies in it, and check_flag checks
+    every registry it is given (_check_cubes).
     """
     if X.cubes_attached:
         return X
@@ -425,12 +425,7 @@ def attach_cubes(X: CubeComplex) -> CubeComplex:
     for vi, code in enumerate(X.codes):
         for span in _cliques(_span(X.adjacency[vi]) & ~code, cross, 2):
             cubes.setdefault(span.bit_count(), {})[code | span << m] = None
-    cubes = {k: cubes[k] for k in sorted(cubes)}
-    try:
-        _check_cubes(X, cubes)
-    except FlagViolation as e:
-        raise AdmissibilityAssertionFailed(str(e)) from e
-    X.cubes = cubes
+    X.cubes = {k: cubes[k] for k in sorted(cubes)}
     X.cubes_attached = True
     return X
 
@@ -472,8 +467,8 @@ def check_flag(X: CubeComplex) -> bool:
     join two incident walls when the square they span at the vertex is
     registered; every clique of that graph must then carry a registered
     cube, which costs one test per corner (sum_k 2^k f_k corners in
-    all).  Then every registered cube must be in the complex, by
-    attach_cubes' own pass (_check_cubes); facet closure alone is weaker
+    all).  Then every registered cube must be in the complex
+    (_check_cubes, which only this calls); facet closure alone is weaker
     than the flag condition (three squares at a corner with no far
     vertex pass it).  Works on externally supplied complexes, so a
     missing, forged or misplaced cube is detected and reported with a
@@ -502,7 +497,7 @@ def check_flag(X: CubeComplex) -> bool:
                     f"vertex {vi}: walls {list(walls)} span pairwise squares "
                     f"but no {len(walls)}-cube is registered",
                 )
-    _check_cubes(X, cubes)
+    _check_cubes(X)
     return True
 
 
@@ -563,7 +558,6 @@ def complex_from_dict(
     if base is None:
         raise InputError("base encoding is not among the vertices")
     adjacency: list[dict[int, int]] = [{} for _ in codes]
-    edges = []
     raw_edges = data["edges"]
     if not isinstance(raw_edges, list):
         raise InputError("'edges' must be a list of [u, v, wall] entries")
@@ -580,8 +574,7 @@ def complex_from_dict(
             raise InputError(f"edge {e!r}: endpoints do not differ exactly on wall {w}")
         adjacency[u][w] = v
         adjacency[v][w] = u
-        edges.append((min(u, v), max(u, v), w))
-    X = CubeComplex(space, base, codes, sorted(set(edges)), adjacency)
+    X = CubeComplex(space, base, codes, adjacency)
     cubes: dict[int, dict[int, None]] = {}
     raw_cubes = data["cubes"]
     if not isinstance(raw_cubes, dict):

@@ -4,12 +4,11 @@ Every closed edge path has even length and flips every wall an even
 number of times: each edge of a complex flips exactly its wall's bit
 (build_component and complex_from_dict both enforce it), and a closed
 path returns every bit to its start.  Nothing here recounts it.
-contract_loop shrinks a loop to its basepoint by sweeping the vertices
-furthest from the basepoint: each such vertex, its two loop neighbours
-sitting one step closer, is pushed across the square spanned by the two
-(necessarily crossing) walls, and spurs are removed eagerly.  The moves
-are recorded as a replayable certificate and the maximal distance to
-the basepoint strictly decreases with every sweep.
+contract_loop shrinks a loop to its basepoint one move at a time: the
+first interior vertex furthest from the basepoint is pushed across the
+registered square spanned by its two loop edges to the opposite corner,
+two steps closer, and spurs are removed eagerly.  The moves are
+recorded as a replayable certificate.
 
 random_loop and contract_loop read distances and parents from the BFS
 tree that the complex keeps for the last start (CubeComplex.cached_tree),
@@ -126,72 +125,52 @@ def _strip_backtracks(seq: list[int], X: CubeComplex, moves: list[Move]) -> list
 def contract_loop(loop: EdgeLoop) -> ContractionCertificate:
     """Contract a loop to its basepoint, emitting a replayable certificate.
 
-    Sweeps the loop's furthermost vertices (ties broken by lowest
-    position): each has both neighbours exactly one step closer to the
-    basepoint and reached across crossing walls, so it is replaced by
-    the opposite corner of the registered square, two steps closer.
-    Spurs are removed eagerly after every replacement.  The loop radius
-    must strictly decrease with each sweep; any failure of these
-    guarantees raises ContractionStuck.
+    Each move takes the first interior vertex at the loop's radius, its
+    largest distance from the basepoint, and replaces it by the opposite
+    corner of the registered square spanned by its two loop edges, two
+    steps closer; spurs are removed eagerly after every move.  Raises
+    ContractionStuck with a witness when no interior vertex sits at the
+    radius, the opposite corner is not a vertex, its square is not
+    registered or the corner does not sit at radius - 2.  The comments
+    below name what implies each check it leaves out.
     """
     X = loop.complex
     base = loop.indices[0]
     dist, _ = X.cached_tree(base)
+    m, squares = X.space.wall_count, X.cubes.get(2, {})
     moves: list[Move] = []
     seq = _strip_backtracks(list(loop.indices), X, moves)
     while len(seq) > 1:
         radius = max(dist[v] for v in seq)
-        while True:
-            pos = next(
-                (i for i in range(1, len(seq) - 1) if dist[seq[i]] == radius), None
+        pos = next((i for i in range(1, len(seq) - 1) if dist[seq[i]] == radius), None)
+        if pos is None:
+            raise ContractionStuck(f"no interior vertex sits at the loop radius {radius}")
+        sigma = seq[pos]
+        # sigma's loop neighbours differ: spurs are stripped
+        # both sit at radius - 1: each edge flips one bit, so the graph is bipartite
+        wa = X.edge_wall(sigma, seq[pos - 1])
+        wb = X.edge_wall(sigma, seq[pos + 1])
+        walls = (min(wa, wb), max(wa, wb))
+        opposite, tau = X._flipped(sigma, wa, wb)
+        if tau is None:
+            raise ContractionStuck(
+                f"opposite corner {Section.from_code(opposite, m).encode()} is not a vertex"
             )
-            if pos is None:
-                break
-            sigma = seq[pos]
-            a, b = seq[pos - 1], seq[pos + 1]
-            if a == b:
-                raise ContractionStuck(
-                    f"backtrack at position {pos} survived spur removal"
-                )
-            if dist[a] != radius - 1 or dist[b] != radius - 1:
-                raise ContractionStuck(
-                    f"neighbours of furthermost vertex {sigma} sit at distances "
-                    f"{dist[a]} and {dist[b]}, expected {radius - 1}"
-                )
-            wa = X.edge_wall(sigma, a)
-            wb = X.edge_wall(sigma, b)
-            if not X.space.crosses(wa, wb):
-                raise ContractionStuck(
-                    f"walls {wa} and {wb} at vertex {sigma} do not cross"
-                )
-            walls = (min(wa, wb), max(wa, wb))
-            opposite, tau = X._flipped(sigma, wa, wb)
-            if tau is None:
-                raise ContractionStuck(
-                    f"opposite corner "
-                    f"{Section.from_code(opposite, X.space.wall_count).encode()} is not a vertex"
-                )
-            s = 1 << wa | 1 << wb
-            if (X.codes[sigma] & ~s | s << X.space.wall_count) not in X.cubes.get(2, {}):
-                raise ContractionStuck(
-                    f"square over walls {list(walls)} at vertex {sigma} is not registered"
-                )
-            if dist[tau] != radius - 2:
-                raise ContractionStuck(
-                    f"opposite corner {tau} sits at distance {dist[tau]}, "
-                    f"expected {radius - 2}"
-                )
-            seq[pos] = tau
-            moves.append(Move("square", pos, walls))
-            seq = _strip_backtracks(seq, X, moves)
-            if len(seq) == 1:
-                break
-        if len(seq) > 1:
-            new_radius = max(dist[v] for v in seq)
-            if new_radius >= radius:
-                raise ContractionStuck(
-                    f"loop radius did not decrease: {radius} -> {new_radius}"
-                )
+        # wa and wb cross: check_flag, which check runs first, checks each square's walls
+        s = 1 << wa | 1 << wb
+        if (X.codes[sigma] & ~s | s << m) not in squares:
+            raise ContractionStuck(
+                f"square over walls {list(walls)} at vertex {sigma} is not registered"
+            )
+        if dist[tau] != radius - 2:
+            raise ContractionStuck(
+                f"opposite corner {tau} sits at distance {dist[tau]}, expected {radius - 2}"
+            )
+        # the sweep ends: each move trades a vertex at the radius for one
+        # at radius - 2, and spur removal adds none
+        seq[pos] = tau
+        moves.append(Move("square", pos, walls))
+        seq = _strip_backtracks(seq, X, moves)
     return ContractionCertificate(
         base=base, initial=tuple(loop.indices), moves=tuple(moves)
     )

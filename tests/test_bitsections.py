@@ -102,6 +102,8 @@ def test_admissibility_and_flips_match_oracle(raw):
 @SETTINGS
 @given(wall_spaces())
 def test_whole_complex_matches_oracle(raw):
+    # attach_cubes does not check the cubes it registers; the f-vector,
+    # check_flag and the corners check them against the oracle here
     n, walls = raw
     X = build_complex(WallSpace(n, walls))
     admissible = oracles.admissible_encodings(n, walls)

@@ -180,6 +180,26 @@ def test_check_complex_with_a_self_loop_edge_exits_before_the_suites(capsys, tmp
     assert err == "error: edge [0, 0, 0]: endpoints do not differ exactly on wall 0\n"
 
 
+def test_check_complex_without_squares_fails_contraction(capsys, tmp_path):
+    """crossing(2) loaded with no squares: its links, distances and loop
+    lengths are those of the square's boundary, which does not contract."""
+    space_file = tmp_path / "c2.json"
+    space_file.write_text(json.dumps(gen_crossing(2).to_dict()))
+    data = complex_to_dict(build_complex(gen_crossing(2)))
+    data["cubes"] = {}
+    cx = tmp_path / "no_squares.json"
+    cx.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "check", str(space_file), "--complex-in", str(cx))
+    assert code == 3
+    checks = json.loads(out)["checks"]
+    for name in ("flag", "metric_correspondence", "parity"):
+        assert checks[name]["status"] == "pass", name
+    assert checks["contraction"] == {
+        "status": "fail",
+        "witness": "square over walls [0, 1] at vertex 3 is not registered",
+    }
+
+
 def _crossing3_complex(tmp_path):
     cx = tmp_path / "c3.json"
     cx.write_text(json.dumps(complex_to_dict(build_complex(gen_crossing(3)))))

@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from cubulate import (
-    AdmissibilityAssertionFailed,
     ComplexityBudgetExceeded,
     CubeComplex,
     FlagViolation,
@@ -233,6 +232,8 @@ def test_check_flag_negative_fixture():
 
 
 def test_attach_cubes_rejects_component_missing_a_vertex():
+    # attach_cubes registers the corners it finds without checking them;
+    # check_flag finds the square whose far vertex is gone
     X = build_component(gen_crossing(3))
     keep = [i for i in range(len(X.codes)) if X.section(i).encode() != "111"]
     new = {old: i for i, old in enumerate(keep)}
@@ -240,12 +241,18 @@ def test_attach_cubes_rejects_component_missing_a_vertex():
         X.space,
         X.base,
         [X.codes[i] for i in keep],
-        [(new[u], new[v], w) for u, v, w in X.edges if u in new and v in new],
         [{w: new[j] for w, j in X.adjacency[i].items() if j in new} for i in keep],
     )
-    with pytest.raises(AdmissibilityAssertionFailed, match="one of its edges is missing"):
-        attach_cubes(broken)
-    assert not broken.cubes_attached
+    assert broken.edges == tuple(
+        (new[u], new[v], w) for u, v, w in X.edges if u in new and v in new
+    )
+    attach_cubes(broken)
+    with pytest.raises(FlagViolation) as info:
+        check_flag(broken)
+    assert str(info.value) == (
+        "vertex 1: the 2-cube over walls [1, 2] is not in the complex: "
+        "one of its edges is missing"
+    )
 
 
 def drop_square_under_cube(d):

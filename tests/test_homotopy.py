@@ -161,6 +161,26 @@ def test_contraction_stuck_on_broken_complex():
         contract_loop(square_loop(X))
 
 
+def test_contraction_stuck_on_a_hexagon():
+    # crossing(3)'s complex without 000 and 111 is a hexagon, whose
+    # furthest vertex from 100 has no opposite corner
+    X = build_complex(gen_crossing(3))
+    keep = [i for i in range(len(X.codes)) if X.section(i).encode() not in ("000", "111")]
+    new = {old: i for i, old in enumerate(keep)}
+    hexagon = CubeComplex(
+        X.space,
+        new[X.index_of(Section.decode("100"))],
+        [X.codes[i] for i in keep],
+        [{w: new[j] for w, j in X.adjacency[i].items() if j in new} for i in keep],
+    )
+    assert len(hexagon.edges) == 6
+    ring = ["100", "110", "010", "011", "001", "101", "100"]
+    loop = EdgeLoop(hexagon, [Section.decode(t) for t in ring])
+    with pytest.raises(ContractionStuck) as info:
+        contract_loop(loop)
+    assert str(info.value) == "opposite corner 000 is not a vertex"
+
+
 def test_random_loop_is_seeded_and_closed():
     X = build_complex(triangle_lattice(1).space)
     a = random_loop(X, random.Random(11))
