@@ -7,14 +7,14 @@ the image of the originally chosen side.
 
 check_equivariance certifies this action on a complex in time linear
 in the size of the complex, with no BFS.  It checks directly that the
-generator's maps are permutations, that principal vertices go to the
-principal vertices of the image points, that the vertex map stays in
-the component, that edges go to edges and that cubes go to registered
-cubes.  That vertex images are admissible and the vertex map is
-injective, that the wall pseudo-metric and the edge-path metric are
-preserved and that corners go to corners follows from those checks
-(Sageev 1995; Chepoi 2000); the argument is spelled out in
-check_equivariance rather than recomputed.
+generator's wall maps are the ones its point map induces (rerunning
+validate_generator), that the vertex map stays in the component, that
+edges go to edges and that cubes go to registered cubes.  The rest
+follows from those checks (Sageev 1995; Chepoi 2000): principal
+vertices go to principal vertices, vertex images are admissible, the
+vertex map is injective, both metrics are preserved and corners go to
+corners; the argument is spelled out in check_equivariance rather than
+recomputed.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .cubing import CubeComplex, _walls
 from .errors import BudgetError, CertificateError, InputError
+# unused here, but the benchmark's traced pass wraps principal_section in this module
 from .sections import Section, _check_section, is_admissible, principal_section
 from .wallspace import WallSpace, _is_int
 
@@ -63,8 +64,10 @@ class Generator(NamedTuple):
 
     perm[p] is the image point of point p; wall_perm[i] is the image
     wall of wall i; side_swap[i] is 1 when the listed side of wall i maps
-    onto the complement side of its image.  The inverse is not stored:
-    orbit_and_stabilizer inverts the vertex map where it needs g^-1.
+    onto the complement side of its image.  Both are functions of perm,
+    and the checks that take a Generator rerun validate_generator to
+    confirm them.  The inverse is not stored: orbit_and_stabilizer
+    inverts the vertex map where it needs g^-1.
     """
 
     name: str
@@ -171,81 +174,54 @@ def _vertex_map(X: CubeComplex, gen: Generator) -> list[int]:
     return gv
 
 
-def _check_permutation(name: str, label: str, values: Sequence[int], size: int) -> None:
-    """Raise EquivarianceViolation unless values permute 0..size-1."""
-    if len(values) != size:
-        raise EquivarianceViolation(
-            f"{name}: {label} has {len(values)} entries, expected {size}"
-        )
-    first = [-1] * size
-    for i, x in enumerate(values):
-        if not _is_int(x) or not 0 <= x < size:
+def _check_induced(space: WallSpace, gen: Generator) -> Generator:
+    """validate_generator(space, gen.perm, gen.name), once gen's wall_perm
+    and side_swap equal its maps; a Generator can be built without it.
+    Equality implies that perm and wall_perm are permutations, that the
+    swaps are bits and that g sends side b of wall w onto side b ^ S_w of
+    wall_perm[w], so sig[g.p] = P(sig[p] ^ S) for every point p, with P
+    moving bit w to bit wall_perm[w]: principal sections go to principal
+    sections.  Callers go on with the returned copy, whose maps are ints."""
+    try:
+        valid = validate_generator(space, gen.perm, gen.name)
+    except InputError as exc:
+        raise EquivarianceViolation(str(exc)) from None
+    for label, given, induced in (
+        ("wall_perm", gen.wall_perm, valid.wall_perm),
+        ("side_swap", gen.side_swap, valid.side_swap),
+    ):
+        if tuple(given) != induced:
             raise EquivarianceViolation(
-                f"{name}: {label}[{i}] = {x!r} is not in 0..{size - 1}"
+                f"{gen.name}: {label} is {tuple(given)}, but perm induces {induced}"
             )
-        if first[x] >= 0:
-            raise EquivarianceViolation(
-                f"{name}: {label}[{first[x]}] and {label}[{i}] are both {x}"
-            )
-        first[x] = i
-
-
-def _check_generator(space: WallSpace, gen: Generator) -> None:
-    """The structure the implied checks of check_equivariance and the
-    word search of orbit_and_stabilizer rest on: perm and wall_perm are
-    permutations and every side swap is 0 or 1.  A Generator can be
-    built without validate_generator, so this is checked, not assumed."""
-    _check_permutation(gen.name, "perm", gen.perm, space.point_count)
-    _check_permutation(gen.name, "wall_perm", gen.wall_perm, space.wall_count)
-    if len(gen.side_swap) != space.wall_count:
-        raise EquivarianceViolation(
-            f"{gen.name}: side_swap has {len(gen.side_swap)} entries, "
-            f"expected {space.wall_count}"
-        )
-    for w, swap in enumerate(gen.side_swap):
-        if isinstance(swap, bool) or swap not in (0, 1):
-            raise EquivarianceViolation(
-                f"{gen.name}: side_swap[{w}] = {swap!r} is not 0 or 1"
-            )
+    return valid
 
 
 def check_equivariance(space: WallSpace, X: CubeComplex, gen: Generator) -> dict:
     """Certify the induced action on the complex in linear time.
 
-    Checked directly: the generator's point and wall maps are
-    permutations and its side swaps are bits; principal vertices map to
-    the principal vertices of the image points; the vertex map stays in
-    the component; edges map to edges with relabelled walls; cubes map
-    to registered cubes.  Implied, and argued in the comments below
-    rather than recomputed: vertex images are admissible, the vertex map
-    is injective, the wall pseudo-metric and the edge-path metric are
-    preserved on all pairs, and corners map to corners.  Costs
-    O(n*m + V*m + E + sum_k k*f_k) time and O(V) memory.
-    Returns a summary of what was checked; raises EquivarianceViolation
-    with a witness otherwise.
+    Checked directly: the generator's wall permutation and side swaps
+    are the ones its point permutation induces (_check_induced); the
+    vertex map stays in the component; edges map to edges with
+    relabelled walls; cubes map to registered cubes.  Implied, and
+    argued in the comments below rather than recomputed: principal
+    vertices map to the principal vertices of the image points, vertex
+    images are admissible, the vertex map is injective, the wall
+    pseudo-metric and the edge-path metric are preserved on all pairs,
+    and corners map to corners.  Costs O(n*m + V*m + E + sum_k k*f_k)
+    time and O(V) memory.  Returns a summary of what was checked; raises
+    EquivarianceViolation with a witness otherwise.
     """
+    gen = _check_induced(space, gen)
     name, m = gen.name, space.wall_count
-    _check_generator(space, gen)
-    # an image equal to a principal section is admissible, so no image
-    # Section is built or tested
-    for p in range(space.point_count):
-        got = _image_code(gen, principal_section(space, p))
-        expected = space._signatures[gen.perm[p]]
-        if got != expected:
-            raise EquivarianceViolation(
-                f"{name}: point {p}: image of its principal section is "
-                f"{Section.from_code(got, m).encode()}, "
-                f"expected {Section.from_code(expected, m).encode()}"
-            )
-    # Wall distance.  The loop above proves sig[g.p] = P(sig[p]) ^ S for
-    # every point p, where P moves bit w to bit wall_perm[w] (a bit
-    # permutation, by _check_generator) and S is the swap mask.  So
-    # sig[g.p] ^ sig[g.q] = P(sig[p] ^ sig[q]) has the same popcount as
-    # sig[p] ^ sig[q]: wall_distance(g.p, g.q) = wall_distance(p, q).
+    # Wall distance.  _check_induced gives sig[g.p] = P(sig[p] ^ S) for
+    # every point p, with P a bit permutation, so sig[g.p] ^ sig[g.q] =
+    # P(sig[p] ^ sig[q]) has the same popcount as sig[p] ^ sig[q]:
+    # wall_distance(g.p, g.q) = wall_distance(p, q).
     #
-    # Admissibility.  By the same identity the point bijection g maps wall
-    # w's side b onto wall_perm[w]'s side b ^ S_w, so disjoint sides go to
-    # disjoint sides and the images of admissible sections need no test.
+    # Admissibility.  The point bijection g maps wall w's side b onto
+    # wall_perm[w]'s side b ^ S_w, so disjoint sides go to disjoint sides
+    # and the images of admissible sections need no test.
     # Injectivity.  On codes the vertex map is c -> P(c ^ S).
     gv = _vertex_map(X, gen)
     for u, v, w in X.edges:
@@ -262,7 +238,7 @@ def check_equivariance(space: WallSpace, X: CubeComplex, gen: Generator) -> dict
     # graph, Chepoi 2000), and automorphisms preserve the path metric.
     #
     # Corners.  If walls i and j cross, some points lie in each of the
-    # four quadrants of (i, j).  By the principal check their images lie
+    # four quadrants of (i, j).  By _check_induced their images lie
     # in the four matching quadrants of (g.i, g.j), so g.i and g.j cross;
     # crossing walls go to crossing walls.  A corner is a vertex with
     # pairwise crossing walls that flip there, i.e. label edges at it;
@@ -321,16 +297,15 @@ def orbit_and_stabilizer(
     Inverses are adjoined automatically (skipped for involutions) under
     the name g^-1.  Raises InputError when two generators, adjoined
     inverses included, share a name, EquivarianceViolation when a
-    generator is not well formed (as in check_equivariance) or sends a
-    vertex out of the component, and BudgetExceeded when the word
-    enumeration grows past max_words.
+    generator's wall maps are not the ones its perm induces (as in
+    check_equivariance) or it sends a vertex out of the component, and
+    BudgetExceeded when the word enumeration grows past max_words.
     """
     start = X.index_of(vertex)
-    generators = list(generators)
+    generators = [_check_induced(space, g) for g in generators]
     names: list[str] = []
     inverse_of: dict[str, str] = {}
     for g in generators:
-        _check_generator(space, g)
         names.append(g.name)
         if any(g.perm[q] != p for p, q in enumerate(g.perm)):  # not an involution
             inverse = g.name + "^-1"
@@ -340,7 +315,7 @@ def orbit_and_stabilizer(
         raise InputError("at least one generator is required")
     if len(set(names)) != len(names):
         raise InputError(f"generator names clash, adjoined inverses included: {names}")
-    # Once _check_generator has accepted wall_perm, c -> P(c ^ S) is
+    # Once _check_induced has accepted wall_perm, c -> P(c ^ S) is
     # injective (see check_equivariance), so a vertex map that stays in
     # the finite component permutes it.  g^-1 acts by the inverse
     # permutation: the vertices sorted by their images under g.

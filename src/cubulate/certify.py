@@ -73,10 +73,10 @@ def check_metric_correspondence(space: WallSpace, X: CubeComplex) -> dict:
 
 def parity_suite(X: CubeComplex, seed: int, runs: int = 100) -> dict:
     """Report the lengths of seeded random closed loops, without counting
-    their walls: every edge of X flips exactly its wall's bit
-    (build_component and complex_from_dict enforce it), so a closed loop
-    flips every wall an even number of times, and its length, the sum of
-    those counts, is even."""
+    their walls: every edge of X flips exactly its wall's bit (the
+    CubeComplex constructor checks it), so a closed loop flips every
+    wall an even number of times, and its length, the sum of those
+    counts, is even."""
     rng = random.Random(f"{seed}:parity")
     total_edges = 0
     longest = 0

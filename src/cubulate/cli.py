@@ -248,7 +248,7 @@ def _add_build_flags(p: argparse.ArgumentParser) -> None:
         "--max-vertices",
         type=int,
         default=None,
-        help="vertex budget (default: CUBULATE_MAX_VERTICES or 2^20)",
+        help="vertex budget (default: 2^20)",
     )
 
 

@@ -22,8 +22,8 @@ k-cube is checked through its 2k facets, not its 2^k vertices
 as the adjacency maps; the sorted edge list is derived from them.
 
 Cliques of walls are enumerated as spans (_cliques).  Spans are decoded
-to wall tuples only at the boundaries: the JSON form, link simplices and
-witnesses (_walls).
+to wall tuples only at the boundaries: the JSON form and witnesses
+(_walls).
 
 Everything is deterministic: vertices are indexed in BFS discovery
 order from the base with neighbour walls visited in id order.
@@ -31,9 +31,8 @@ order from the base with neighbour walls visited in id order.
 
 from __future__ import annotations
 
-import os
 from collections import deque
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import BudgetError, CertificateError, InputError
 from .sections import Section, admissible_flips, principal_section
@@ -41,9 +40,7 @@ from .wallspace import WallSpace, _is_int
 
 __all__ = [
     "DEFAULT_MAX_VERTICES",
-    "MAX_VERTICES_ENV",
     "CubeComplex",
-    "VertexLink",
     "ComplexityBudgetExceeded",
     "FlagViolation",
     "NotInComponent",
@@ -51,7 +48,6 @@ __all__ = [
     "attach_cubes",
     "build_complex",
     "dimension",
-    "vertex_link",
     "check_flag",
     "complex_to_dict",
     "complex_from_dict",
@@ -59,7 +55,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_VERTICES = 1 << 20
-MAX_VERTICES_ENV = "CUBULATE_MAX_VERTICES"
 
 
 class ComplexityBudgetExceeded(BudgetError):
@@ -81,15 +76,6 @@ class NotInComponent(InputError):
     """A section or index is not a vertex of this complex."""
 
 
-class VertexLink(NamedTuple):
-    """The link of a vertex: one point per incident edge wall, one
-    (k-1)-simplex per k-corner."""
-
-    vertex: int
-    points: tuple[int, ...]
-    simplices: tuple[tuple[int, ...], ...]
-
-
 class CubeComplex:
     """A component of the admissible-section graph with attached cubes.
 
@@ -98,9 +84,11 @@ class CubeComplex:
     Section and ``base`` is the index of the base vertex.
     ``adjacency[i]`` maps the wall of each edge at i to its far end;
     ``edges``, the sorted ``(u, v, wall)`` triples with u < v, is derived
-    from it.  ``cubes[k]`` holds the key ``codes[b] | span << m`` of each
-    k-cube, b being its canonical vertex and span its wall mask, in
-    insertion order (a dict with None values).  Treat instances as immutable once
+    from it while each entry is checked once: InputError unless it flips
+    exactly its wall's bit and is listed at the far end too.
+    ``cubes[k]`` holds the key ``codes[b] | span << m`` of each k-cube,
+    b being its canonical vertex and span its wall mask, in insertion
+    order (a dict with None values).  Treat instances as immutable once
     attach_cubes has run; the ``codes``, ``edges``, ``adjacency`` and
     ``cubes`` attributes are read-only views of the construction.
     """
@@ -116,9 +104,17 @@ class CubeComplex:
         self.base = base
         self.codes: tuple[int, ...] = tuple(codes)
         self.adjacency: tuple[dict[int, int], ...] = tuple(dict(a) for a in adjacency)
-        self.edges: tuple[tuple[int, int, int], ...] = tuple(sorted(
-            (u, v, w) for u, a in enumerate(self.adjacency) for w, v in a.items() if u < v
-        ))
+        codes, adjacency, edges = self.codes, self.adjacency, []
+        for u, a in enumerate(adjacency):
+            for w, v in a.items():
+                if codes[u] ^ codes[v] != 1 << w:
+                    edge = sorted((u, v)) + [w]
+                    raise InputError(f"edge {edge}: endpoints do not differ exactly on wall {w}")
+                if adjacency[v].get(w) != u:
+                    raise InputError(f"edge {sorted((u, v)) + [w]} is listed at vertex {u} only")
+                if u < v:
+                    edges.append((u, v, w))
+        self.edges: tuple[tuple[int, int, int], ...] = tuple(sorted(edges))
         self._index = {c: i for i, c in enumerate(self.codes)}
         self.cubes: dict[int, dict[int, None]] = {}
         self.cubes_attached = False
@@ -256,22 +252,12 @@ class CubeComplex:
 
 
 def resolve_max_vertices(requested: int | None = None) -> int:
-    """The vertex cap: explicit argument, else the environment override
-    CUBULATE_MAX_VERTICES, else the default 2^20."""
-    if requested is not None:
-        if not _is_int(requested) or requested < 1:
-            raise InputError(f"vertex cap must be a positive integer, got {requested!r}")
-        return requested
-    env = os.environ.get(MAX_VERTICES_ENV)
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise InputError(f"{MAX_VERTICES_ENV} must be an integer, got {env!r}")
-        if cap < 1:
-            raise InputError(f"{MAX_VERTICES_ENV} must be positive, got {cap}")
-        return cap
-    return DEFAULT_MAX_VERTICES
+    """The vertex cap: the argument, a positive int, or 2^20 for None."""
+    if requested is None:
+        return DEFAULT_MAX_VERTICES
+    if not _is_int(requested) or requested < 1:
+        raise InputError(f"vertex cap must be a positive integer, got {requested!r}")
+    return requested
 
 
 def build_component(
@@ -448,15 +434,6 @@ def dimension(X: CubeComplex) -> int:
     return 1 if X.edges else 0
 
 
-def vertex_link(X: CubeComplex, v: "Section | int") -> VertexLink:
-    """The link of a vertex: incident walls as points, corners as
-    simplices (a k-corner contributes a (k-1)-simplex)."""
-    vi = X.index_of(v)
-    incident = tuple(sorted(X.adjacency[vi]))
-    spans = _cliques(_span(incident), X.space._crossing_masks, 2)
-    return VertexLink(vertex=vi, points=incident, simplices=tuple(map(_walls, spans)))
-
-
 def check_flag(X: CubeComplex) -> bool:
     """Certify that every vertex link is a flag complex and that every
     registered cube is a cube of the complex.
@@ -527,10 +504,11 @@ def complex_from_dict(
     """Rebuild a complex from its JSON form without re-deriving cubes.
 
     Structural well-formedness (edge labels consistent with the vertex
-    encodings) is enforced; completeness of the cube dictionary is not,
-    so broken complexes can be loaded and then failed by check_flag.
-    A vertex list longer than the cap (see resolve_max_vertices) raises
-    ComplexityBudgetExceeded before any encoding is decoded.
+    encodings, checked by the CubeComplex constructor) is enforced;
+    completeness of the cube dictionary is not, so broken complexes can
+    be loaded and then failed by check_flag.  A vertex list longer than
+    the cap (see resolve_max_vertices) raises ComplexityBudgetExceeded
+    before any encoding is decoded.
     """
     if not isinstance(data, dict):
         raise InputError("complex input must be a JSON object")
@@ -570,8 +548,6 @@ def complex_from_dict(
                 raise InputError(f"edge {e!r}: vertex index out of range")
         if not _is_int(w) or not 0 <= w < m:
             raise InputError(f"edge {e!r}: wall out of range")
-        if codes[u] ^ codes[v] != 1 << w:
-            raise InputError(f"edge {e!r}: endpoints do not differ exactly on wall {w}")
         adjacency[u][w] = v
         adjacency[v][w] = u
     X = CubeComplex(space, base, codes, adjacency)

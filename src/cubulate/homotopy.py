@@ -2,8 +2,8 @@
 
 Every closed edge path has even length and flips every wall an even
 number of times: each edge of a complex flips exactly its wall's bit
-(build_component and complex_from_dict both enforce it), and a closed
-path returns every bit to its start.  Nothing here recounts it.
+(the CubeComplex constructor checks it), and a closed path returns
+every bit to its start.  Nothing here recounts it.
 contract_loop shrinks a loop to its basepoint one move at a time: the
 first interior vertex furthest from the basepoint is pushed across the
 registered square spanned by its two loop edges to the opposite corner,

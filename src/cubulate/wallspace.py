@@ -182,21 +182,6 @@ class WallSpace:
             self._sigs = tuple(sigs)
         return self._sigs
 
-    def side_of(self, wall: int, point: int) -> int:
-        """0 when the point lies on the listed side, 1 on the complement."""
-        self._check_wall(wall)
-        self._check_point(point)
-        return self._signatures[point] >> wall & 1
-
-    def separates(self, wall: int, p: int, q: int) -> bool:
-        return self.side_of(wall, p) != self.side_of(wall, q)
-
-    def separating_walls(self, p: int, q: int) -> list[int]:
-        self._check_point(p)
-        self._check_point(q)
-        sigs = self._signatures
-        return list(_bit_indices(sigs[p] ^ sigs[q]))
-
     def wall_distance(self, p: int, q: int) -> int:
         """Number of walls separating p from q (a pseudo-metric)."""
         self._check_point(p)

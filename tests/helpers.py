@@ -1,7 +1,7 @@
 """Shared fixtures: the shipped example registry, a seeded random
 wall-space generator for property checks, a forged complex, the
-decoding of a cube registry and an independent count of a loop's wall
-flips."""
+decoding of a cube registry and of its corners, and an independent
+count of a loop's wall flips."""
 
 from collections import Counter
 from itertools import combinations
@@ -92,6 +92,23 @@ def cube_pairs(X, registry):
         )
         for key in registry
     }
+
+
+def registry_corners(X):
+    """The (encoding, wall set) of every corner, read off the cube
+    registry: each key gives the vertices c ^ t for t a subset of its
+    span, each with the key's walls."""
+    m = X.space.wall_count
+    out = set()
+    for registry in X.cubes.values():
+        for key in registry:
+            code = key & (1 << m) - 1
+            walls = [w for w in range(m) if key >> m + w & 1]
+            for size in range(len(walls) + 1):
+                for sub in combinations(walls, size):
+                    t = sum(1 << w for w in sub)
+                    out.add((Section.from_code(code ^ t, m).encode(), frozenset(walls)))
+    return out
 
 
 def drop_edge(data, index=0):

@@ -94,6 +94,32 @@ def f_vector(encodings):
     return tuple(out)
 
 
+def crossing_f_vector(point_count, walls):
+    """The f-vector of the dual complex counted from the crossing graph
+    alone: f_k = sum_j C(j, k) * c_j, where c_j counts the j-sets of
+    pairwise crossing walls and c_0 = 1 counts the empty set.  For a
+    median graph the cube polynomial is the clique polynomial of its
+    crossing graph at x + 1 (Brešar, Klavžar and Škrekovski, "The cube
+    polynomial and its derivatives: the case of median graphs",
+    Electron. J. Combin. 10, 2003).  Needs no section, BFS or cube."""
+    m = len(walls)
+    cross = {
+        pair for pair in combinations(range(m), 2) if walls_cross(point_count, walls, *pair)
+    }
+    cliques = [1]
+    for size in range(1, m + 1):
+        count = sum(
+            all(pair in cross for pair in combinations(combo, 2))
+            for combo in combinations(range(m), size)
+        )
+        if count == 0:  # a clique's subsets are cliques, so none is larger
+            break
+        cliques.append(count)
+    return tuple(
+        sum(math.comb(j, k) * c for j, c in enumerate(cliques)) for k in range(len(cliques))
+    )
+
+
 def separating_wall_count(walls, p, q):
     return sum(1 for w in walls if (p in set(w)) != (q in set(w)))
 

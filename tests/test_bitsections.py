@@ -22,14 +22,14 @@ from cubulate import (
     check_flag,
     complex_from_dict,
     complex_to_dict,
+    dimension,
     gen_crossing,
     is_admissible,
     principal_section,
-    vertex_link,
 )
 
 import oracles
-from helpers import cube_pairs, drop_edge
+from helpers import cube_pairs, drop_edge, registry_corners
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=80)
 
@@ -56,12 +56,13 @@ def wall_spaces(draw):
 def test_signatures_match_oracle(raw):
     n, walls = raw
     sp = WallSpace(n, walls)
+    sigs = sp._signatures
     for p in range(n):
         expect = "".join("0" if p in w else "1" for w in walls)
         assert principal_section(sp, p).encode() == expect
         for q in range(n):
             separating = [i for i, w in enumerate(walls) if (p in w) != (q in w)]
-            assert sp.separating_walls(p, q) == separating
+            assert [i for i in range(len(walls)) if (sigs[p] ^ sigs[q]) >> i & 1] == separating
             assert sp.wall_distance(p, q) == oracles.separating_wall_count(walls, p, q)
 
 
@@ -109,12 +110,23 @@ def test_whole_complex_matches_oracle(raw):
     admissible = oracles.admissible_encodings(n, walls)
     assert X.f_vector() == oracles.f_vector(admissible)
     assert check_flag(X)
-    corners = {
-        (X.section(v).encode(), frozenset(c))
-        for v in range(len(X.codes))
-        for c in vertex_link(X, v).simplices
-    }
-    assert corners == oracles.corners_of(n, walls, admissible)
+    assert registry_corners(X) == oracles.corners_of(n, walls, admissible)
+
+
+@SETTINGS
+@given(wall_spaces())
+def test_f_vector_matches_crossing_graph_count(raw):
+    """V, E, every f_k, the dimension and the Euler characteristic of the
+    complex from every base point, against a count that uses neither the
+    BFS nor attach_cubes."""
+    n, walls = raw
+    sp = WallSpace(n, walls)
+    expect = oracles.crossing_f_vector(n, walls)
+    for base in range(n):
+        X = build_complex(sp, base_point=base)
+        assert X.f_vector() == expect
+        assert dimension(X) == len(expect) - 1
+        assert sum((-1) ** k * f for k, f in enumerate(X.f_vector())) == 1
 
 
 def _inside(small, big):

