@@ -176,12 +176,11 @@ def _vertex_map(X: CubeComplex, gen: Generator) -> list[int]:
 
 def _check_induced(space: WallSpace, gen: Generator) -> Generator:
     """validate_generator(space, gen.perm, gen.name), once gen's wall_perm
-    and side_swap equal its maps; a Generator can be built without it.
-    Equality implies that perm and wall_perm are permutations, that the
-    swaps are bits and that g sends side b of wall w onto side b ^ S_w of
-    wall_perm[w], so sig[g.p] = P(sig[p] ^ S) for every point p, with P
-    moving bit w to bit wall_perm[w]: principal sections go to principal
-    sections.  Callers go on with the returned copy, whose maps are ints."""
+    and side_swap equal its maps (a Generator can be built without it).
+    Equality implies that perm and wall_perm are permutations, the swaps
+    are bits and g sends side b of wall w onto side b ^ S_w of wall_perm[w],
+    so sig[g.p] = P(sig[p] ^ S), with P moving bit w to bit wall_perm[w]:
+    principal sections go to principal sections.  Callers use the copy, whose maps are ints."""
     try:
         valid = validate_generator(space, gen.perm, gen.name)
     except InputError as exc:

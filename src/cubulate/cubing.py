@@ -504,11 +504,10 @@ def complex_from_dict(
     """Rebuild a complex from its JSON form without re-deriving cubes.
 
     Structural well-formedness (edge labels consistent with the vertex
-    encodings, checked by the CubeComplex constructor) is enforced;
-    completeness of the cube dictionary is not, so broken complexes can
-    be loaded and then failed by check_flag.  A vertex list longer than
-    the cap (see resolve_max_vertices) raises ComplexityBudgetExceeded
-    before any encoding is decoded.
+    encodings) is enforced; completeness of the cube dictionary is not,
+    so broken complexes can be loaded and then failed by check_flag.
+    A vertex list longer than the cap (see resolve_max_vertices) raises
+    ComplexityBudgetExceeded before any encoding is decoded.
     """
     if not isinstance(data, dict):
         raise InputError("complex input must be a JSON object")
@@ -548,6 +547,8 @@ def complex_from_dict(
                 raise InputError(f"edge {e!r}: vertex index out of range")
         if not _is_int(w) or not 0 <= w < m:
             raise InputError(f"edge {e!r}: wall out of range")
+        if codes[u] ^ codes[v] != 1 << w:  # a later entry could hide it from the constructor
+            raise InputError(f"edge {e!r}: endpoints do not differ exactly on wall {w}")
         adjacency[u][w] = v
         adjacency[v][w] = u
     X = CubeComplex(space, base, codes, adjacency)

@@ -346,17 +346,9 @@ def test_orbit_and_stabilizer_agree_with_oracle(at):
 
 
 def test_orbit_reports_a_vertex_that_leaves_the_component():
-    sp, forged = equivariance_cases()[5]
-    assert forged.name == "walls"
-    X = build_complex(sp)
-    with pytest.raises(EquivarianceViolation) as info:
-        orbit_and_stabilizer(sp, X, [forged], X.base)
-    assert str(info.value) == "walls: wall_perm is (3, 2, 1, 0), but perm induces (0, 1, 2, 3)"
-
-
-def test_a_valid_generator_can_leave_a_partial_complex():
-    """crossing(2)'s complex restricted to 00, 10 and 11: the swap s01
-    sends 10 to 01, which is not a vertex there."""
+    """crossing(2)'s complex restricted to 00, 10 and 11: the valid swap
+    s01 sends 10 to 01, which is not a vertex there.  check_equivariance
+    gives the same witness."""
     sp = gen_crossing(2)
     X = CubeComplex(sp, 0, [0b00, 0b01, 0b11], [{0: 1}, {0: 0, 1: 2}, {1: 1}])
     assert [X.section(i).encode() for i in range(3)] == ["00", "10", "11"]

@@ -169,15 +169,16 @@ def test_check_complex_with_a_dropped_edge_fails_metric(capsys, tmp_path):
 
 def test_check_complex_with_a_self_loop_edge_exits_before_the_suites(capsys, tmp_path):
     """Loops are even only because every edge flips exactly one wall, so
-    a self-loop must stop the load, before any suite reports."""
-    data = complex_to_dict(build_complex(gen_crossing(3)))
-    data["edges"].append([0, 0, 0])
-    cx = tmp_path / "self_loop.json"
-    cx.write_text(json.dumps(data))
-    code, out, err = run(capsys, "check", SPACE3, "--complex-in", str(cx))
-    assert code == 1
-    assert out == ""
-    assert err == "error: edge [0, 0, 0]: endpoints do not differ exactly on wall 0\n"
+    a self-loop must stop the load, before any suite reports; listed
+    first, it would be overwritten by the valid edge [0, v, 0]."""
+    for at in ("last", "first"):
+        data = complex_to_dict(build_complex(gen_crossing(3)))
+        data["edges"].insert(0 if at == "first" else len(data["edges"]), [0, 0, 0])
+        cx = tmp_path / f"self_loop_{at}.json"
+        cx.write_text(json.dumps(data))
+        code, out, err = run(capsys, "check", SPACE3, "--complex-in", str(cx))
+        assert (code, out) == (1, ""), at
+        assert err == "error: edge [0, 0, 0]: endpoints do not differ exactly on wall 0\n"
 
 
 def test_check_complex_without_squares_fails_contraction(capsys, tmp_path):

@@ -365,11 +365,17 @@ def one_wall_complex_counted_true(d):
 # Each edge flips exactly its wall's bit, so every closed loop is even
 # and the parity suite need not count; these two edges break that.  They
 # stay lambdas so that the unnamed cases keep their ids <lambda>0..9.
+# Listed first, a bad edge's adjacency entry is overwritten by a valid
+# edge with the same vertex and wall, so the loader must test it itself.
 two_wall_edge = lambda d: d["edges"].append([0, 3, 0])
 self_loop_edge = lambda d: d["edges"].append([0, 0, 0])
+two_wall_edge_first = lambda d: d["edges"].insert(0, [0, 3, 0])
+self_loop_edge_first = lambda d: d["edges"].insert(0, [0, 0, 0])
 WITNESSES = {
     two_wall_edge: r"edge \[0, 3, 0\]: endpoints do not differ exactly on wall 0",
     self_loop_edge: r"edge \[0, 0, 0\]: endpoints do not differ exactly on wall 0",
+    two_wall_edge_first: r"edge \[0, 3, 0\]: endpoints do not differ exactly on wall 0",
+    self_loop_edge_first: r"edge \[0, 0, 0\]: endpoints do not differ exactly on wall 0",
 }
 
 
@@ -397,6 +403,8 @@ WITNESSES = {
         pytest.param(lambda d: d.__setitem__("cubes", {" 2": d["cubes"]["2"]}), id="key_space_2"),
         pytest.param(lambda d: d["cubes"].__setitem__("2", [[0, ["a", 1]]]), id="str_cube_wall"),
         pytest.param(self_loop_edge, id="self_loop_edge"),
+        pytest.param(two_wall_edge_first, id="two_wall_edge_first"),
+        pytest.param(self_loop_edge_first, id="self_loop_edge_first"),
     ],
 )
 def test_complex_from_dict_rejects_malformed(mutate):
