@@ -3,9 +3,10 @@
 Each suite either returns a small summary dict (suitable for JSON
 reports) or raises a CertificateError carrying a concrete witness.
 Random suites draw from streams derived from a caller-supplied seed so
-reports are reproducible.  Each suite makes at most one traversal: the
-metric suite sweeps from all principal vertices at once, and the loop
-suites share the complex's cached BFS tree at the base.  The parity
+reports are reproducible.  The metric suite makes no traversal: it
+certifies the metric by one descent test per vertex, and sweeps the
+complex only to find a witness after that test fails.  The loop suites
+share the complex's cached BFS tree at the base.  The parity
 suite reports its loops but checks nothing further: edge validation
 already implies what it would count.
 """
@@ -39,15 +40,70 @@ class ReplayMismatch(CertificateError):
 
 
 def check_metric_correspondence(space: WallSpace, X: CubeComplex) -> dict:
-    """Compare d(p, q) with the edge-path distance between the principal
-    vertices of p and q, for every pair of points.
+    """Certify that d(p, q), the number of walls separating p and q,
+    equals the edge-path distance between the principal vertices P(p)
+    and P(q), for every pair of points, by descent (the partial-cube
+    argument of Bandelt and Chepoi, "Metric graph theory and geometry:
+    a survey", 2008).
+
+    A point q lies on vertex u's side of wall w exactly when bit w of
+    q's signature equals bit w of u's code, and P(q) is the vertex whose
+    code is that signature.  For each vertex u, AND together u's chosen
+    side of the wall of every edge at u: the result holds the points
+    whose signatures agree with u's code on every wall flippable at u.
+    It always contains own[u], the points with P(q) = u; require it to
+    equal own[u].  When that holds at every vertex, take any vertex
+    u != P(q): q is not in the AND, so some edge at u flips a wall on
+    which u and P(q) differ, and its far end is one step closer to P(q)
+    in Hamming distance.  By induction on the Hamming distance H of the
+    codes, the edge-path distance from any vertex u to P(q) is at most
+    H.  Every edge flips exactly its wall's bit (the CubeComplex
+    constructor checks it), so it is at least H.  Hence the distance
+    from P(p) to P(q) is the popcount of the XOR of the two points'
+    signatures, for every pair; the argument needs no connectivity, so
+    a complex whose principal vertices are not connected fails.
+
+    O(V + E) ANDs of n-bit ints for n points.  Only on failure does the
+    multi-source sweep (_sweep_witness) run, for a pair witness; when it
+    finds no pair, the witness is the first failing u and the principal
+    vertex of the lowest point in its AND outside own[u].
+    """
+    vertex_of = [X.index_of(principal_section(space, p)) for p in space.points()]
+    own = [0] * len(X.codes)
+    for p, v in enumerate(vertex_of):
+        own[v] |= 1 << p
+    masks, full = space._masks, space._full
+    for u, (code, a) in enumerate(zip(X.codes, X.adjacency)):
+        agree = full
+        for w in a:
+            agree &= masks[2 * w | (code >> w & 1)]
+        if agree != own[u]:
+            _sweep_witness(space, X, vertex_of)
+            stray = agree & ~own[u]
+            q = (stray & -stray).bit_length() - 1
+            v = vertex_of[q]
+            raise MetricMismatch(
+                f"vertex {u}: no edge at it flips a wall separating it from "
+                f"vertex {v}, the principal vertex of point {q}, "
+                f"{(code ^ X.codes[v]).bit_count()} walls away"
+            )
+    n = space.point_count
+    return {
+        "points": n,
+        "pairs": n * (n - 1) // 2,
+        "principal_vertices": len(set(vertex_of)),
+    }
+
+
+def _sweep_witness(space: WallSpace, X: CubeComplex, vertex_of: list[int]) -> None:
+    """Raise MetricMismatch for the first pair of points, in order, whose
+    wall distance differs from the edge-path distance of their principal
+    vertices; return when there is none.
 
     Pairs of wall-equivalent points share a principal vertex, so the
     distances among the distinct principal vertices cover all pairs; one
     multi-source sweep (CubeComplex.distance_table) finds them all.
-    d(p, q) is the popcount of the XOR of the two points' signatures.
     """
-    vertex_of = [X.index_of(principal_section(space, p)) for p in space.points()]
     sources = sorted(set(vertex_of))
     slot = {v: i for i, v in enumerate(sources)}
     table = X.distance_table(sources)
@@ -64,11 +120,6 @@ def check_metric_correspondence(space: WallSpace, X: CubeComplex) -> dict:
                     f"points {p} and {q} are separated by {expected} walls but "
                     f"their principal vertices are {actual} edges apart"
                 )
-    return {
-        "points": n,
-        "pairs": n * (n - 1) // 2,
-        "principal_vertices": len(sources),
-    }
 
 
 def parity_suite(X: CubeComplex, seed: int, runs: int = 100) -> dict:

@@ -85,7 +85,9 @@ class CubeComplex:
     ``adjacency[i]`` maps the wall of each edge at i to its far end;
     ``edges``, the sorted ``(u, v, wall)`` triples with u < v, is derived
     from it while each entry is checked once: InputError unless it flips
-    exactly its wall's bit and is listed at the far end too.
+    exactly its wall's bit and is listed at the far end too, and unless
+    the base is an index and the codes are distinct ints that fit the
+    space's m walls.
     ``cubes[k]`` holds the key ``codes[b] | span << m`` of each k-cube,
     b being its canonical vertex and span its wall mask, in insertion
     order (a dict with None values).  Treat instances as immutable once
@@ -104,18 +106,33 @@ class CubeComplex:
         self.base = base
         self.codes: tuple[int, ...] = tuple(codes)
         self.adjacency: tuple[dict[int, int], ...] = tuple(dict(a) for a in adjacency)
-        codes, adjacency, edges = self.codes, self.adjacency, []
-        for u, a in enumerate(adjacency):
-            for w, v in a.items():
-                if codes[u] ^ codes[v] != 1 << w:
-                    edge = sorted((u, v)) + [w]
-                    raise InputError(f"edge {edge}: endpoints do not differ exactly on wall {w}")
-                if adjacency[v].get(w) != u:
-                    raise InputError(f"edge {sorted((u, v)) + [w]} is listed at vertex {u} only")
-                if u < v:
-                    edges.append((u, v, w))
+        codes, adjacency, edges, m = self.codes, self.adjacency, [], space.wall_count
+        if not _is_int(base) or not 0 <= base < len(codes):
+            raise InputError(f"base {base!r} is not a vertex index in 0..{len(codes) - 1}")
+        if len(adjacency) != len(codes):
+            raise InputError(f"{len(adjacency)} adjacency maps for {len(codes)} vertices")
+        if not {*map(type, codes)} <= {int} or min(codes) < 0 or max(codes) >> m:
+            raise InputError(f"vertex codes must be ints that fit {m} bits")
+        # the codes fit m bits, so an entry that passes the XOR test names
+        # a wall in 0..m-1; a far end that is no index raises below
+        try:
+            for u, a in enumerate(adjacency):
+                for w, v in a.items():
+                    if codes[u] ^ codes[v] != 1 << w:
+                        edge = sorted((u, v)) + [w]
+                        raise InputError(f"edge {edge}: endpoints do not differ exactly on wall {w}")
+                    if adjacency[v].get(w) != u:
+                        raise InputError(f"edge {sorted((u, v)) + [w]} is listed at vertex {u} only")
+                    if u < v:
+                        edges.append((u, v, w))
+                    elif v < 0:  # passed the tests above as index len(codes) + v
+                        raise IndexError(v)
+        except (IndexError, TypeError, ValueError):
+            raise InputError(f"vertex {u}: entry {w!r}: {v!r} is not a wall and a vertex index") from None
         self.edges: tuple[tuple[int, int, int], ...] = tuple(sorted(edges))
         self._index = {c: i for i, c in enumerate(self.codes)}
+        if len(self._index) != len(codes):
+            raise InputError("two vertices share a code")
         self.cubes: dict[int, dict[int, None]] = {}
         self.cubes_attached = False
         self._last_tree: tuple[int, tuple[int, ...], tuple[int, ...]] | None = None
@@ -194,7 +211,9 @@ class CubeComplex:
     def distance_table(self, sources: Sequence[int]) -> list[list[int]]:
         """Edge-path distances among distinct vertex indices:
         ``table[j][i]`` is the distance from sources[i] to sources[j], -1
-        when they are not connected.
+        when they are not connected.  The metric suite calls it only
+        after its descent test fails, to name a pair of points whose
+        distances differ.
 
         One BFS sweep from all sources together.  Each vertex holds an
         int whose bit i is set once source i has reached it; a level

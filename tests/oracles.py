@@ -59,6 +59,23 @@ def graph_distances(encodings, start, dropped=()):
     return dist
 
 
+def metric_mismatches(point_count, walls, encodings, dropped=()):
+    """Every pair of points p < q, in order, whose principal encodings
+    are not as many edges apart as there are walls separating p and q,
+    as (p, q, wall count, edge-path distance or -1); one BFS per point
+    (graph_distances) on the encodings without the dropped edges."""
+    principal = [principal_encoding(walls, p) for p in range(point_count)]
+    out = []
+    for p in range(point_count):
+        dist = graph_distances(encodings, principal[p], dropped)
+        for q in range(p + 1, point_count):
+            expect = separating_wall_count(walls, p, q)
+            actual = dist.get(principal[q], -1)
+            if actual != expect:
+                out.append((p, q, expect, actual))
+    return out
+
+
 def cube_count(encodings, k):
     """Number of k-cubes: pairs (e, S) with e zero on the k walls of S
     and all 2^k bit combinations over S present among the encodings."""

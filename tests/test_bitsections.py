@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 
 from cubulate import (
     FlagViolation,
+    MetricMismatch,
     Section,
     WallSpace,
     admissible_flips,
     attach_cubes,
     build_complex,
     check_flag,
+    check_metric_correspondence,
     complex_from_dict,
     complex_to_dict,
     dimension,
@@ -187,6 +189,43 @@ def test_distance_table_matches_oracle(raw, cut):
         for i, u in enumerate(sources):
             dist = oracles.graph_distances(encodings, encodings[u], dropped)
             assert [row[i] for row in table] == [dist.get(encodings[v], -1) for v in sources]
+
+
+@SETTINGS
+@given(wall_spaces(), st.integers(0, 63))
+def test_metric_suite_matches_oracle(raw, cut):
+    """From every base, the metric suite passes the built complex.  With
+    one edge dropped, it passes only when the all-pairs BFS oracle finds
+    every pair of points at its wall distance, and it fails whenever the
+    oracle finds a mismatch, naming the oracle's first mismatched pair."""
+    n, walls = raw
+    sp = WallSpace(n, walls)
+    for base in range(n):
+        X = build_complex(sp, base_point=base)
+        assert check_metric_correspondence(sp, X)["pairs"] == n * (n - 1) // 2
+        data = complex_to_dict(X)
+        k = cut % len(data["edges"])
+        a, b, _ = data["edges"][k]
+        encodings = [X.section(i).encode() for i in range(len(X.codes))]
+        dropped = {frozenset((encodings[a], encodings[b]))}
+        mismatches = oracles.metric_mismatches(n, walls, encodings, dropped)
+        Y = complex_from_dict(sp, drop_edge(data, k))
+        if mismatches:
+            p, q, expect, actual = mismatches[0]
+            with pytest.raises(MetricMismatch) as info:
+                check_metric_correspondence(sp, Y)
+            assert str(info.value) == (
+                f"points {p} and {q} are separated by {expect} walls but "
+                f"their principal vertices are {actual} edges apart"
+            )
+        else:
+            # the suite may still fail: a dropped edge can leave every
+            # principal pair at its distance and break descent elsewhere,
+            # and then the sweep finds no pair and the vertex is named
+            try:
+                check_metric_correspondence(sp, Y)
+            except MetricMismatch as exc:
+                assert str(exc).startswith("vertex ")
 
 
 @SETTINGS

@@ -243,13 +243,36 @@ def test_attach_cubes_rejects_component_missing_a_vertex():
         ([{0: 1}, {}], "edge [0, 1, 0] is listed at vertex 0 only"),
         ([{}, {0: 0}], "edge [0, 1, 0] is listed at vertex 1 only"),
         ([{1: 1}, {1: 0}], "edge [0, 1, 1]: endpoints do not differ exactly on wall 1"),
+        ([{0: 5}, {}], "vertex 0: entry 0: 5 is not a wall and a vertex index"),
+        ([{0: "x"}, {}], "vertex 0: entry 0: 'x' is not a wall and a vertex index"),
+        ([{-1: 1}, {}], "vertex 0: entry -1: 1 is not a wall and a vertex index"),
+        ([{0: -1}, {0: 0}], "vertex 0: entry 0: -1 is not a wall and a vertex index"),
     ],
-    ids=["self_loop", "one_end", "other_end", "wrong_wall"],
+    ids=["self_loop", "one_end", "other_end", "wrong_wall", "far_end", "str_far_end",
+         "negative_wall", "negative_far_end"],
 )
 def test_constructor_checks_each_adjacency_entry(adjacency, witness):
     # a self-loop would make EdgeLoop(X, [0, 0]) a closed loop of odd length
     with pytest.raises(InputError) as info:
         CubeComplex(gen_crossing(1), 0, [0, 1], adjacency)
+    assert str(info.value) == witness
+
+
+@pytest.mark.parametrize(
+    "base, codes, adjacency, witness",
+    [
+        (7, [0, 1], [{0: 1}, {0: 0}], "base 7 is not a vertex index in 0..1"),
+        (0, [0, 1 << 40], [{40: 1}, {40: 0}], "vertex codes must be ints that fit 1 bits"),
+        (0, [0, -1], [{}, {}], "vertex codes must be ints that fit 1 bits"),
+        (0, [0, "1"], [{}, {}], "vertex codes must be ints that fit 1 bits"),
+        (0, [0, 1], [{0: 1}, {0: 0}, {}], "3 adjacency maps for 2 vertices"),
+        (0, [1, 1], [{}, {}], "two vertices share a code"),
+    ],
+    ids=["base", "wide_code", "negative_code", "str_code", "extra_map", "duplicate_code"],
+)
+def test_constructor_checks_base_and_codes(base, codes, adjacency, witness):
+    with pytest.raises(InputError) as info:
+        CubeComplex(gen_crossing(1), base, codes, adjacency)
     assert str(info.value) == witness
 
 
@@ -313,6 +336,49 @@ def test_metric_correspondence_rejects_a_dropped_edge(space, witness):
     with pytest.raises(MetricMismatch) as info:
         check_metric_correspondence(space, cut)
     assert str(info.value) == witness
+
+
+@pytest.mark.parametrize(
+    "space, edges",
+    [(gen_crossing(3), 12), (gen_tree(2, 3), 13), (triangle_lattice(2).space, 171)],
+    ids=["crossing3", "tree2x3", "triangle2"],
+)
+def test_metric_correspondence_rejects_every_dropped_edge(space, edges):
+    # on triangle2, 123 of these cuts keep every principal pair at its distance
+    data = complex_to_dict(build_complex(space))
+    assert len(data["edges"]) == edges
+    for k in range(edges):
+        with pytest.raises(MetricMismatch):
+            check_metric_correspondence(space, complex_from_dict(space, drop_edge(data, k)))
+
+
+def test_metric_correspondence_names_the_vertex_when_pairs_agree():
+    space = triangle_lattice(2).space
+    cut = complex_from_dict(space, drop_edge(complex_to_dict(build_complex(space))))
+    with pytest.raises(MetricMismatch) as info:
+        check_metric_correspondence(space, cut)
+    assert str(info.value) == (
+        "vertex 1: no edge at it flips a wall separating it from vertex 0, "
+        "the principal vertex of point 0, 1 walls away"
+    )
+
+
+@pytest.mark.parametrize(
+    "space",
+    [gen_nested(300), gen_crossing(10), gen_crossing(8), gen_tree(2, 7), triangle_lattice(6).space],
+    ids=["nested300", "crossing10", "cube_dense", "wall_sparse", "lattice_mixed"],
+)
+def test_metric_correspondence_passes_without_a_traversal(space, monkeypatch):
+    # the descent test is linear; a passing run must not sweep or BFS
+    X = build_component(space)
+
+    def forbidden(*args):
+        raise AssertionError("a passing metric check ran a traversal")
+
+    monkeypatch.setattr(CubeComplex, "distance_table", forbidden)
+    monkeypatch.setattr(CubeComplex, "bfs_tree", forbidden)
+    report = check_metric_correspondence(space, X)
+    assert report["principal_vertices"] == space.point_count
 
 
 def test_edge_wall():
