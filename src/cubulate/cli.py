@@ -85,12 +85,59 @@ def _load_space(path: str) -> tuple[WallSpace, str]:
     return WallSpace.from_dict(data), digest
 
 
-def _emit(obj: object, out: str | None = None) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
+def _write(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(obj: object, out: str | None = None) -> None:
+    _write(json.dumps(obj, indent=2) + "\n", out)
+
+
+def _lines(items: list[str], indent: str, brackets: str = "[]") -> str:
+    """A JSON array (an object with brackets "{}") of written items, one
+    per line at the indent, laid out as json.dumps(..., indent=2) does."""
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{indent}" + f",\n{indent}".join(items) + f"\n{indent[2:]}{brackets[1]}"
+
+
+_EDGE = _lines(["%d"] * 3, " " * 6)
+
+
+def _complex_text(d: dict) -> str:
+    """``json.dumps(d, indent=2) + "\\n"`` for the shape complex_to_dict
+    returns, from one %-template per vertex, edge and cube entry.  With
+    indent set, json.dumps runs the pure-Python encoder, which costs
+    several times the build on a complex with thousands of cubes.  The
+    encodings are 0/1 strings and every other value is an int, so
+    nothing needs escaping."""
+    cube_templates: dict[int, str] = {}  # by wall count
+    cubes = []
+    for k, entries in d["cubes"].items():
+        texts = []
+        for b, walls in entries:
+            t = cube_templates.get(len(walls))
+            if t is None:
+                t = _lines(["%d", _lines(["%d"] * len(walls), " " * 10)], " " * 8)
+                cube_templates[len(walls)] = t
+            texts.append(t % (b, *walls))
+        cubes.append(f'"{k}": ' + _lines(texts, " " * 6))
+    fields = [
+        '"walls": %d' % d["walls"],
+        '"base": "%s"' % d["base"],
+        '"vertices": ' + _lines([f'"{v}"' for v in d["vertices"]], " " * 4),
+        '"edges": ' + _lines([_EDGE % tuple(e) for e in d["edges"]], " " * 4),
+        '"cubes": ' + _lines(cubes, " " * 4, "{}"),
+    ]
+    return _lines(fields, "  ", "{}") + "\n"
+
+
+def _emit_complex(X: CubeComplex, out: str | None) -> None:
+    """Write the complex's JSON form, the bytes _emit would write."""
+    _write(_complex_text(complex_to_dict(X)), out)
 
 
 def _skipped_checks() -> dict:
@@ -136,7 +183,7 @@ def cmd_build(args) -> int:
     if args.timings:
         report["timings"] = {"build_s": round(elapsed, 6)}
     if args.out:
-        _emit(complex_to_dict(X), args.out)
+        _emit_complex(X, args.out)
     _emit(report)
     return 0
 
@@ -186,13 +233,9 @@ def cmd_export(args) -> int:
     space, _ = _load_space(args.file)
     X = build_complex(space, base_point=args.base, max_vertices=args.max_vertices)
     if args.format == "dot":
-        text = to_dot(X)
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
+        _write(to_dot(X), args.out)
     else:
-        _emit(complex_to_dict(X), args.out)
+        _emit_complex(X, args.out)
     return 0
 
 

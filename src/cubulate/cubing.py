@@ -502,18 +502,29 @@ def check_flag(X: CubeComplex) -> bool:
 
 def complex_to_dict(X: CubeComplex) -> dict:
     """The JSON form; each cube key is decoded to [vertex, [walls]],
-    sorted by vertex index, then wall tuple."""
-    m = X.space.wall_count
-    full = (1 << m) - 1
+    sorted by vertex index, then wall tuple.  Cubes with the same span
+    share one wall list, so each span is decoded once."""
+    m, index = X.space.wall_count, X._index
+    full, fmt = (1 << m) - 1, f"0{m}b"
+    vertices = [format(c, fmt)[::-1] for c in X.codes]  # Section.encode
+    walls_of: dict[int, list[int]] = {}
+    cubes = {}
+    for k in sorted(X.cubes):
+        entries = []
+        for key in X.cubes[k]:
+            span = key >> m
+            walls = walls_of.get(span)
+            if walls is None:
+                walls = walls_of[span] = list(_walls(span))
+            entries.append([index[key & full], walls])
+        entries.sort()
+        cubes[str(k)] = entries
     return {
         "walls": m,
-        "base": X.section(X.base).encode(),
-        "vertices": [X.section(i).encode() for i in range(len(X.codes))],
+        "base": vertices[X.base],
+        "vertices": vertices,
         "edges": [list(e) for e in X.edges],
-        "cubes": {
-            str(k): sorted([X._index[key & full], list(_walls(key >> m))] for key in X.cubes[k])
-            for k in sorted(X.cubes)
-        },
+        "cubes": cubes,
     }
 
 
@@ -524,7 +535,8 @@ def complex_from_dict(
 
     Structural well-formedness (edge labels consistent with the vertex
     encodings) is enforced; completeness of the cube dictionary is not,
-    so broken complexes can be loaded and then failed by check_flag.
+    so broken complexes can be loaded and then failed by check_flag.  An
+    empty cube list is checked like any other and registers nothing.
     A vertex list longer than the cap (see resolve_max_vertices) raises
     ComplexityBudgetExceeded before any encoding is decoded.
     """
@@ -557,14 +569,18 @@ def complex_from_dict(
     raw_edges = data["edges"]
     if not isinstance(raw_edges, list):
         raise InputError("'edges' must be a list of [u, v, wall] entries")
+    # `type(x) is int or _is_int(x)` is _is_int(x) without a call for a plain int
+    n = len(codes)
     for e in raw_edges:
         if not (isinstance(e, list) and len(e) == 3):
             raise InputError(f"edge entries must be [u, v, wall], got {e!r}")
         u, v, w = e
-        for i in (u, v):
-            if not _is_int(i) or not 0 <= i < len(codes):
-                raise InputError(f"edge {e!r}: vertex index out of range")
-        if not _is_int(w) or not 0 <= w < m:
+        if not (
+            (type(u) is int or _is_int(u)) and 0 <= u < n
+            and (type(v) is int or _is_int(v)) and 0 <= v < n
+        ):
+            raise InputError(f"edge {e!r}: vertex index out of range")
+        if not (type(w) is int or _is_int(w)) or not 0 <= w < m:
             raise InputError(f"edge {e!r}: wall out of range")
         if codes[u] ^ codes[v] != 1 << w:  # a later entry could hide it from the constructor
             raise InputError(f"edge {e!r}: endpoints do not differ exactly on wall {w}")
@@ -593,17 +609,20 @@ def complex_from_dict(
             if not (isinstance(entry, list) and len(entry) == 2):
                 raise InputError(f"cube entries must be [vertex, [walls]], got {entry!r}")
             b, walls = entry
-            if not _is_int(b) or not 0 <= b < len(codes):
+            if not (type(b) is int or _is_int(b)) or not 0 <= b < n:
                 raise InputError(f"cube entry {entry!r}: vertex index out of range")
-            if (
-                not isinstance(walls, list)
-                or len(walls) != k
-                or any(not _is_int(w) or not 0 <= w < m for w in walls)
-                or sorted(set(walls)) != walls
-            ):
+            # k increasing wall ids: span >> w is 0 unless an earlier wall is >= w
+            ok, span = isinstance(walls, list) and len(walls) == k, 0
+            for w in walls if ok else ():
+                if not (type(w) is int or _is_int(w)) or not 0 <= w < m or span >> w:
+                    ok = False
+                    break
+                span |= 1 << w
+            if not ok:
                 raise InputError(f"cube entry {entry!r}: walls must be {k} sorted wall ids")
-            registry[codes[b] | _span(walls) << m] = None
-        cubes[k] = registry
+            registry[codes[b] | span << m] = None
+        if registry:  # no dimension without a cube
+            cubes[k] = registry
     X.cubes = {k: cubes[k] for k in sorted(cubes)}
     X.cubes_attached = True
     return X

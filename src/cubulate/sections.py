@@ -83,7 +83,9 @@ class Section:
 
     @classmethod
     def decode(cls, text: str, wall_count: int | None = None) -> "Section":
-        if not isinstance(text, str) or any(c not in "01" for c in text):
+        # nothing but 0 and 1 is left to int(), which would also accept
+        # "_", whitespace, a "0b" prefix and non-ASCII digits
+        if not isinstance(text, str) or text.strip("01"):
             raise InputError(f"section encoding must be a 0/1 string, got {text!r}")
         if wall_count is not None and len(text) != wall_count:
             raise InputError(

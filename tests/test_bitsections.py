@@ -5,6 +5,7 @@ can be enumerated.  Runs are derandomized: the same examples every time.
 """
 
 import copy
+import json
 import pickle
 from itertools import product
 
@@ -29,6 +30,7 @@ from cubulate import (
     is_admissible,
     principal_section,
 )
+from cubulate.cli import _complex_text
 
 import oracles
 from helpers import cube_pairs, drop_edge, registry_corners
@@ -129,6 +131,18 @@ def test_f_vector_matches_crossing_graph_count(raw):
         assert X.f_vector() == expect
         assert dimension(X) == len(expect) - 1
         assert sum((-1) ** k * f for k, f in enumerate(X.f_vector())) == 1
+
+
+@SETTINGS
+@given(wall_spaces())
+def test_complex_writer_matches_json_dumps(raw):
+    """The complex file's writer against the stdlib encoder, from every
+    base point."""
+    n, walls = raw
+    sp = WallSpace(n, walls)
+    for base in range(n):
+        d = complex_to_dict(build_complex(sp, base_point=base))
+        assert _complex_text(d) == json.dumps(d, indent=2) + "\n"
 
 
 def _inside(small, big):

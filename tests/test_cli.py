@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from cubulate import WallSpace, build_complex, complex_from_dict, complex_to_dict
-from cubulate.cli import main
-from cubulate.families import gen_crossing, gen_nested, gen_tree
+from cubulate import WallSpace, build_complex, complex_from_dict, complex_to_dict, cubing
+from cubulate.cli import _complex_text, main
+from cubulate.families import gen_crossing, gen_nested, gen_tree, triangle_lattice
 
 from helpers import drop_edge, forge_nested3_cubes
 
@@ -272,6 +272,96 @@ def test_export_json(capsys):
     data = json.loads(out)
     assert set(data) == {"walls", "base", "vertices", "edges", "cubes"}
     assert len(data["vertices"]) == 8
+
+
+# the benchmark's inputs: cube-dense, wall-sparse and lattice-mixed
+BENCHMARK_SPACES = {
+    "crossing8": lambda: gen_crossing(8),
+    "tree2x7": lambda: gen_tree(2, 7),
+    "triangle6": lambda: triangle_lattice(6).space,
+}
+
+
+def _one_dimension_complex():
+    """crossing(3)'s complex loaded without its 3-cube key: cubes holds
+    the squares only."""
+    sp = gen_crossing(3)
+    data = complex_to_dict(build_complex(sp))
+    del data["cubes"]["3"]
+    return complex_from_dict(sp, data)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [*(lambda f=f: build_complex(f()) for f in BENCHMARK_SPACES.values()), _one_dimension_complex],
+    ids=[*BENCHMARK_SPACES, "squares_only"],
+)
+def test_complex_writer_matches_json_dumps(make):
+    d = complex_to_dict(make())
+    text = _complex_text(d)
+    assert text == json.dumps(d, indent=2) + "\n"
+    # a key complex_to_dict gains must fail here, not vanish from the file
+    assert list(json.loads(text)) == list(d) == ["walls", "base", "vertices", "edges", "cubes"]
+
+
+@pytest.mark.parametrize(
+    "space", [gen_crossing(10), triangle_lattice(3).space], ids=["crossing10", "triangle3"]
+)
+def test_complex_file_bypasses_the_json_encoder(capsys, monkeypatch, tmp_path, space):
+    """build --out and export --format json write the complex without
+    json.dumps, whose indented form runs the pure-Python encoder."""
+    space_file, out = tmp_path / "space.json", tmp_path / "complex.json"
+    space_file.write_text(json.dumps(space.to_dict()))
+    encode = json.JSONEncoder.iterencode
+
+    def guarded(self, o, *args, **kwargs):
+        if isinstance(o, dict) and "vertices" in o:
+            raise AssertionError("the complex went through json.JSONEncoder")
+        return encode(self, o, *args, **kwargs)
+
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", guarded)
+    with pytest.raises(AssertionError):
+        json.dumps({"vertices": []}, indent=2)
+    assert run(capsys, "build", str(space_file), "--out", str(out))[0] == 0
+    code, exported, _ = run(capsys, "export", str(space_file), "--format", "json")
+    assert code == 0
+    assert exported == out.read_text()
+    assert json.loads(exported) == complex_to_dict(build_complex(space))
+
+
+def test_loader_tests_plain_ints_without_helper_calls(monkeypatch):
+    """Only the few values that are not plain ints reach _is_int."""
+    calls = []
+    is_int = cubing._is_int
+    monkeypatch.setattr(cubing, "_is_int", lambda x: calls.append(x) or is_int(x))
+    for make in BENCHMARK_SPACES.values():
+        sp = make()
+        data = json.loads(json.dumps(complex_to_dict(build_complex(sp))))
+        calls.clear()
+        complex_from_dict(sp, data)
+        assert len(calls) < 10
+
+
+def test_an_empty_top_cube_list_fails_like_a_missing_key(capsys, tmp_path):
+    """crossing(4) without its 4-cube: "4": [] registers no dimension,
+    so the report and the flag witness are those of the deleted key."""
+    space_file = tmp_path / "space.json"
+    space_file.write_text(json.dumps(gen_crossing(4).to_dict()))
+    data = complex_to_dict(build_complex(gen_crossing(4)))
+    outs = []
+    for drop in (lambda c: c.__setitem__("4", []), lambda c: c.pop("4")):
+        drop(data["cubes"])
+        cx = tmp_path / "cx.json"
+        cx.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "check", str(space_file), "--complex-in", str(cx))
+        assert code == 3
+        outs.append(out)
+    assert outs[0] == outs[1]
+    report = json.loads(outs[0])
+    assert report["dimension"] == 3 and "4" not in report["complex"]["cubes"]
+    assert report["checks"]["flag"]["witness"] == (
+        "vertex 0: walls [0, 1, 2, 3] span pairwise squares but no 4-cube is registered"
+    )
 
 
 def test_generate_matches_library(capsys):

@@ -481,6 +481,75 @@ def test_complex_from_dict_rejects_malformed(mutate):
         complex_from_dict(sp, data)
 
 
+def _raises_exactly(message, call, *args):
+    with pytest.raises(InputError) as caught:
+        call(*args)
+    assert type(caught.value) is InputError
+    assert str(caught.value) == message
+
+
+# int() accepts "0_1", " 01", "0b1" and the Arabic-Indic one, so the
+# character test must reject them before any conversion
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0_1", "section encoding must be a 0/1 string, got '0_1'"),
+        (" 01", "section encoding must be a 0/1 string, got ' 01'"),
+        ("0b1", "section encoding must be a 0/1 string, got '0b1'"),
+        ("١", "section encoding must be a 0/1 string, got '١'"),
+        ("", "section encoding has length 0, expected 3"),
+    ],
+    ids=["underscore", "space", "0b", "arabic_indic_one", "empty"],
+)
+def test_malformed_vertex_encodings_keep_their_messages(text, message):
+    _raises_exactly(message, Section.decode, text, 3)
+    sp = gen_crossing(3)
+    data = complex_to_dict(build_complex(sp))
+    data["vertices"][1] = text
+    _raises_exactly(message, complex_from_dict, sp, data)
+
+
+# crossing(2): vertex 1 is "10" and vertex 2 is "01", so [0, 1, 0],
+# [0, 2, 1] and [0, [0, 1]] are valid entries before the bad value
+@pytest.mark.parametrize("bad", [True, 1.0], ids=["true", "float"])
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d, x: d["edges"].append([0, x, 0]), "edge [0, {x}, 0]: vertex index out of range"),
+        (lambda d, x: d["edges"].append([0, 2, x]), "edge [0, 2, {x}]: wall out of range"),
+        (lambda d, x: d["cubes"].__setitem__("2", [[x, [0, 1]]]),
+         "cube entry [{x}, [0, 1]]: vertex index out of range"),
+        (lambda d, x: d["cubes"].__setitem__("2", [[0, [0, x]]]),
+         "cube entry [0, [0, {x}]]: walls must be 2 sorted wall ids"),
+    ],
+    ids=["edge_end", "edge_wall", "cube_vertex", "cube_wall"],
+)
+def test_non_int_indices_keep_their_messages(mutate, message, bad):
+    sp = gen_crossing(2)
+    data = complex_to_dict(build_complex(sp))
+    mutate(data, bad)
+    _raises_exactly(message.format(x=bad), complex_from_dict, sp, data)
+
+
+@pytest.mark.parametrize("walls", [[1, 0], [0, 0]], ids=["unsorted", "repeated"])
+def test_unsorted_or_repeated_cube_walls_keep_their_message(walls):
+    sp = gen_crossing(2)
+    data = complex_to_dict(build_complex(sp))
+    data["cubes"]["2"] = [[0, walls]]
+    _raises_exactly(f"cube entry [0, {walls}]: walls must be 2 sorted wall ids",
+                    complex_from_dict, sp, data)
+
+
+def test_empty_cube_lists_register_no_dimension():
+    sp = gen_crossing(2)
+    data = complex_to_dict(build_complex(sp))
+    data["cubes"].update({"3": [], "7": []})
+    X = complex_from_dict(sp, data)
+    assert dimension(X) == 2 == sp.intersection_number()
+    assert X.f_vector() == (4, 4, 1)
+    assert X.cubes == build_complex(sp).cubes
+
+
 def test_to_dot():
     X = build_complex(gen_crossing(2))
     dot = to_dot(X)

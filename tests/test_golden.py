@@ -7,7 +7,8 @@ suite) was recorded before that suite became one multi-source sweep.
 The ``dot`` exports and triangle2's ``*-base`` commands (a non-zero
 base point, and a loaded complex whose base is not vertex 0) were
 recorded before a complex vertex became an index into one tuple of
-codes.
+codes.  The ``json`` exports were recorded before the complex file got a
+writer of its own instead of ``json.dumps(..., indent=2)``.
 Any change to text encoding, JSON layout, BFS order, vertex, edge or
 cube numbering, or a report or witness string shows up here.  When such
 a change is intended, regenerate the table with
@@ -96,6 +97,7 @@ def digests(name, tmp: Path) -> dict:
         "check": ["check", str(space_file), "--seed", "0"],
         "act": ["act", str(space_file), "--generators", str(gens_file)],
         "dot": ["export", str(space_file), "--format", "dot"],
+        "json": ["export", str(space_file), "--format", "json"],
     }
     if name == "crossing3_space":
         commands["reject"] = [
@@ -115,6 +117,7 @@ def digests(name, tmp: Path) -> dict:
         commands["check-base"] = ["check", str(space_file), *b, "--seed", "0"]
         commands["act-base"] = ["act", str(space_file), *b, "--generators", str(gens_file)]
         commands["dot-base"] = ["export", str(space_file), *b, "--format", "dot"]
+        commands["json-base"] = ["export", str(space_file), *b, "--format", "json"]
         commands["recheck-base"] = [
             "check", str(space_file), "--seed", "0", "--complex-in", str(rebased_file),
         ]
@@ -143,6 +146,7 @@ GOLDEN = {
         "check": "0:de50b2b6af51eb785d0109a58025d8453603e76847f6c182d461a34b10b53325",
         "act": "0:45dbc303084573708bfed93e917b173d33cf287069b2be78f7aecccce73cdb6c",
         "dot": "0:3a8e7177c56e9604f47a58464251cef34801240bbdd53c5bd712f5757d0fce60",
+        "json": "0:f77be2f6137c342cbb643af1461c7ad05fdc1825d1bae88354d8c77289668f68",
         "reject": "3:64c3efe6d957253b6227da188cd1e66b9977c6559cb9097b4e91bac0d46baeb9"
     },
     "crossing4": {
@@ -150,14 +154,16 @@ GOLDEN = {
         "complex": "0426c68125e9b23aad803c8b863c254e67bb76c13b98e65b223eb35e28ff0cf5",
         "check": "0:9dc0f4cd6c69568590f6af088f2172680e125d8e95f7cfdf2f2117baa0051465",
         "act": "0:97c0c096216ee587e7e68fdb88f7198422ea5591b01a9f9d48d7d3543bfceec2",
-        "dot": "0:35214d581d5081b1a981f2a16c79582155410d63ee3d7dfac0137bf128a929b9"
+        "dot": "0:35214d581d5081b1a981f2a16c79582155410d63ee3d7dfac0137bf128a929b9",
+        "json": "0:0426c68125e9b23aad803c8b863c254e67bb76c13b98e65b223eb35e28ff0cf5"
     },
     "nested5": {
         "build": "0:1b603e3e557fc3a6554cfa4a4580514458b70065153076659bee8a9f45acc638",
         "complex": "73a08a9d0f55b0d6907594f1c7f57ac816b9cea8c9ccd0950b426748455819a0",
         "check": "0:bcc69875ef87c1f9afd8a0b15db8a13208a838f9a05eb11f9f0d593117662ce5",
         "act": "0:4b0b9e0af91b9741adb763b5b6b80c63b14fa8cc3c9e94ad08efc555251a42ed",
-        "dot": "0:3083d0e791aaed0ab4d7cea9a10b1fcbb8b0ff912c04a26bd8a02e3c82cc8b6e"
+        "dot": "0:3083d0e791aaed0ab4d7cea9a10b1fcbb8b0ff912c04a26bd8a02e3c82cc8b6e",
+        "json": "0:73a08a9d0f55b0d6907594f1c7f57ac816b9cea8c9ccd0950b426748455819a0"
     },
     "tree2x3": {
         "build": "0:43504a97a8848d96510e79c4080cfb592de3ef6f61b334d33f0e419465a39440",
@@ -165,6 +171,7 @@ GOLDEN = {
         "check": "0:4c8121ababf7ec60b8f9a45ae4d80effaeb3961c283b1be2a60bba4f5022c195",
         "act": "0:885d5cad2d5151b281f93946d2a138cf7411e18a7a94429041a78b7206a94108",
         "dot": "0:e3e98347469d5c5d9f4cad3faa9bce87396efb15e0d590639b3f65efbe5cd4c7",
+        "json": "0:db95054434a6c1a66e0dc61dbf2ce3654c25f7c62a453a7b3e62d86f9c2dbb56",
         "reject": "3:07ee9d626ffd9d0d2fd9c7df4cd2e3f107ebe3b026e34b37c8706d01e6ddd82b"
     },
     "triangle2": {
@@ -173,11 +180,13 @@ GOLDEN = {
         "check": "0:759c33d54f4bb62fe5f9517b5dc523b8cfd5a5c1dfa5279706f12076c0d08ad4",
         "act": "0:4dd52a2061c90961e457c09aef23941358deb5298e22c99bdb510b5b34772878",
         "dot": "0:25d91c261885169ea3b4f1bf83c1331ae2ab728a00a20f4a700af179cc812303",
+        "json": "0:edbdb05f62a7788da55c5aab0b7474e4a954e864f284038e7332448d8cd1fc77",
         "build-base": "0:f07f32c025f231f675c59142f4e7b75d645e8481fdc507902b4883ca3089b7bd",
         "complex-base": "18d7c508c5e05f6eaf4d3a9ed26424389916c4e9c03cc24c15d0ec161ac38d92",
         "check-base": "0:cf5ba0e6c8f51d2d3768be4d02563309b979aa00ba526f3e4a33016dd0808c68",
         "act-base": "0:d4d8aae64847cb44edf8167ab6a8c4d34ad3f7a408148ca56a6b65ce80711fa1",
         "dot-base": "0:e973eeae4cb3ecd062b8de757aa38d5053018b1ae0e108b5056b786cd28a9646",
+        "json-base": "0:18d7c508c5e05f6eaf4d3a9ed26424389916c4e9c03cc24c15d0ec161ac38d92",
         "recheck-base": "0:ece21269dfafada16af87dabc7a9c320eeecaad6d60d49f3a63b2fc11957bfc8"
     }
 }
