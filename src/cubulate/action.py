@@ -87,8 +87,13 @@ def _apply_perm_to_mask(mask: int, perm: Sequence[int]) -> int:
 
 def validate_generator(space: WallSpace, perm: Sequence[int], name: str = "g") -> Generator:
     """Check bijectivity and half-space preservation, then derive the
-    induced wall permutation and side swaps."""
+    induced wall permutation and side swaps.  The space keeps the maps of
+    each perm that passed, so checking it again, as check_equivariance
+    and orbit_and_stabilizer do, is one lookup.  Only a perm of plain
+    ints is looked up: True and 1.0 would find the entry of 1."""
     perm = tuple(perm)
+    if {*map(type, perm)} == {int} and perm in space._induced:
+        return Generator(name, perm, *space._induced[perm])
     n = space.point_count
     if len(perm) != n or not all(map(_is_int, perm)) or sorted(perm) != list(range(n)):
         raise NotBijective(f"{name}: not a permutation of 0..{n - 1}")
@@ -107,6 +112,7 @@ def validate_generator(space: WallSpace, perm: Sequence[int], name: str = "g") -
         side_swap.append(a & 1)
     if sorted(wall_perm) != list(range(space.wall_count)):
         raise HalfSpaceNotPreserved(f"{name}: walls do not map bijectively")
+    space._induced[perm] = (tuple(wall_perm), tuple(side_swap))
     return Generator(name, perm, tuple(wall_perm), tuple(side_swap))
 
 

@@ -23,7 +23,10 @@ as the adjacency maps; the sorted edge list is derived from them.
 
 Cliques of walls are enumerated as spans (_cliques).  Spans are decoded
 to wall tuples only at the boundaries: the JSON form and witnesses
-(_walls).
+(_walls).  The cliques of the crossing graph also count the complex
+before it is built (_f_count): the vertex cap is applied to that count,
+and check_flag certifies a complex by comparing its f-vector with it,
+searching the vertex links only to name a witness.
 
 Everything is deterministic: vertices are indexed in BFS discovery
 order from the base with neighbour walls visited in id order.
@@ -32,10 +35,11 @@ order from the base with neighbour walls visited in id order.
 from __future__ import annotations
 
 from collections import deque
+from math import comb
 from typing import Iterable, Sequence
 
 from .errors import BudgetError, CertificateError, InputError
-from .sections import Section, admissible_flips, principal_section
+from .sections import Section, admissible_flips, is_admissible, principal_section
 from .wallspace import WallSpace, _is_int
 
 __all__ = [
@@ -288,11 +292,14 @@ def build_component(
 
     Vertices receive indices in discovery order; flips are tried in wall
     id order, so the construction is deterministic.  Raises
-    ComplexityBudgetExceeded when the component outgrows the cap.
+    ComplexityBudgetExceeded when the component outgrows the cap, from
+    the clique count before any vertex is visited.
     """
     cap = resolve_max_vertices(max_vertices)
     m = space.wall_count
     codes = [principal_section(space, base_point).code]
+    if _f_count(space, cap) is None:
+        raise ComplexityBudgetExceeded(f"component exceeds the vertex cap {cap}")
     index = {codes[0]: 0}
     adjacency: list[dict[int, int]] = [{}]
     queue = deque([0])
@@ -335,7 +342,9 @@ def _walls(span: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _cliques(cands: int, link: Sequence[int], min_size: int) -> list[int]:
+def _cliques(
+    cands: int, link: Sequence[int], min_size: int, limit: int | None = None
+) -> list[int] | None:
     """The span of every clique with at least min_size members among the
     candidate walls (a mask) in the graph whose neighbourhoods are the
     masks link[w], in lexicographic order of the sorted wall tuples.
@@ -343,10 +352,20 @@ def _cliques(cands: int, link: Sequence[int], min_size: int) -> list[int]:
     Each step takes the lowest remaining candidate w, narrows the rest to
     rest & link[w] and carries the span down, so a clique costs O(1) int
     operations on top of the one it extends.
+
+    With a limit (and min_size 1), None as soon as the graph shows more
+    than limit cliques: limit + 1 spans, or a clique of more than
+    limit.bit_length() walls, whose subsets alone are more.  So it makes
+    O(limit) steps and recurses at most that bit length deep.
     """
     out: list[int] = []
+    if limit is None:  # no clique has more walls than cands has bits
+        depth = cands.bit_length()
+        limit = 1 << depth
+    else:
+        depth = limit.bit_length()
 
-    def grow(span: int, size: int, rest: int) -> None:
+    def grow(span: int, size: int, rest: int) -> bool:
         while rest:
             low = rest & -rest
             rest ^= low
@@ -354,11 +373,42 @@ def _cliques(cands: int, link: Sequence[int], min_size: int) -> list[int]:
             if size >= min_size:
                 out.append(nxt)
             compatible = rest & link[low.bit_length() - 1]
-            if compatible:
-                grow(nxt, size + 1, compatible)
+            if compatible and (
+                size >= depth or len(out) > limit or not grow(nxt, size + 1, compatible)
+            ):
+                return False
+        return True
 
-    grow(0, 1, cands)
-    return out
+    return out if grow(0, 1, cands) and len(out) <= limit else None
+
+
+def _f_count(space: WallSpace, limit: int) -> tuple[int, ...] | None:
+    """The f-vector (vertices, edges, squares, ...) of the complex dual
+    to the space, counted from its crossing graph alone, or None when it
+    has more than limit vertices.
+
+    For a median graph the cube polynomial is the clique polynomial of
+    its crossing graph at x + 1 (Brešar, Klavžar and Škrekovski, "The
+    cube polynomial and its derivatives: the case of median graphs",
+    Electron. J. Combin. 10, 2003): f_k = sum_j C(j, k) c_j, where c_j
+    counts the j-sets of pairwise crossing walls and c_0 = 1, so the
+    complex has sum_j c_j vertices.  The space keeps a count that ran
+    to the end, so a check after a build counts nothing.
+    """
+    f = space._f_counted
+    if f is None:
+        spans = _cliques((1 << space.wall_count) - 1, space._crossing_masks, 1, limit - 1)
+        if spans is None:
+            return None
+        c = [1] + [0] * space.wall_count
+        for span in spans:
+            c[span.bit_count()] += 1
+        while not c[-1]:
+            c.pop()
+        f = space._f_counted = tuple(
+            sum(comb(j, k) * c[j] for j in range(k, len(c))) for k in range(len(c))
+        )
+    return f if f[0] <= limit else None
 
 
 def _check_cubes(X: CubeComplex) -> None:
@@ -453,25 +503,52 @@ def dimension(X: CubeComplex) -> int:
     return 1 if X.edges else 0
 
 
-def check_flag(X: CubeComplex) -> bool:
-    """Certify that every vertex link is a flag complex and that every
-    registered cube is a cube of the complex.
+def _certified(X: CubeComplex) -> bool:
+    """True when X is the whole cube complex dual to its space, by three
+    tests, cheapest first: its f-vector equals the count from the
+    crossing graph (_f_count); its base is admissible and every other
+    vertex hangs in the base's BFS tree from an edge whose flip passes
+    Roller's test at the parent; and every registered cube is in X
+    (_check_cubes).
 
-    The cube through a vertex with code c spanned by a wall mask s has
-    the key ``c & ~s | s << m``, so each lookup is one membership test in
-    the registry ``X.cubes[k]`` for the popcount k of s.  In each link,
-    join two incident walls when the square they span at the vertex is
-    registered; every clique of that graph must then carry a registered
-    cube, which costs one test per corner (sum_k 2^k f_k corners in
-    all).  Then every registered cube must be in the complex
-    (_check_cubes, which only this calls); facet closure alone is weaker
-    than the flag condition (three squares at a corner with no far
-    vertex pass it).  Works on externally supplied complexes, so a
-    missing, forged or misplaced cube is detected and reported with a
-    witness.
+    The tree makes every vertex admissible, and each edge flips one wall
+    (the constructor checks it), so X holds V distinct admissible
+    sections, E distinct single-wall flips between them and, by
+    _check_cubes, f_k distinct cubes of the dual complex.  The dual
+    complex of a finite wall space holds every admissible section and
+    has exactly the counted numbers of each, so X is all of it.
     """
-    if not X.cubes_attached:
-        raise InputError("attach cubes before checking the flag condition")
+    f = _f_count(X.space, len(X.codes))
+    # f_vector lists the registries in key order, so their keys must be 2..d
+    if f != X.f_vector() or sorted(X.cubes) != [*range(2, len(f))]:
+        return False
+    codes, flips = X.codes, X.space._flip_masks
+    _, parent = X.cached_tree(X.base)
+    if not is_admissible(X.space, X.section(X.base)) or parent.count(-1) != 1:
+        return False  # only the base has no parent when every vertex is reached
+    for u, code in zip(parent, codes):
+        if u >= 0:
+            c = codes[u]
+            w = (c ^ code).bit_length() - 1
+            inside_listed, inside_any = flips[w][c >> w & 1]
+            if c & inside_any != inside_listed:
+                return False
+    try:
+        _check_cubes(X)
+    except FlagViolation:  # check_flag searches the links first, for its witness
+        return False
+    return True
+
+
+def _search_links(X: CubeComplex) -> None:
+    """Raise FlagViolation at the first clique of squares in a vertex
+    link that spans no registered cube.
+
+    In each link, join two incident walls when the square they span at
+    the vertex is registered; every clique of that graph must then carry
+    a registered cube, which costs one test per corner (sum_k 2^k f_k
+    corners in all).
+    """
     m, cubes = X.space.wall_count, X.cubes
     by_size = [cubes.get(k, {}) for k in range(m + 1)]
     squares = cubes.get(2, {})
@@ -493,7 +570,32 @@ def check_flag(X: CubeComplex) -> bool:
                     f"vertex {vi}: walls {list(walls)} span pairwise squares "
                     f"but no {len(walls)}-cube is registered",
                 )
-    _check_cubes(X)
+
+
+def check_flag(X: CubeComplex) -> bool:
+    """Certify that every vertex link is a flag complex and that every
+    registered cube is a cube of the complex.
+
+    A complex that passes _certified is the whole cube complex dual to
+    its space: a median graph (Chepoi, "Graphs of some CAT(0)
+    complexes", Adv. Appl. Math. 24, 2000) with every cube filled, which
+    is CAT(0), so by Gromov's link condition every link is flag.  Its
+    f-vector is compared with the count from the crossing graph
+    (Brešar, Klavžar and Škrekovski, 2003; see _f_count), which is
+    O(V + E + sum_k k^2 f_k) in all, and no link is searched.
+
+    Any other complex gets the link search (_search_links), whose
+    cliques each cost one registry lookup, then _check_cubes; facet
+    closure alone is weaker than the flag condition (three squares at a
+    corner with no far vertex pass it).  So the search runs only to name
+    a witness.  Works on externally supplied complexes, so a missing,
+    forged or misplaced cube is detected and reported with a witness.
+    """
+    if not X.cubes_attached:
+        raise InputError("attach cubes before checking the flag condition")
+    if not _certified(X):
+        _search_links(X)
+        _check_cubes(X)
     return True
 
 
@@ -556,13 +658,20 @@ def complex_from_dict(
         raise ComplexityBudgetExceeded(
             f"complex has {len(raw_vertices)} vertices, over the vertex cap {cap}"
         )
-    codes = [Section.decode(t, m).code for t in raw_vertices]
+
+    def code_of(t: object) -> int:
+        # Section.decode(t, m).code, which names what is wrong with a bad one
+        if isinstance(t, str) and len(t) == m and not t.strip("01"):
+            return int(t[::-1], 2)
+        return Section.decode(t, m).code
+
+    codes = [*map(code_of, raw_vertices)]
     index: dict[int, int] = {}
     for i, c in enumerate(codes):
         if c in index:
             raise InputError(f"duplicate vertex encoding {raw_vertices[i]}")
         index[c] = i
-    base = index.get(Section.decode(data["base"], m).code)
+    base = index.get(code_of(data["base"]))
     if base is None:
         raise InputError("base encoding is not among the vertices")
     adjacency: list[dict[int, int]] = [{} for _ in codes]
@@ -632,9 +741,10 @@ def to_dot(X: CubeComplex) -> str:
     """DOT text of the 1-skeleton; edges carry the wall id, the base
     vertex is drawn with a double border."""
     lines = ["graph cubing {", "  node [shape=circle];"]
-    for i in range(len(X.codes)):
+    fmt = f"0{X.space.wall_count}b"
+    for i, c in enumerate(X.codes):
         mark = ", peripheries=2" if i == X.base else ""
-        lines.append(f'  v{i} [label="{X.section(i).encode()}"{mark}];')
+        lines.append(f'  v{i} [label="{format(c, fmt)[::-1]}"{mark}];')  # Section.encode
     for u, v, w in X.edges:
         lines.append(f'  v{u} -- v{v} [label="{w}"];')
     lines.append("}")

@@ -125,6 +125,10 @@ class WallSpace:
         self._meets: tuple[tuple[int, int], ...] | None = None
         self._crossing: tuple[int, ...] | None = None
         self._flip: tuple[tuple[tuple[int, int], tuple[int, int]], ...] | None = None
+        # the f-vector of the dual complex, once cubing._f_count has counted it all
+        self._f_counted: tuple[int, ...] | None = None
+        # action.validate_generator's (wall_perm, side_swap) per valid perm
+        self._induced: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
     # -- basic accessors ------------------------------------------------
 

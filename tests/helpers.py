@@ -1,12 +1,12 @@
 """Shared fixtures: the shipped example registry, a seeded random
 wall-space generator for property checks, a forged complex, the
-decoding of a cube registry and of its corners, and an independent
-count of a loop's wall flips."""
+decoding of a cube registry and of its corners, the verdict of a chain
+of flag checks, and an independent count of a loop's wall flips."""
 
 from collections import Counter
 from itertools import combinations
 
-from cubulate import Section, WallSpace, validate_generator
+from cubulate import FlagViolation, Section, WallSpace, validate_generator
 from cubulate.families import gen_crossing, gen_nested, gen_tree, triangle_lattice
 
 
@@ -109,6 +109,17 @@ def registry_corners(X):
                     t = sum(1 << w for w in sub)
                     out.add((Section.from_code(code ^ t, m).encode(), frozenset(walls)))
     return out
+
+
+def flag_verdict(*checks):
+    """The witness text of the first check to raise FlagViolation, or
+    None when they all pass."""
+    try:
+        for check in checks:
+            check()
+    except FlagViolation as exc:
+        return str(exc)
+    return None
 
 
 def drop_edge(data, index=0):

@@ -208,6 +208,33 @@ def test_check_equivariance_catches_forged_generator_structure(call, field, valu
     assert str(info.value) == "r: " + witness
 
 
+def test_each_generator_is_validated_once(monkeypatch):
+    """load_generators derives each generator's wall maps; the checks
+    that rerun validate_generator find them kept on the space.  A perm
+    that fails is never kept, and a perm spelled with True for 1 does not
+    find the entry of the plain perm."""
+    import cubulate.action as action
+
+    sp = gen_nested(4)
+    perm = [4 - x for x in range(5)]
+    with pytest.raises(HalfSpaceNotPreserved):
+        validate_generator(sp, [1, 0, 2, 3, 4], "bad")
+    (r,) = load_generators(sp, {"generators": [{"name": "r", "perm": perm}]})
+    X = build_complex(sp)
+
+    def no_rederivation(*args):
+        raise AssertionError("a generator's wall maps were derived again")
+
+    monkeypatch.setattr(action, "_apply_perm_to_mask", no_rederivation)
+    assert check_equivariance(sp, X, r)["generator"] == "r"
+    assert orbit_and_stabilizer(sp, X, [r], 0).orbit == (0, 4)
+    assert validate_generator(sp, perm, "again") == r._replace(name="again")
+    with pytest.raises(NotBijective):
+        validate_generator(sp, [4, 3, 2, True, 0], "r")
+    with pytest.raises(AssertionError, match="derived again"):
+        validate_generator(sp, [1, 0, 2, 3, 4], "bad")
+
+
 def equivariance_cases():
     """(space, generator): the crossing(3) swaps, the nested(4)
     reflection and the triangle-lattice(2) axis reflection, plus two

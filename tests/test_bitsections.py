@@ -30,10 +30,11 @@ from cubulate import (
     is_admissible,
     principal_section,
 )
+from cubulate import cubing
 from cubulate.cli import _complex_text
 
 import oracles
-from helpers import cube_pairs, drop_edge, registry_corners
+from helpers import cube_pairs, drop_edge, flag_verdict, registry_corners
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=80)
 
@@ -180,6 +181,58 @@ def test_check_flag_matches_flag_oracle(raw):
                 check_flag(Y)
         else:
             assert check_flag(Y)
+
+
+# each example runs the brute-force oracle four times per base point
+@settings(SETTINGS, max_examples=40)
+@given(wall_spaces(), st.integers(0, 1 << 16))
+def test_flag_certificate_matches_link_search(raw, pick):
+    """From every base the count certificate accepts the built complex
+    and its reloaded file.  With one drawn cube (any, then a top one)
+    dropped, or its key moved to another vertex of the cube (the counts
+    still match), the certificate refuses it and check_flag gives the
+    verdict and witness of the link search followed by _check_cubes.  The search fails where
+    the brute-force oracle finds a link that is not flag, over the
+    cubes registered at their canonical vertices, and nowhere else."""
+    n, walls = raw
+    sp = WallSpace(n, walls)
+    m, full = sp.wall_count, (1 << sp.wall_count) - 1
+    for base in range(n):
+        X = build_complex(sp, base_point=base)
+        assert cubing._certified(X)
+        assert cubing._certified(complex_from_dict(sp, complex_to_dict(X)))
+        keys = [key for registry in X.cubes.values() for key in registry]
+        if not keys:
+            continue
+        top = list(X.cubes[max(X.cubes)])  # a top cube's loss shows in a link
+        encodings = [X.section(i).encode() for i in range(len(X.codes))]
+        for key, twinned in product((keys[pick % len(keys)], top[pick % len(top)]), (0, 1)):
+            span_walls = cubing._walls(key >> m)
+            twin = key ^ 1 << span_walls[pick // len(keys) % len(span_walls)]
+            replacement = (twin,) * twinned
+            Y = copy.copy(X)
+            Y.cubes = {
+                k: {c: None for old in registry for c in (replacement if old == key else (old,))}
+                for k, registry in X.cubes.items()
+            }
+            Y.cubes = {k: registry for k, registry in Y.cubes.items() if registry}
+            assert not cubing._certified(Y)
+            assert flag_verdict(lambda: check_flag(Y)) == flag_verdict(
+                lambda: cubing._search_links(Y), lambda: cubing._check_cubes(Y)
+            )
+            canonical = [
+                (encodings[Y._index[c & full]], cubing._walls(c >> m))
+                for registry in Y.cubes.values()
+                for c in registry
+                if not c & c >> m  # the code chooses listed sides on the span
+            ]
+            violations = oracles.flag_violations(set(encodings), canonical)
+            try:
+                cubing._search_links(Y)
+            except FlagViolation as exc:
+                assert (encodings[exc.vertex], exc.walls) in violations
+            else:
+                assert violations == []
 
 
 @SETTINGS

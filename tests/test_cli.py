@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -95,6 +96,27 @@ def test_build_budget(capsys):
     code, out, err = run(capsys, "build", SPACE3, "--max-vertices", "4")
     assert code == 2
     assert "cap" in err
+
+
+def test_oversized_component_is_refused_from_the_count(capsys, tmp_path):
+    """crossing(15) has 2^15 vertices.  Under a cap of 2^14 it is refused
+    with the BFS's message, from the clique count, which holds well under
+    1 MB; reaching the cap by BFS held about 10 MB."""
+    sp = gen_crossing(15)
+    space_file = tmp_path / "crossing15.json"
+    space_file.write_text(json.dumps(sp.to_dict()))
+    for command in ("build", "check"):
+        code, out, err = run(capsys, command, str(space_file), "--max-vertices", "16384")
+        assert (code, out, err) == (2, "", "error: component exceeds the vertex cap 16384\n")
+    sp._crossing_masks  # the wall tables every use of the space shares
+    tracemalloc.start()
+    try:
+        with pytest.raises(cubing.ComplexityBudgetExceeded):
+            cubing.build_component(sp, max_vertices=16384)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_check_passes(capsys):

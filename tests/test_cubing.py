@@ -26,6 +26,7 @@ from cubulate import (
     dimension,
     to_dot,
 )
+from cubulate import cubing
 from cubulate.families import gen_crossing, gen_nested, gen_tree, triangle_lattice
 
 import oracles
@@ -33,6 +34,7 @@ from helpers import (
     cube_pairs,
     cube_swap,
     drop_edge,
+    flag_verdict,
     forge_nested3_cubes,
     lattice_reflection,
     random_wall_space,
@@ -97,6 +99,21 @@ def test_edges_differ_on_label_only():
 
 def test_vertex_budget():
     with pytest.raises(ComplexityBudgetExceeded):
+        build_component(gen_crossing(3), max_vertices=4)
+
+
+def test_vertex_budget_is_applied_to_the_clique_count_first(monkeypatch):
+    # the count refuses crossing(3) under a cap of 4 before the BFS starts
+    def no_bfs(*args):
+        raise AssertionError("the BFS ran")
+
+    monkeypatch.setattr(cubing, "admissible_flips", no_bfs)
+    with pytest.raises(ComplexityBudgetExceeded, match="^component exceeds the vertex cap 4$"):
+        build_component(gen_crossing(3), max_vertices=4)
+    # and the BFS keeps its own guard when the count is not there to stop it
+    monkeypatch.undo()
+    monkeypatch.setattr(cubing, "_f_count", lambda space, limit: (1,))
+    with pytest.raises(ComplexityBudgetExceeded, match="^component exceeds the vertex cap 4$"):
         build_component(gen_crossing(3), max_vertices=4)
 
 
@@ -301,6 +318,106 @@ def test_check_flag_rejects_forged_cubes(space, tamper, witness):
         check_flag(X)
     assert 0 <= info.value.vertex < len(X.codes)
     assert info.value.walls
+
+
+def _no_link_search(X):
+    raise AssertionError("a passing flag check searched the vertex links")
+
+
+@pytest.mark.parametrize(
+    "space",
+    [gen_nested(300), gen_crossing(8), gen_tree(2, 7), triangle_lattice(6).space]
+    + [sp for _, sp, _ in shipped_examples()],
+    ids=["nested300", "cube_dense", "wall_sparse", "lattice_mixed"]
+    + [name for name, _, _ in shipped_examples()],
+)
+def test_passing_check_flag_searches_no_link(space, monkeypatch):
+    """The count certificate passes every built complex and its reloaded
+    file, so the link search never runs on them."""
+    monkeypatch.setattr(cubing, "_search_links", _no_link_search)
+    for base in sorted({0, space.point_count - 1}):
+        X = build_complex(space, base_point=base)
+        assert check_flag(X)
+        assert check_flag(complex_from_dict(space, complex_to_dict(X)))
+
+
+@pytest.mark.parametrize("space", [gen_crossing(4), triangle_lattice(2).space],
+                         ids=["crossing4", "triangle2"])
+def test_dropping_any_cube_takes_the_search(space):
+    """Without any one of its cubes a built complex fails the count, and
+    check_flag's verdict and witness are those of the link search
+    followed by _check_cubes."""
+    X = build_complex(space)
+    assert cubing._certified(X)
+    failed = 0
+    for k, registry in X.cubes.items():
+        for b, walls in cube_pairs(X, registry).values():
+            data = complex_to_dict(X)
+            data["cubes"][str(k)].remove([b, list(walls)])
+            Y = complex_from_dict(space, data)
+            assert not cubing._certified(Y)
+            verdict = flag_verdict(lambda: check_flag(Y))
+            assert verdict == flag_verdict(
+                lambda: cubing._search_links(Y), lambda: cubing._check_cubes(Y)
+            )
+            failed += verdict is not None
+    assert failed
+
+
+def test_certificate_needs_every_vertex_admissible():
+    """nested(3)'s complex is the path 111-011-001-000.  The path
+    111-110-100-000 has its f-vector, but 110 and 100 choose disjoint
+    sides, so the tree test refuses it."""
+    sp = gen_nested(3)
+    data = {
+        "walls": 3,
+        "base": "111",
+        "vertices": ["111", "110", "100", "000"],
+        "edges": [[0, 1, 2], [1, 2, 1], [2, 3, 0]],
+        "cubes": {},
+    }
+    X = complex_from_dict(sp, data)
+    assert X.f_vector() == cubing._f_count(sp, 4) == (4, 3)
+    assert not cubing._certified(X)
+
+
+def test_count_falls_back_on_a_small_complex_over_many_crossing_walls():
+    """40 pairwise crossing walls have 2^40 cliques.  Counting stops
+    after a few of them and a few recursion levels, so the certificate
+    refuses a 3-vertex file at once and the search gives today's
+    verdict, and a build is refused under the default cap before the BFS."""
+    m = 40
+    # points 0, e_i and e_i + e_j; wall w holds the points with coordinate w
+    # zero on its listed side, so all four quadrants of two walls are filled
+    points = [0] + [1 << i for i in range(m)]
+    points += [1 << i | 1 << j for i, j in itertools.combinations(range(m), 2)]
+    sp = WallSpace(len(points), [[p for p, x in enumerate(points) if not x >> w & 1]
+                                 for w in range(m)])
+    assert sp.crosses(0, 39)
+    zero = "0" * m
+    data = {
+        "walls": m,
+        "base": zero,
+        "vertices": [zero, "1" + zero[1:], "01" + zero[2:]],
+        "edges": [[0, 1, 0], [0, 2, 1]],
+        "cubes": {},
+    }
+    X = complex_from_dict(sp, data)
+    assert not cubing._certified(X)
+    assert check_flag(X)
+    with pytest.raises(ComplexityBudgetExceeded, match="vertex cap 1048576$"):
+        build_component(sp)
+    # under the default cap the count descends 20 walls, one lookup each:
+    # a 21-clique alone has more than 2^20 subsets
+    lookups = []
+
+    class Link(list):
+        def __getitem__(self, w):
+            lookups.append(w)
+            return list.__getitem__(self, w)
+
+    assert cubing._cliques((1 << m) - 1, Link(sp._crossing_masks), 1, (1 << 20) - 1) is None
+    assert lookups == list(range(20))
 
 
 def test_graph_distance():

@@ -8,7 +8,11 @@ The ``dot`` exports and triangle2's ``*-base`` commands (a non-zero
 base point, and a loaded complex whose base is not vertex 0) were
 recorded before a complex vertex became an index into one tuple of
 codes.  The ``json`` exports were recorded before the complex file got a
-writer of its own instead of ``json.dumps(..., indent=2)``.
+writer of its own instead of ``json.dumps(..., indent=2)``.  The
+benchmark inputs' ``check`` and ``recheck`` (``check --complex-in`` of
+the complex ``build`` wrote, and ``reject``, the same file without the
+last of its top-dimensional cubes, or its last edge when it has none) were recorded while the flag check
+still searched every vertex link.
 Any change to text encoding, JSON layout, BFS order, vertex, edge or
 cube numbering, or a report or witness string shows up here.  When such
 a change is intended, regenerate the table with
@@ -192,13 +196,67 @@ GOLDEN = {
 }
 
 
+# the benchmark's inputs, checked after a build and from the written file
+BENCHMARK_SPACES = {
+    "crossing8": lambda: gen_crossing(8),
+    "tree2x7": lambda: gen_tree(2, 7),
+    "triangle6": lambda: triangle_lattice(6).space,
+}
+
+
+def benchmark_digests(name, tmp: Path) -> dict:
+    space_file, cx_file = tmp / "space.json", tmp / "cx.json"
+    space_file.write_text(json.dumps(BENCHMARK_SPACES[name]().to_dict()))
+    code, _ = _run(["build", str(space_file), "--out", str(cx_file)])
+    assert code == 0
+    data = json.loads(cx_file.read_text())
+    cubes = data["cubes"]
+    (cubes[max(cubes, key=int)] if cubes else data["edges"]).pop()
+    cut_file = tmp / "cut.json"
+    cut_file.write_text(json.dumps(data))
+    out = {}
+    for cmd, extra in (
+        ("check", []),
+        ("recheck", ["--complex-in", str(cx_file)]),
+        ("reject", ["--complex-in", str(cut_file)]),
+    ):
+        code, stdout = _run(["check", str(space_file), "--seed", "0", *extra])
+        out[cmd] = f"{code}:{_sha(stdout)}"
+    return out
+
+
+BENCHMARK_GOLDEN = {
+    "crossing8": {
+        "check": "0:ce4a0e147ea72d9596101b37ff269c606bb558d57dd21411649344dc336c496d",
+        "recheck": "0:ce4a0e147ea72d9596101b37ff269c606bb558d57dd21411649344dc336c496d",
+        "reject": "3:511372014d453de45003a80eb354c90a82e65c2d04b96a61d80704facd69a539"
+    },
+    "tree2x7": {
+        "check": "0:bc5dbd0e958edafeb6ab5ca5610a9fa5832b1bc8ec078662a5a35d76afd11452",
+        "recheck": "0:bc5dbd0e958edafeb6ab5ca5610a9fa5832b1bc8ec078662a5a35d76afd11452",
+        "reject": "3:cf8f1a6f66ccc7eeb7bc5ab35b2d29a1d7038f92cf8c06496b02b8eac0adc824"
+    },
+    "triangle6": {
+        "check": "0:01e4cd5ea4bd9426be3e3586d3d9f02bb4f57050d74eb7b22b78c365d5617ffb",
+        "recheck": "0:01e4cd5ea4bd9426be3e3586d3d9f02bb4f57050d74eb7b22b78c365d5617ffb",
+        "reject": "3:2c5604dd3129246f64b057f37d460273f882b4ac25b0212d183778b9aa1a5f43"
+    }
+}
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_cli_bytes_unchanged(name, tmp_path):
     assert digests(name, tmp_path) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(BENCHMARK_GOLDEN))
+def test_benchmark_checks_unchanged(name, tmp_path):
+    assert benchmark_digests(name, tmp_path) == BENCHMARK_GOLDEN[name]
+
+
 def test_golden_table_covers_every_space():
     assert sorted(GOLDEN) == sorted(spaces())
+    assert sorted(BENCHMARK_GOLDEN) == sorted(BENCHMARK_SPACES)
 
 
 if __name__ == "__main__":
@@ -206,4 +264,6 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as d:
         table = {name: digests(name, Path(d)) for name in sorted(spaces())}
+        bench = {name: benchmark_digests(name, Path(d)) for name in sorted(BENCHMARK_SPACES)}
     print("GOLDEN = " + json.dumps(table, indent=4))
+    print("BENCHMARK_GOLDEN = " + json.dumps(bench, indent=4))
