@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .cubing import CubeComplex, _walls
 from .errors import BudgetError, CertificateError, InputError
 # unused here, but the benchmark's traced pass wraps principal_section in this module
-from .sections import Section, _check_section, is_admissible, principal_section
+from .sections import encode_section, is_admissible, principal_section
 from .wallspace import WallSpace, _is_int
 
 __all__ = [
@@ -145,34 +145,34 @@ def load_generators(space: WallSpace, data: object) -> list[Generator]:
     return out
 
 
-def _image_code(gen: Generator, s: Section) -> int:
+def _image_code(gen: Generator, code: int, m: int) -> int:
     """The code of the image section: on each image wall, the image of
-    the side s chose on the source wall."""
+    the side the section of code chose on the source wall."""
     image = 0
     # as in is_admissible, the encoding spells the bits in wall order
-    for j, swap, bit in zip(gen.wall_perm, gen.side_swap, s.encode()):
+    for j, swap, bit in zip(gen.wall_perm, gen.side_swap, encode_section(code, m)):
         if swap != (bit == "1"):
             image |= 1 << j
     return image
 
 
-def act_on_section(space: WallSpace, gen: Generator, s: Section) -> Section:
-    """The image section, checked for admissibility; raises InputError
-    when s has the wrong number of walls."""
-    _check_section(space, s)
-    t = Section.from_code(_image_code(gen, s), space.wall_count)
-    if not is_admissible(space, t):
+def act_on_section(space: WallSpace, gen: Generator, code: int) -> int:
+    """The code of the image section, checked for admissibility; raises
+    InputError unless code is a section code of the space's m walls."""
+    m = space.wall_count
+    image = _image_code(gen, code, m)
+    if not is_admissible(space, image):
         raise EquivarianceViolation(
-            f"{gen.name}: image of section {s.encode()} is not admissible"
+            f"{gen.name}: image of section {encode_section(code, m)} is not admissible"
         )
-    return t
+    return image
 
 
 def _vertex_map(X: CubeComplex, gen: Generator) -> list[int]:
     """The index of each vertex's image; raises EquivarianceViolation at
     the first vertex whose image is not a vertex of X."""
     m = X.space.wall_count
-    gv = [X._index.get(_image_code(gen, Section.from_code(c, m))) for c in X.codes]
+    gv = [X._index.get(_image_code(gen, c, m)) for c in X.codes]
     if None in gv:
         raise EquivarianceViolation(
             f"{gen.name}: image of vertex {gv.index(None)} leaves the component"
@@ -292,7 +292,7 @@ def orbit_and_stabilizer(
     space: WallSpace,
     X: CubeComplex,
     generators: Iterable[Generator],
-    vertex: "Section | int",
+    vertex: int,
     word_length: int = 4,
     max_words: int = 200_000,
 ) -> OrbitStabilizer:

@@ -18,7 +18,7 @@ import random
 from .cubing import CubeComplex, check_flag
 from .errors import CertificateError
 from .homotopy import contract_loop, random_loop, replay_certificate
-from .sections import principal_section
+from .sections import encode_section, principal_section
 from .wallspace import WallSpace
 
 __all__ = [
@@ -66,9 +66,20 @@ def check_metric_correspondence(space: WallSpace, X: CubeComplex) -> dict:
     O(V + E) ANDs of n-bit ints for n points.  Only on failure does the
     multi-source sweep (_sweep_witness) run, for a pair witness; when it
     finds no pair, the witness is the first failing u and the principal
-    vertex of the lowest point in its AND outside own[u].
+    vertex of the lowest point in its AND outside own[u].  A point whose
+    principal section is not a vertex at all is the witness before any
+    of that.
     """
-    vertex_of = [X.index_of(principal_section(space, p)) for p in space.points()]
+    vertex_of = []
+    for p in space.points():
+        code = principal_section(space, p)
+        v = X._index.get(code)
+        if v is None:
+            raise MetricMismatch(
+                f"point {p}: its principal section "
+                f"{encode_section(code, space.wall_count)} is not a vertex"
+            )
+        vertex_of.append(v)
     own = [0] * len(X.codes)
     for p, v in enumerate(vertex_of):
         own[v] |= 1 << p

@@ -36,6 +36,7 @@ from .cubing import (
 )
 from .errors import BudgetError, CertificateError, InputError
 from .families import FAMILIES
+from .sections import principal_section
 from .wallspace import WallSpace
 
 __all__ = ["main"]
@@ -196,11 +197,15 @@ def cmd_check(args) -> int:
     if args.complex_in:
         data, _ = _load_json(args.complex_in)
         X = complex_from_dict(space, data, args.max_vertices)
+        # the lowest point whose principal section is the file's base, if any
+        base = next(
+            (p for p in space.points() if principal_section(space, p) == X.codes[X.base]), None
+        )
     else:
         base = 0 if args.base is None else args.base
         X = build_complex(space, base_point=base, max_vertices=args.max_vertices)
     report = _base_report("check", space, digest)
-    report["base_point"] = X.base
+    report["base_point"] = base
     report["seed"] = args.seed
     report["loops"] = args.loops
     report["complex"] = _complex_summary(X)

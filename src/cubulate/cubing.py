@@ -3,9 +3,9 @@
 The vertices are the admissible sections reachable from a base
 principal section by single-wall flips; edges join sections differing
 on exactly one wall.  A vertex is an index i into one tuple of codes:
-``X.codes[i]`` is its section's int, so a flip is an XOR and the lookup
-from a code back to its index is one dict.  ``X.section(i)`` rebuilds
-the Section when a caller needs one; the complex stores none.  A k-corner
+``X.codes[i]`` is its section's code, so a flip is an XOR and the lookup
+from a code back to its index is one dict.  Codes become text only in
+the JSON form, the DOT labels and witnesses (encode_section).  A k-corner
 is a vertex together with k pairwise crossing walls all flipping
 admissibly there; each corner spans a unique k-cube whose 2^k vertices
 are obtained by flipping subsets of the corner's walls.  A cube has one
@@ -39,7 +39,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .errors import BudgetError, CertificateError, InputError
-from .sections import Section, admissible_flips, is_admissible, principal_section
+from .sections import admissible_flips, decode_section, encode_section, is_admissible, principal_section
 from .wallspace import WallSpace, _is_int
 
 __all__ = [
@@ -77,15 +77,15 @@ class FlagViolation(CertificateError):
 
 
 class NotInComponent(InputError):
-    """A section or index is not a vertex of this complex."""
+    """An index is not a vertex of this complex."""
 
 
 class CubeComplex:
     """A component of the admissible-section graph with attached cubes.
 
-    A vertex is an index i: ``codes[i]`` is the int of its section (bit w
-    set when it chooses wall w's complement side), ``section(i)`` is that
-    Section and ``base`` is the index of the base vertex.
+    A vertex is an index i: ``codes[i]`` is its section's code (bit w set
+    when it chooses wall w's complement side) and ``base`` is the index
+    of the base vertex.
     ``adjacency[i]`` maps the wall of each edge at i to its far end;
     ``edges``, the sorted ``(u, v, wall)`` triples with u < v, is derived
     from it while each entry is checked once: InputError unless it flips
@@ -151,21 +151,13 @@ class CubeComplex:
             code ^= 1 << w
         return code, self._index.get(code)
 
-    def index_of(self, v: "Section | int") -> int:
-        if isinstance(v, Section):
-            i = self._index.get(v.code) if len(v) == self.space.wall_count else None
-            if i is None:
-                raise NotInComponent(f"section {v.encode()} is not a vertex")
-            return i
+    def index_of(self, v: int) -> int:
+        """v, once it is a vertex index; NotInComponent otherwise."""
         if not _is_int(v):
             raise NotInComponent(f"not a vertex: {v!r}")
         if not 0 <= v < len(self.codes):
             raise NotInComponent(f"vertex index {v} outside 0..{len(self.codes) - 1}")
         return v
-
-    def section(self, i: int) -> Section:
-        """The section of vertex i."""
-        return Section.from_code(self.codes[self.index_of(i)], self.space.wall_count)
 
     def neighbors(self, i: int) -> list[tuple[int, int]]:
         """(wall, neighbour index) pairs in ascending wall order."""
@@ -296,8 +288,7 @@ def build_component(
     the clique count before any vertex is visited.
     """
     cap = resolve_max_vertices(max_vertices)
-    m = space.wall_count
-    codes = [principal_section(space, base_point).code]
+    codes = [principal_section(space, base_point)]
     if _f_count(space, cap) is None:
         raise ComplexityBudgetExceeded(f"component exceeds the vertex cap {cap}")
     index = {codes[0]: 0}
@@ -306,7 +297,7 @@ def build_component(
     while queue:
         ui = queue.popleft()
         code = codes[ui]
-        for w in admissible_flips(space, Section.from_code(code, m)):
+        for w in admissible_flips(space, code):
             t = code ^ 1 << w
             vi = index.get(t)
             if vi is None:
@@ -524,7 +515,7 @@ def _certified(X: CubeComplex) -> bool:
         return False
     codes, flips = X.codes, X.space._flip_masks
     _, parent = X.cached_tree(X.base)
-    if not is_admissible(X.space, X.section(X.base)) or parent.count(-1) != 1:
+    if not is_admissible(X.space, codes[X.base]) or parent.count(-1) != 1:
         return False  # only the base has no parent when every vertex is reached
     for u, code in zip(parent, codes):
         if u >= 0:
@@ -607,8 +598,8 @@ def complex_to_dict(X: CubeComplex) -> dict:
     sorted by vertex index, then wall tuple.  Cubes with the same span
     share one wall list, so each span is decoded once."""
     m, index = X.space.wall_count, X._index
-    full, fmt = (1 << m) - 1, f"0{m}b"
-    vertices = [format(c, fmt)[::-1] for c in X.codes]  # Section.encode
+    full = (1 << m) - 1
+    vertices = [encode_section(c, m) for c in X.codes]
     walls_of: dict[int, list[int]] = {}
     cubes = {}
     for k in sorted(X.cubes):
@@ -658,20 +649,13 @@ def complex_from_dict(
         raise ComplexityBudgetExceeded(
             f"complex has {len(raw_vertices)} vertices, over the vertex cap {cap}"
         )
-
-    def code_of(t: object) -> int:
-        # Section.decode(t, m).code, which names what is wrong with a bad one
-        if isinstance(t, str) and len(t) == m and not t.strip("01"):
-            return int(t[::-1], 2)
-        return Section.decode(t, m).code
-
-    codes = [*map(code_of, raw_vertices)]
+    codes = [decode_section(t, m) for t in raw_vertices]
     index: dict[int, int] = {}
     for i, c in enumerate(codes):
         if c in index:
             raise InputError(f"duplicate vertex encoding {raw_vertices[i]}")
         index[c] = i
-    base = index.get(code_of(data["base"]))
+    base = index.get(decode_section(data["base"], m))
     if base is None:
         raise InputError("base encoding is not among the vertices")
     adjacency: list[dict[int, int]] = [{} for _ in codes]
@@ -741,10 +725,10 @@ def to_dot(X: CubeComplex) -> str:
     """DOT text of the 1-skeleton; edges carry the wall id, the base
     vertex is drawn with a double border."""
     lines = ["graph cubing {", "  node [shape=circle];"]
-    fmt = f"0{X.space.wall_count}b"
+    m = X.space.wall_count
     for i, c in enumerate(X.codes):
         mark = ", peripheries=2" if i == X.base else ""
-        lines.append(f'  v{i} [label="{format(c, fmt)[::-1]}"{mark}];')  # Section.encode
+        lines.append(f'  v{i} [label="{encode_section(c, m)}"{mark}];')
     for u, v, w in X.edges:
         lines.append(f'  v{u} -- v{v} [label="{w}"];')
     lines.append("}")

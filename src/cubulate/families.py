@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InputError
-from .sections import Section
 from .wallspace import WallSpace, _is_int
 
 __all__ = [
@@ -142,9 +141,9 @@ class TriangleLattice(NamedTuple):
     Walls come from the three parallel line families: family 0 counts m,
     family 1 counts n, family 2 counts m + n + orientation.  A line is a
     wall exactly when it separates two cells of the patch.  vertex_label
-    maps a section to integer coordinates by counting, per family and
-    with sign, the chosen sides relative to the lines through the base
-    cell's origin corner.
+    maps a section's code to integer coordinates by counting, per family
+    and with sign, the chosen sides relative to the lines through the
+    base cell's origin corner.
     """
 
     space: WallSpace
@@ -152,9 +151,8 @@ class TriangleLattice(NamedTuple):
     wall_lines: tuple[tuple[int, int], ...]
     base_point: int
 
-    def vertex_label(self, s: Section) -> tuple[int, int, int]:
+    def vertex_label(self, code: int) -> tuple[int, int, int]:
         label = [0, 0, 0]
-        code = s.code
         for w, (family, t) in enumerate(self.wall_lines):
             side = code >> w & 1
             if t >= 1 and not side:

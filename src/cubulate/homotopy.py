@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 from .cubing import CubeComplex, NotInComponent
 from .errors import CertificateError, InputError
-from .sections import Section
+from .sections import encode_section
 from .wallspace import _is_int
 
 __all__ = [
@@ -46,13 +46,11 @@ class ContractionStuck(CertificateError):
 
 
 class EdgeLoop:
-    """A closed edge path v_0, ..., v_L = v_0, stored as vertex indices.
-
-    Vertices may be given as Section objects or indices; consecutive
-    entries must be joined by an edge of the complex.
+    """A closed edge path v_0, ..., v_L = v_0 of vertex indices;
+    consecutive entries must be joined by an edge of the complex.
     """
 
-    def __init__(self, complex: CubeComplex, vertices: Sequence["Section | int"]):
+    def __init__(self, complex: CubeComplex, vertices: Sequence[int]):
         if not vertices:
             raise NotALoop("a loop needs at least its basepoint")
         try:
@@ -154,7 +152,7 @@ def contract_loop(loop: EdgeLoop) -> ContractionCertificate:
         opposite, tau = X._flipped(sigma, wa, wb)
         if tau is None:
             raise ContractionStuck(
-                f"opposite corner {Section.from_code(opposite, m).encode()} is not a vertex"
+                f"opposite corner {encode_section(opposite, m)} is not a vertex"
             )
         # wa and wb cross: check_flag, which check runs first, checks each square's walls
         s = 1 << wa | 1 << wb
@@ -177,7 +175,7 @@ def contract_loop(loop: EdgeLoop) -> ContractionCertificate:
 
 
 def replay_certificate(
-    X: CubeComplex, initial: Sequence["Section | int"], moves: Sequence[Move]
+    X: CubeComplex, initial: Sequence[int], moves: Sequence[Move]
 ) -> list[int]:
     """Apply a recorded move sequence to the initial loop, verifying each
     move, and return the final vertex index sequence.  A square move
@@ -216,8 +214,7 @@ def replay_certificate(
             target, ti = X._flipped(seq[i], w1, w2)
             if ti is None:
                 raise CertificateError(
-                    f"move {n}: opposite corner "
-                    f"{Section.from_code(target, m).encode()} is not a vertex"
+                    f"move {n}: opposite corner {encode_section(target, m)} is not a vertex"
                 )
             if (
                 ti not in X.adjacency[seq[i - 1]].values()

@@ -1,11 +1,12 @@
 """Sections of the wall-to-half-space projection.
 
-A section chooses one side of every wall.  A Section is one Python int
-plus the wall count: bit w is 0 when the section chooses wall w's
-listed side and 1 for its complement, so flipping a wall is an XOR,
-the Hamming distance of two sections is ``(s ^ t).bit_count()`` and
-the principal section of a point is that point's signature in the
-wall space.  The text encoding lists the bits in wall order.
+A section chooses one side of every wall.  It is one Python int, its
+code: bit w is 0 when the section chooses wall w's listed side and 1
+for its complement, so flipping a wall is an XOR, the Hamming distance
+of two sections is ``(s ^ t).bit_count()`` and the principal section of
+a point is that point's signature in the wall space.  The text encoding
+lists the bits in wall order; encode_section and decode_section are the
+only places that spell it out.
 
 A section is admissible when no two chosen sides are disjoint;
 admissible sections are the vertices of the cube complex.  Flips are
@@ -18,127 +19,63 @@ walls with a side inside it, so a flip test is one AND and one compare.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .errors import InputError
-from .wallspace import WallSpace
+from .wallspace import WallSpace, _is_int
 
 __all__ = [
-    "Section",
     "principal_section",
     "is_admissible",
     "admissible_flips",
+    "encode_section",
+    "decode_section",
 ]
 
 
-class Section:
-    """One chosen side per wall; bit i is 0 for wall i's listed side.
-
-    ``code`` is the int whose bit i is the side chosen on wall i.
-    Instances are immutable and hash by (code, wall count).
-    """
-
-    __slots__ = ("code", "_width")
-
-    def __init__(self, bits: Iterable[int]):
-        bits = tuple(bits)
-        if any(b not in (0, 1) for b in bits):
-            raise InputError("section bits must be 0 or 1")
-        code = 0
-        for i, b in enumerate(bits):
-            if b:
-                code |= 1 << i
-        object.__setattr__(self, "code", code)
-        object.__setattr__(self, "_width", len(bits))
-
-    @classmethod
-    def from_code(cls, code: int, wall_count: int) -> "Section":
-        """The section over wall_count walls whose bit i is code's bit i."""
-        if code < 0 or code >> wall_count:
-            raise InputError(f"section code {code} does not fit {wall_count} walls")
-        s = cls.__new__(cls)
-        object.__setattr__(s, "code", code)
-        object.__setattr__(s, "_width", wall_count)
-        return s
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Section is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Section is immutable")
-
-    def __reduce__(self):
-        # copy and pickle would restore the slots through __setattr__
-        return (Section.from_code, (self.code, self._width))
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return tuple(self.code >> i & 1 for i in range(self._width))
-
-    def __len__(self) -> int:
-        return self._width
-
-    def encode(self) -> str:
-        return format(self.code, f"0{self._width}b")[::-1] if self._width else ""
-
-    @classmethod
-    def decode(cls, text: str, wall_count: int | None = None) -> "Section":
-        # nothing but 0 and 1 is left to int(), which would also accept
-        # "_", whitespace, a "0b" prefix and non-ASCII digits
-        if not isinstance(text, str) or text.strip("01"):
-            raise InputError(f"section encoding must be a 0/1 string, got {text!r}")
-        if wall_count is not None and len(text) != wall_count:
-            raise InputError(
-                f"section encoding has length {len(text)}, expected {wall_count}"
-            )
-        return cls.from_code(int(text[::-1] or "0", 2), len(text))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.code == other.code and self._width == other._width
-
-    def __hash__(self) -> int:
-        return hash((self.code, self._width))
-
-    def __repr__(self) -> str:
-        return f"Section({self.encode()!r})"
+def encode_section(code: int, m: int) -> str:
+    """The m-character 0/1 text of a section code, bit 0 first; raises
+    InputError unless code is an int in 0..2^m - 1 (not a bool)."""
+    # a negative code shifts to -1, so one test bounds both ends
+    if not _is_int(code) or code >> m:
+        raise InputError(f"section code {code!r} is not an int in 0..2^{m}-1")
+    return format(code, f"0{m}b")[::-1] if m else ""
 
 
-def _check_section(space: WallSpace, s: Section) -> None:
-    if len(s) != space.wall_count:
-        raise InputError(
-            f"section has {len(s)} walls, space has {space.wall_count}"
-        )
+def decode_section(text: object, m: int) -> int:
+    """The code of an m-character 0/1 text, bit 0 first."""
+    # nothing but 0 and 1 is left to int(), which would also accept
+    # "_", whitespace, a "0b" prefix and non-ASCII digits
+    if not isinstance(text, str) or text.strip("01"):
+        raise InputError(f"section encoding must be a 0/1 string, got {text!r}")
+    if len(text) != m:
+        raise InputError(f"section encoding has length {len(text)}, expected {m}")
+    return int(text[::-1] or "0", 2)
 
 
-def principal_section(space: WallSpace, p: int) -> Section:
+def principal_section(space: WallSpace, p: int) -> int:
     """The section choosing, on every wall, the side containing p: the
     point's signature."""
     space._check_point(p)
-    return Section.from_code(space._signatures[p], space.wall_count)
+    return space._signatures[p]
 
 
-def is_admissible(space: WallSpace, s: Section) -> bool:
+def is_admissible(space: WallSpace, code: int) -> bool:
     """True when no two chosen sides are disjoint: no other chosen side
-    lies in the unchosen side of any wall."""
-    _check_section(space, s)
-    code = s.code
+    lies in the unchosen side of any wall.  InputError unless code is a
+    section code of the space's walls (see encode_section)."""
     # the encoding spells the bits in wall order; iterating it beats
     # shifting the m-bit code once per wall
-    for sides, bit in zip(space._flip_masks, s.encode()):
+    for sides, bit in zip(space._flip_masks, encode_section(code, space.wall_count)):
         inside_listed, inside_any = sides[bit == "0"]
         if code & inside_any != inside_listed:
             return False
     return True
 
 
-def admissible_flips(space: WallSpace, s: Section) -> list[int]:
-    """All walls that flip admissibly, in ascending id order."""
-    _check_section(space, s)
-    code = s.code
+def admissible_flips(space: WallSpace, code: int) -> list[int]:
+    """All walls that flip admissibly, in ascending id order; InputError
+    as for is_admissible."""
     out = []
-    for w, (sides, bit) in enumerate(zip(space._flip_masks, s.encode())):
+    for w, (sides, bit) in enumerate(zip(space._flip_masks, encode_section(code, space.wall_count))):
         inside_listed, inside_any = sides[bit == "1"]
         if code & inside_any == inside_listed:
             out.append(w)

@@ -6,7 +6,7 @@ of flag checks, and an independent count of a loop's wall flips."""
 from collections import Counter
 from itertools import combinations
 
-from cubulate import FlagViolation, Section, WallSpace, validate_generator
+from cubulate import FlagViolation, WallSpace, encode_section, validate_generator
 from cubulate.families import gen_crossing, gen_nested, gen_tree, triangle_lattice
 
 
@@ -87,7 +87,7 @@ def cube_pairs(X, registry):
     m = X.space.wall_count
     return {
         key: (
-            X.index_of(Section.from_code(key & (1 << m) - 1, m)),
+            X._index[key & (1 << m) - 1],
             tuple(w for w in range(m) if key >> m + w & 1),
         )
         for key in registry
@@ -107,7 +107,7 @@ def registry_corners(X):
             for size in range(len(walls) + 1):
                 for sub in combinations(walls, size):
                     t = sum(1 << w for w in sub)
-                    out.add((Section.from_code(code ^ t, m).encode(), frozenset(walls)))
+                    out.add((encode_section(code ^ t, m), frozenset(walls)))
     return out
 
 

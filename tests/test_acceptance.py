@@ -22,6 +22,7 @@ from cubulate import (
     complex_from_dict,
     contraction_suite,
     dimension,
+    encode_section,
     random_loop,
     validate_generator,
     check_equivariance,
@@ -128,7 +129,7 @@ def test_criterion_7_triangle_lattice_embedding():
         assert tl.space.intersection_number() == 3, r
         X = build_complex(tl.space, base_point=tl.base_point)
         assert dimension(X) == 3, r
-        labels = [tl.vertex_label(X.section(i)) for i in range(len(X.codes))]
+        labels = [tl.vertex_label(c) for c in X.codes]
         assert len(set(labels)) == len(labels), r
         for u, v, _ in X.edges:
             diff = [abs(a - b) for a, b in zip(labels[u], labels[v])]
@@ -161,7 +162,7 @@ def test_criterion_9_oracle_equivalence():
         raw = sp.to_dict()
         expect = oracles.admissible_encodings(raw["points"], raw["walls"])
         X = build_complex(sp, base_point=base)
-        assert {X.section(i).encode() for i in range(len(X.codes))} == expect, name
+        assert {encode_section(c, sp.wall_count) for c in X.codes} == expect, name
         assert sp.intersection_number() == oracles.max_crossing_family(
             raw["points"], raw["walls"]
         ), name

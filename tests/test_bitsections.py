@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from cubulate import (
     FlagViolation,
     MetricMismatch,
-    Section,
     WallSpace,
     admissible_flips,
     attach_cubes,
@@ -25,7 +24,9 @@ from cubulate import (
     check_metric_correspondence,
     complex_from_dict,
     complex_to_dict,
+    decode_section,
     dimension,
+    encode_section,
     gen_crossing,
     is_admissible,
     principal_section,
@@ -64,7 +65,7 @@ def test_signatures_match_oracle(raw):
     sigs = sp._signatures
     for p in range(n):
         expect = "".join("0" if p in w else "1" for w in walls)
-        assert principal_section(sp, p).encode() == expect
+        assert encode_section(principal_section(sp, p), len(walls)) == expect
         for q in range(n):
             separating = [i for i, w in enumerate(walls) if (p in w) != (q in w)]
             assert [i for i in range(len(walls)) if (sigs[p] ^ sigs[q]) >> i & 1] == separating
@@ -91,16 +92,15 @@ def test_admissibility_and_flips_match_oracle(raw):
     sp = WallSpace(n, walls)
     m = len(walls)
     admissible = oracles.admissible_encodings(n, walls)
-    for bits in product((0, 1), repeat=m):
-        s = Section(bits)
-        text = s.encode()
+    for s in range(1 << m):
+        text = encode_section(s, m)
         assert is_admissible(sp, s) == (text in admissible)
         if text not in admissible:
             continue
         expect = [
             w
             for w in range(m)
-            if text[:w] + "01"[bits[w] ^ 1] + text[w + 1 :] in admissible
+            if text[:w] + "01"[s >> w & 1 ^ 1] + text[w + 1 :] in admissible
         ]
         assert admissible_flips(sp, s) == expect
 
@@ -161,7 +161,7 @@ def test_check_flag_matches_flag_oracle(raw):
     the cube was a face of a registered cube (facet closure)."""
     n, walls = raw
     X = build_complex(WallSpace(n, walls))
-    encodings = [X.section(i).encode() for i in range(len(X.codes))]
+    encodings = [encode_section(c, X.space.wall_count) for c in X.codes]
     registered = {
         key: (encodings[b], walls)
         for k in X.cubes
@@ -205,7 +205,7 @@ def test_flag_certificate_matches_link_search(raw, pick):
         if not keys:
             continue
         top = list(X.cubes[max(X.cubes)])  # a top cube's loss shows in a link
-        encodings = [X.section(i).encode() for i in range(len(X.codes))]
+        encodings = [encode_section(c, X.space.wall_count) for c in X.codes]
         for key, twinned in product((keys[pick % len(keys)], top[pick % len(top)]), (0, 1)):
             span_walls = cubing._walls(key >> m)
             twin = key ^ 1 << span_walls[pick // len(keys) % len(span_walls)]
@@ -243,11 +243,11 @@ def test_distance_table_matches_oracle(raw, cut):
     n, walls = raw
     sp = WallSpace(n, walls)
     X = build_complex(sp)
-    sources = sorted({X.index_of(principal_section(sp, p)) for p in range(n)})
+    sources = sorted({X._index[principal_section(sp, p)] for p in range(n)})
     data = complex_to_dict(X)
     k = cut % len(data["edges"])
     a, b, _ = data["edges"][k]
-    encodings = [X.section(i).encode() for i in range(len(X.codes))]
+    encodings = [encode_section(c, X.space.wall_count) for c in X.codes]
     for Y, dropped in (
         (X, ()),
         (complex_from_dict(sp, drop_edge(data, k)), {frozenset((encodings[a], encodings[b]))}),
@@ -273,7 +273,7 @@ def test_metric_suite_matches_oracle(raw, cut):
         data = complex_to_dict(X)
         k = cut % len(data["edges"])
         a, b, _ = data["edges"][k]
-        encodings = [X.section(i).encode() for i in range(len(X.codes))]
+        encodings = [encode_section(c, X.space.wall_count) for c in X.codes]
         dropped = {frozenset((encodings[a], encodings[b]))}
         mismatches = oracles.metric_mismatches(n, walls, encodings, dropped)
         Y = complex_from_dict(sp, drop_edge(data, k))
@@ -296,35 +296,17 @@ def test_metric_suite_matches_oracle(raw, cut):
 
 
 @SETTINGS
-@given(st.lists(st.integers(0, 1), max_size=70).map(tuple))
-def test_section_round_trip(bits):
-    s = Section(bits)
-    text = "".join(map(str, bits))
-    assert s.bits == bits
-    assert len(s) == len(bits)
-    assert s.code == sum(b << i for i, b in enumerate(bits))
-    assert s.encode() == text
-    assert Section.decode(text, len(bits)) == s
-    assert Section.from_code(s.code, len(bits)) == s
-    assert hash(Section.decode(text)) == hash(s)
-    for w in range(len(bits)):
-        flipped = bits[:w] + (bits[w] ^ 1,) + bits[w + 1 :]
-        assert Section.from_code(s.code ^ 1 << w, len(bits)) == Section(flipped)
+@given(st.integers(0, 70).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, (1 << m) - 1))))
+def test_section_round_trip(drawn):
+    m, c = drawn
+    text = encode_section(c, m)
+    assert decode_section(text, m) == c
+    assert text == "".join(str(c >> i & 1) for i in range(m))
+    for w in range(m):
+        assert encode_section(c ^ 1 << w, m) == text[:w] + "01"[c >> w & 1 ^ 1] + text[w + 1 :]
 
 
-def test_section_is_immutable():
-    s = Section((0, 1))
-    with pytest.raises(AttributeError):
-        s.code = 3
-    with pytest.raises(AttributeError):
-        del s.code
-    assert s == Section((0, 1))
-
-
-def test_section_survives_copy_and_pickle():
-    s = Section((0, 1, 1))
-    for t in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
-        assert t == s and t.bits == (0, 1, 1) and len(t) == 3
+def test_complex_survives_copy_and_pickle():
     X = attach_cubes(build_complex(gen_crossing(3)))
     for Y in (copy.deepcopy(X), pickle.loads(pickle.dumps(X))):
         assert (Y.codes, Y.base, Y.cubes) == (X.codes, X.base, X.cubes)

@@ -6,7 +6,15 @@ from pathlib import Path
 
 import pytest
 
-from cubulate import WallSpace, build_complex, complex_from_dict, complex_to_dict, cubing
+from cubulate import (
+    WallSpace,
+    build_complex,
+    complex_from_dict,
+    complex_to_dict,
+    cubing,
+    encode_section,
+    principal_section,
+)
 from cubulate.cli import _complex_text, main
 from cubulate.families import gen_crossing, gen_nested, gen_tree, triangle_lattice
 
@@ -264,6 +272,54 @@ def test_check_complex_in_rejects_base(capsys, tmp_path, base):
     assert err == "error: --base does not apply to --complex-in: the complex names its base\n"
     code, out, _ = run(capsys, *_crossing3_complex(tmp_path))
     assert code == 0 and json.loads(out)["base_point"] == 0
+
+
+def test_check_reports_the_base_point(capsys, tmp_path):
+    """base_point is a point, as in build and act: --base for a built
+    complex, and for a loaded one the lowest point whose principal
+    section is the file's base, or null when no point has it."""
+    code, out, _ = run(capsys, "check", SPACE3, "--base", "5", "--loops", "0")
+    assert code == 0 and json.loads(out)["base_point"] == 5
+    # points 1 and 2 lie on the same sides of every wall
+    space_file = tmp_path / "twins.json"
+    space_file.write_text(json.dumps({"points": 4, "walls": [[0], [3]]}))
+    cx = tmp_path / "twins_cx.json"
+    assert run(capsys, "build", str(space_file), "--base", "2", "--out", str(cx))[0] == 0
+    code, out, _ = run(capsys, "check", str(space_file), "--complex-in", str(cx))
+    assert code == 0 and json.loads(out)["base_point"] == 1
+    # tree(2,2)'s inner vertices are no point's principal section
+    space = gen_tree(2, 2)
+    space_file.write_text(json.dumps(space.to_dict()))
+    data = complex_to_dict(build_complex(space))
+    principal = {encode_section(principal_section(space, p), space.wall_count) for p in space.points()}
+    data["base"] = next(v for v in data["vertices"] if v not in principal)
+    cx.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "check", str(space_file), "--complex-in", str(cx))
+    assert code == 0 and json.loads(out)["base_point"] is None
+
+
+def test_check_complex_missing_a_principal_vertex_fails_metric(capsys, tmp_path):
+    """nested(3) without its last vertex 000, the principal section of
+    point 3: the metric suite fails with that point as its witness, and
+    the report is printed."""
+    space = gen_nested(3)
+    space_file = tmp_path / "nested3.json"
+    space_file.write_text(json.dumps(space.to_dict()))
+    data = complex_to_dict(build_complex(space))
+    assert data["vertices"].pop() == "000"
+    gone = len(data["vertices"])
+    data["edges"] = [e for e in data["edges"] if gone not in e[:2]]
+    cx = tmp_path / "cut.json"
+    cx.write_text(json.dumps(data))
+    code, out, err = run(capsys, "check", str(space_file), "--complex-in", str(cx), "--loops", "0")
+    assert (code, err) == (3, "")
+    report = json.loads(out)
+    assert report["checks"]["flag"]["status"] == "pass"
+    assert report["checks"]["metric_correspondence"] == {
+        "status": "fail",
+        "witness": "point 3: its principal section 000 is not a vertex",
+    }
+    assert report["checks"]["parity"]["status"] == "skipped"
 
 
 @pytest.mark.parametrize("key, value", [("edges", 5), ("cubes", {"2": 7})])

@@ -12,7 +12,6 @@ from cubulate import (
     InputError,
     MetricMismatch,
     NotInComponent,
-    Section,
     WallSpace,
     attach_cubes,
     build_complex,
@@ -23,7 +22,9 @@ from cubulate import (
     complex_from_dict,
     complex_to_dict,
     contraction_suite,
+    decode_section,
     dimension,
+    encode_section,
     to_dot,
 )
 from cubulate import cubing
@@ -69,12 +70,12 @@ def test_component_equals_brute_force_sections():
         raw = sp.to_dict()
         expect = oracles.admissible_encodings(raw["points"], raw["walls"])
         X = build_component(sp, base_point=base)
-        got = {X.section(i).encode() for i in range(len(X.codes))}
+        got = {encode_section(c, sp.wall_count) for c in X.codes}
         assert got == expect, name
         got_edges = {(min(u, v), max(u, v)) for u, v, _ in X.edges}
         want_edges = set()
         for a, b in oracles.edges_among(expect):
-            i, j = X.index_of(Section.decode(a)), X.index_of(Section.decode(b))
+            i, j = (X._index[decode_section(t, sp.wall_count)] for t in (a, b))
             want_edges.add((min(i, j), max(i, j)))
         assert got_edges == want_edges, name
 
@@ -92,8 +93,8 @@ def test_edges_differ_on_label_only():
     for name, sp, base in shipped_examples():
         X = build_component(sp, base_point=base)
         for u, v, w in X.edges:
-            a, b = X.section(u), X.section(v)
-            diff = [i for i in range(sp.wall_count) if a.bits[i] != b.bits[i]]
+            a, b = X.codes[u], X.codes[v]
+            diff = [i for i in range(sp.wall_count) if (a ^ b) >> i & 1]
             assert diff == [w], name
 
 
@@ -169,7 +170,7 @@ def test_cube_faces_are_registered():
                         for bits in itertools.product((0, 1), repeat=len(fixed)):
                             on = [w for w, t in zip(fixed, bits) if t]
                             code = X.codes[b] ^ sum(1 << w for w in on)
-                            fb = X.index_of(Section.from_code(code, sp.wall_count))
+                            fb = X._index[code]
                             assert (fb, sub) in pairs[size]
 
 
@@ -179,7 +180,7 @@ def test_cube_keys_are_canonical():
         pairs = list(cube_pairs(X, registry).values())
         assert len(pairs) == len(set(pairs))
         for b, walls in pairs:
-            assert all(X.section(b).bits[w] == 0 for w in walls)
+            assert all(X.codes[b] >> w & 1 == 0 for w in walls)
             assert list(walls) == sorted(walls)
 
 
@@ -233,7 +234,7 @@ def test_attach_cubes_rejects_component_missing_a_vertex():
     # attach_cubes registers the corners it finds without checking them;
     # check_flag finds the square whose far vertex is gone
     X = build_component(gen_crossing(3))
-    keep = [i for i in range(len(X.codes)) if X.section(i).encode() != "111"]
+    keep = [i for i, c in enumerate(X.codes) if c != 0b111]
     new = {old: i for i, old in enumerate(keep)}
     broken = CubeComplex(
         X.space,
@@ -423,7 +424,7 @@ def test_count_falls_back_on_a_small_complex_over_many_crossing_walls():
 def test_graph_distance():
     cube = gen_crossing(3)
     X = build_complex(cube)
-    anti = X.index_of(Section.decode("111"))
+    anti = X._index[0b111]
     assert X.distance_table([X.base, anti]) == [[0, 3], [3, 0]]
     vertices = range(len(X.codes))
     table = X.distance_table(vertices)
@@ -431,7 +432,7 @@ def test_graph_distance():
         assert X.bfs_tree(u)[0] == table[u]
         for v in vertices:
             assert table[v][u] == oracles.hamming(
-                X.section(u).encode(), X.section(v).encode()
+                encode_section(X.codes[u], 3), encode_section(X.codes[v], 3)
             )
 
 
@@ -502,7 +503,6 @@ def test_edge_wall():
     X = build_complex(triangle_lattice(2).space)
     for u, v, w in X.edges:
         assert X.edge_wall(u, v) == X.edge_wall(v, u) == w
-        assert X.edge_wall(X.section(u), X.section(v)) == w
     u, v, _ = X.edges[0]
     far = next(x for x in range(len(X.codes)) if x != u and x not in X.adjacency[u].values())
     for i, j in ((u, u), (u, far), (far, u)):
@@ -516,7 +516,7 @@ def test_graph_distance_not_in_component():
     sp = gen_nested(3)
     X = build_complex(sp)
     with pytest.raises(NotInComponent):
-        X.distance_table([Section.decode("101"), X.base])
+        X.distance_table(["101", X.base])
     with pytest.raises(NotInComponent):
         X.index_of(99)
     with pytest.raises(NotInComponent):
@@ -619,7 +619,7 @@ def _raises_exactly(message, call, *args):
     ids=["underscore", "space", "0b", "arabic_indic_one", "empty"],
 )
 def test_malformed_vertex_encodings_keep_their_messages(text, message):
-    _raises_exactly(message, Section.decode, text, 3)
+    _raises_exactly(message, decode_section, text, 3)
     sp = gen_crossing(3)
     data = complex_to_dict(build_complex(sp))
     data["vertices"][1] = text

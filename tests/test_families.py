@@ -127,9 +127,9 @@ def test_triangle_lattice_labels():
     for r in (1, 2):
         tl = triangle_lattice(r)
         X = build_complex(tl.space, base_point=tl.base_point)
-        labels = [tl.vertex_label(X.section(i)) for i in range(len(X.codes))]
+        labels = [tl.vertex_label(c) for c in X.codes]
         assert len(set(labels)) == len(labels)
-        assert tl.vertex_label(X.section(X.base)) == (0, 0, 0)
+        assert tl.vertex_label(X.codes[X.base]) == (0, 0, 0)
         for u, v, _ in X.edges:
             diff = [abs(a - b) for a, b in zip(labels[u], labels[v])]
             assert sorted(diff) == [0, 0, 1]

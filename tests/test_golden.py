@@ -7,7 +7,9 @@ suite) was recorded before that suite became one multi-source sweep.
 The ``dot`` exports and triangle2's ``*-base`` commands (a non-zero
 base point, and a loaded complex whose base is not vertex 0) were
 recorded before a complex vertex became an index into one tuple of
-codes.  The ``json`` exports were recorded before the complex file got a
+codes, except ``check-base`` and ``recheck-base``, recorded when
+``check`` began to report the base point rather than the base vertex's
+index as ``base_point`` (so the two now match).  The ``json`` exports were recorded before the complex file got a
 writer of its own instead of ``json.dumps(..., indent=2)``.  The
 benchmark inputs' ``check`` and ``recheck`` (``check --complex-in`` of
 the complex ``build`` wrote, and ``reject``, the same file without the
@@ -30,7 +32,7 @@ from pathlib import Path
 
 import pytest
 
-from cubulate import WallSpace, build_complex, complex_to_dict, principal_section
+from cubulate import WallSpace, build_complex, complex_to_dict, encode_section, principal_section
 from cubulate.cli import main
 from cubulate.families import gen_crossing, gen_nested, gen_tree, triangle_lattice
 
@@ -113,7 +115,7 @@ def digests(name, tmp: Path) -> dict:
         # 0 that names that point's principal vertex as its base
         base, ws = BASES[name], WallSpace.from_dict(space)
         rebased = complex_to_dict(build_complex(ws))
-        rebased["base"] = principal_section(ws, base).encode()
+        rebased["base"] = encode_section(principal_section(ws, base), ws.wall_count)
         rebased_file = tmp / "rebased.json"
         rebased_file.write_text(json.dumps(rebased))
         b = ["--base", str(base)]
@@ -187,11 +189,11 @@ GOLDEN = {
         "json": "0:edbdb05f62a7788da55c5aab0b7474e4a954e864f284038e7332448d8cd1fc77",
         "build-base": "0:f07f32c025f231f675c59142f4e7b75d645e8481fdc507902b4883ca3089b7bd",
         "complex-base": "18d7c508c5e05f6eaf4d3a9ed26424389916c4e9c03cc24c15d0ec161ac38d92",
-        "check-base": "0:cf5ba0e6c8f51d2d3768be4d02563309b979aa00ba526f3e4a33016dd0808c68",
+        "check-base": "0:0a21b451a363d20bf1526cac4505ea784987764b103adf95d80fb909355d7d28",
         "act-base": "0:d4d8aae64847cb44edf8167ab6a8c4d34ad3f7a408148ca56a6b65ce80711fa1",
         "dot-base": "0:e973eeae4cb3ecd062b8de757aa38d5053018b1ae0e108b5056b786cd28a9646",
         "json-base": "0:18d7c508c5e05f6eaf4d3a9ed26424389916c4e9c03cc24c15d0ec161ac38d92",
-        "recheck-base": "0:ece21269dfafada16af87dabc7a9c320eeecaad6d60d49f3a63b2fc11957bfc8"
+        "recheck-base": "0:0a21b451a363d20bf1526cac4505ea784987764b103adf95d80fb909355d7d28"
     }
 }
 

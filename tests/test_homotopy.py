@@ -13,13 +13,14 @@ from cubulate import (
     EdgeLoop,
     Move,
     NotALoop,
-    Section,
     build_complex,
     check_metric_correspondence,
     complex_from_dict,
     complex_to_dict,
     contract_loop,
     contraction_suite,
+    decode_section,
+    encode_section,
     parity_suite,
     random_loop,
     replay_certificate,
@@ -40,11 +41,12 @@ def square_loop(X):
 
 def test_edge_loop_accepts_sections_and_indices():
     X = square_complex()
-    by_enc = EdgeLoop(X, [Section.decode(t) for t in ("00", "10", "11", "01", "00")])
+    ring = ["00", "10", "11", "01", "00"]
+    by_enc = EdgeLoop(X, [X._index[decode_section(t, 2)] for t in ring])
     assert by_enc.indices == (0, 1, 3, 2, 0)
     steps = zip(by_enc.indices, by_enc.indices[1:])
     assert [X.edge_wall(a, b) for a, b in steps] == [0, 1, 0, 1]
-    assert [X.section(i).encode() for i in by_enc.indices] == ["00", "10", "11", "01", "00"]
+    assert [encode_section(X.codes[i], 2) for i in by_enc.indices] == ring
 
 
 def test_edge_loop_rejects_open_or_broken_paths():
@@ -56,7 +58,9 @@ def test_edge_loop_rejects_open_or_broken_paths():
     with pytest.raises(NotALoop):
         EdgeLoop(X, [])
     with pytest.raises(NotALoop):
-        EdgeLoop(X, [Section.decode("0000")])
+        EdgeLoop(X, [4])
+    with pytest.raises(NotALoop):
+        EdgeLoop(X, [True])
 
 
 def test_parity_trivial_and_square():
@@ -165,17 +169,17 @@ def test_contraction_stuck_on_a_hexagon():
     # crossing(3)'s complex without 000 and 111 is a hexagon, whose
     # furthest vertex from 100 has no opposite corner
     X = build_complex(gen_crossing(3))
-    keep = [i for i in range(len(X.codes)) if X.section(i).encode() not in ("000", "111")]
+    keep = [i for i, c in enumerate(X.codes) if c not in (0b000, 0b111)]
     new = {old: i for i, old in enumerate(keep)}
     hexagon = CubeComplex(
         X.space,
-        new[X.index_of(Section.decode("100"))],
+        new[X._index[decode_section("100", 3)]],
         [X.codes[i] for i in keep],
         [{w: new[j] for w, j in X.adjacency[i].items() if j in new} for i in keep],
     )
     assert len(hexagon.edges) == 6
     ring = ["100", "110", "010", "011", "001", "101", "100"]
-    loop = EdgeLoop(hexagon, [Section.decode(t) for t in ring])
+    loop = EdgeLoop(hexagon, [hexagon._index[decode_section(t, 3)] for t in ring])
     with pytest.raises(ContractionStuck) as info:
         contract_loop(loop)
     assert str(info.value) == "opposite corner 000 is not a vertex"
