@@ -170,13 +170,23 @@ def act_on_section(space: WallSpace, gen: Generator, code: int) -> int:
 
 def _vertex_map(X: CubeComplex, gen: Generator) -> list[int]:
     """The index of each vertex's image; raises EquivarianceViolation at
-    the first vertex whose image is not a vertex of X."""
-    m = X.space.wall_count
-    gv = [X._index.get(_image_code(gen, c, m)) for c in X.codes]
-    if None in gv:
-        raise EquivarianceViolation(
-            f"{gen.name}: image of vertex {gv.index(None)} leaves the component"
-        )
+    the first vertex whose image is not a vertex of X.  On codes the map
+    is c -> P(c ^ S) and an edge flips exactly its wall's bit, so a vertex
+    v with a neighbour u < v across wall w maps to u's image flipped on
+    wall_perm[w]; only the others are mapped bit by bit: O(V + E)."""
+    m, codes, index, perm = X.space.wall_count, X.codes, X.index, gen.wall_perm
+    gv: list[int] = []
+    for v, adj in enumerate(X.adjacency):
+        for w, u in adj.items():
+            if u < v:
+                image = codes[gv[u]] ^ 1 << perm[w]
+                break
+        else:
+            image = _image_code(gen, codes[v], m)
+        i = index.get(image)
+        if i is None:
+            raise EquivarianceViolation(f"{gen.name}: image of vertex {v} leaves the component")
+        gv.append(i)
     return gv
 
 
@@ -213,7 +223,7 @@ def check_equivariance(space: WallSpace, X: CubeComplex, gen: Generator) -> dict
     vertices map to the principal vertices of the image points, vertex
     images are admissible, the vertex map is injective, the wall
     pseudo-metric and the edge-path metric are preserved on all pairs,
-    and corners map to corners.  Costs O(n*m + V*m + E + sum_k k*f_k)
+    and corners map to corners.  Costs O(n*m + V + E + sum_k k*f_k)
     time and O(V) memory.  Returns a summary of what was checked; raises
     EquivarianceViolation with a witness otherwise.
     """
@@ -256,14 +266,16 @@ def check_equivariance(space: WallSpace, X: CubeComplex, gen: Generator) -> dict
     # permutation, so the image lies in the same registry.
     full = (1 << m) - 1
     cube_total = 0
+    images: dict[int, int] = {}  # span -> its image, mapped once per span
     for k, registry in X.cubes.items():
         for key in registry:
-            b, walls, image = X._index[key & full], _walls(key >> m), 0
-            for w in walls:
-                image |= 1 << gen.wall_perm[w]
+            b, span = X.index[key & full], key >> m
+            image = images.get(span)
+            if image is None:
+                image = images[span] = _apply_perm_to_mask(span, gen.wall_perm)
             if (X.codes[gv[b]] & ~image | image << m) not in registry:
                 raise EquivarianceViolation(
-                    f"{name}: {k}-cube at vertex {b} over walls {list(walls)} "
+                    f"{name}: {k}-cube at vertex {b} over walls {list(_walls(span))} "
                     f"has no image cube"
                 )
             cube_total += 1
@@ -323,13 +335,16 @@ def orbit_and_stabilizer(
     # Once _check_induced has accepted wall_perm, c -> P(c ^ S) is
     # injective (see check_equivariance), so a vertex map that stays in
     # the finite component permutes it.  g^-1 acts by the inverse
-    # permutation: the vertices sorted by their images under g.
+    # permutation.
     symbols: list[tuple[str, list[int]]] = []
     for g in generators:
         gv = _vertex_map(X, g)
         symbols.append((g.name, gv))
         if g.name in inverse_of:
-            symbols.append((inverse_of[g.name], sorted(range(len(gv)), key=gv.__getitem__)))
+            inverse = [0] * len(gv)
+            for v, image in enumerate(gv):
+                inverse[image] = v
+            symbols.append((inverse_of[g.name], inverse))
     orbit = {start}
     queue = deque([start])
     while queue:

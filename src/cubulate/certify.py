@@ -73,7 +73,7 @@ def check_metric_correspondence(space: WallSpace, X: CubeComplex) -> dict:
     vertex_of = []
     for p in space.points():
         code = principal_section(space, p)
-        v = X._index.get(code)
+        v = X.index.get(code)
         if v is None:
             raise MetricMismatch(
                 f"point {p}: its principal section "

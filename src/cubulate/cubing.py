@@ -3,8 +3,8 @@
 The vertices are the admissible sections reachable from a base
 principal section by single-wall flips; edges join sections differing
 on exactly one wall.  A vertex is an index i into one tuple of codes:
-``X.codes[i]`` is its section's code, so a flip is an XOR and the lookup
-from a code back to its index is one dict.  Codes become text only in
+``X.codes[i]`` is its section's code, so a flip is an XOR, and the dict
+``X.index`` maps a code back to its index.  Codes become text only in
 the JSON form, the DOT labels and witnesses (encode_section).  A k-corner
 is a vertex together with k pairwise crossing walls all flipping
 admissibly there; each corner spans a unique k-cube whose 2^k vertices
@@ -39,7 +39,8 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .errors import BudgetError, CertificateError, InputError
-from .sections import admissible_flips, decode_section, encode_section, is_admissible, principal_section
+# the benchmark's traced pass wraps admissible_flips here
+from .sections import _pointed, admissible_flips, decode_section, encode_section, is_admissible, principal_section
 from .wallspace import WallSpace, _is_int
 
 __all__ = [
@@ -94,8 +95,9 @@ class CubeComplex:
     space's m walls.
     ``cubes[k]`` holds the key ``codes[b] | span << m`` of each k-cube,
     b being its canonical vertex and span its wall mask, in insertion
-    order (a dict with None values).  Treat instances as immutable once
-    attach_cubes has run; the ``codes``, ``edges``, ``adjacency`` and
+    order (a dict with None values).  ``index`` maps each code back to
+    its vertex index.  Treat instances as immutable once attach_cubes
+    has run; the ``codes``, ``index``, ``edges``, ``adjacency`` and
     ``cubes`` attributes are read-only views of the construction.
     """
 
@@ -134,8 +136,8 @@ class CubeComplex:
         except (IndexError, TypeError, ValueError):
             raise InputError(f"vertex {u}: entry {w!r}: {v!r} is not a wall and a vertex index") from None
         self.edges: tuple[tuple[int, int, int], ...] = tuple(sorted(edges))
-        self._index = {c: i for i, c in enumerate(self.codes)}
-        if len(self._index) != len(codes):
+        self.index = {c: i for i, c in enumerate(self.codes)}
+        if len(self.index) != len(codes):
             raise InputError("two vertices share a code")
         self.cubes: dict[int, dict[int, None]] = {}
         self.cubes_attached = False
@@ -149,7 +151,7 @@ class CubeComplex:
         code = self.codes[vi]
         for w in walls:
             code ^= 1 << w
-        return code, self._index.get(code)
+        return code, self.index.get(code)
 
     def index_of(self, v: int) -> int:
         """v, once it is a vertex index; NotInComponent otherwise."""
@@ -286,30 +288,48 @@ def build_component(
     id order, so the construction is deterministic.  Raises
     ComplexityBudgetExceeded when the component outgrows the cap, from
     the clique count before any vertex is visited.
+
+    A queued vertex carries its flips as two masks over the poc set
+    pointed at the base (sections._pointed): add, the far sides it may
+    take, and rem, those it may give back.  A discovery lies one level
+    further from the base than its finder, so it adds a wall w to the
+    set d of walls flipped from the base: rem loses req[w] and gains w;
+    add loses w and inc[w] and gains each x of cov[w] whose req[x] lies
+    in d and whose inc[x] misses it.  O(n*m + V + E + sum_k k*f_k) with
+    one test per cov wall per discovery, where a flip test of every wall
+    at every vertex cost O(V*m).
     """
     cap = resolve_max_vertices(max_vertices)
-    codes = [principal_section(space, base_point)]
+    base = principal_section(space, base_point)
     if _f_count(space, cap) is None:
         raise ComplexityBudgetExceeded(f"component exceeds the vertex cap {cap}")
-    index = {codes[0]: 0}
+    req, inc, cov = _pointed(space, base)
+    codes = [base]
+    index = {base: 0}
     adjacency: list[dict[int, int]] = [{}]
-    queue = deque([0])
+    queue = deque([(0, _span(w for w, r in enumerate(req) if not r), 0)])
     while queue:
-        ui = queue.popleft()
+        ui, add, rem = queue.popleft()
         code = codes[ui]
-        for w in admissible_flips(space, code):
-            t = code ^ 1 << w
+        flips = add | rem
+        while flips:
+            low = flips & -flips
+            flips ^= low
+            w = low.bit_length() - 1
+            t = code ^ low
             vi = index.get(t)
             if vi is None:
                 if len(codes) >= cap:
                     raise ComplexityBudgetExceeded(
                         f"component exceeds the vertex cap {cap}"
                     )
+                d = t ^ base
+                grown = _span(x for x in cov[w] if not (req[x] & ~d or inc[x] & d))
                 vi = len(codes)
                 codes.append(t)
                 index[t] = vi
                 adjacency.append({})
-                queue.append(vi)
+                queue.append((vi, add & ~low & ~inc[w] | grown, rem & ~req[w] | low))
             adjacency[ui][w] = vi
             adjacency[vi][w] = ui
     return CubeComplex(space, 0, codes, adjacency)
@@ -435,7 +455,7 @@ def _check_cubes(X: CubeComplex) -> None:
                         reason = f"its facet over walls {missing} is not registered"
             else:
                 w1, w2 = _walls(span)
-                vi = X._index[code]
+                vi = X.index[code]
                 a, b = adj[vi].get(w1), adj[vi].get(w2)
                 if not cross[w1] >> w2 & 1:
                     reason = "its walls do not cross"
@@ -445,7 +465,7 @@ def _check_cubes(X: CubeComplex) -> None:
                 elif a is None or b is None or w2 not in adj[a] or w1 not in adj[b]:
                     reason = "one of its edges is missing"
             if reason:
-                vi, walls = X._index[code], _walls(span)
+                vi, walls = X.index[code], _walls(span)
                 raise FlagViolation(
                     vi, walls, f"vertex {vi}: the {k}-cube over walls {list(walls)} "
                     f"is not in the complex: {reason}"
@@ -597,7 +617,7 @@ def complex_to_dict(X: CubeComplex) -> dict:
     """The JSON form; each cube key is decoded to [vertex, [walls]],
     sorted by vertex index, then wall tuple.  Cubes with the same span
     share one wall list, so each span is decoded once."""
-    m, index = X.space.wall_count, X._index
+    m, index = X.space.wall_count, X.index
     full = (1 << m) - 1
     vertices = [encode_section(c, m) for c in X.codes]
     walls_of: dict[int, list[int]] = {}

@@ -87,7 +87,7 @@ def cube_pairs(X, registry):
     m = X.space.wall_count
     return {
         key: (
-            X._index[key & (1 << m) - 1],
+            X.index[key & (1 << m) - 1],
             tuple(w for w in range(m) if key >> m + w & 1),
         )
         for key in registry

@@ -3,10 +3,13 @@
 Everything here recomputes results from the raw (point_count, listed
 sides) description with naive enumeration over frozensets.  Package
 outputs are compared against these in the tests; none of the package's
-bitmask or BFS machinery is used.
+bitmask or BFS machinery is used.  The one exception, flip_test_bfs,
+keeps the component BFS that ran a Roller flip test per wall at every
+vertex, as the reference order for the pointed build.
 """
 
 import math
+from collections import deque
 from itertools import combinations, product
 
 
@@ -366,3 +369,30 @@ def orbit_and_stabilizer(point_count, walls, generators, start, word_length):
         ]
         words.extend(word for word, e in level if e == start)
     return orbit, tuple(words)
+
+
+def flip_test_bfs(space, base_point):
+    """(codes, adjacency) of the component BFS that asks
+    sections.admissible_flips for the flips of every vertex: vertices in
+    discovery order, flips in wall id order, V*m flip tests."""
+    from cubulate.sections import admissible_flips, principal_section
+
+    codes = [principal_section(space, base_point)]
+    index = {codes[0]: 0}
+    adjacency = [{}]
+    queue = deque([0])
+    while queue:
+        ui = queue.popleft()
+        code = codes[ui]
+        for w in admissible_flips(space, code):
+            t = code ^ 1 << w
+            vi = index.get(t)
+            if vi is None:
+                vi = len(codes)
+                codes.append(t)
+                index[t] = vi
+                adjacency.append({})
+                queue.append(vi)
+            adjacency[ui][w] = vi
+            adjacency[vi][w] = ui
+    return codes, adjacency

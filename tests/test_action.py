@@ -23,7 +23,8 @@ from cubulate import (
     principal_section,
     validate_generator,
 )
-from cubulate.cubing import CubeComplex
+from cubulate import action
+from cubulate.cubing import CubeComplex, complex_from_dict, complex_to_dict
 from cubulate.families import gen_crossing, gen_nested
 
 import oracles
@@ -280,6 +281,69 @@ def test_check_equivariance_needs_no_bfs_and_no_wall_distance(monkeypatch):
     monkeypatch.setattr(WallSpace, "wall_distance", forbidden)
     for sp, X, g in built:
         assert check_equivariance(sp, X, g)["vertices"] == len(X.codes)
+
+
+def _per_vertex_map(X, gen):
+    """The vertex map with every image computed bit by bit, the witness
+    being the first vertex whose image is not a vertex."""
+    m = X.space.wall_count
+    gv = [X.index.get(action._image_code(gen, c, m)) for c in X.codes]
+    if None in gv:
+        raise EquivarianceViolation(f"{gen.name}: image of vertex {gv.index(None)} leaves the component")
+    return gv
+
+
+def _shuffled_complex(space, X, rng, drop=None):
+    """X reloaded from its JSON form with the vertex list shuffled, so
+    not in BFS order; with drop, that vertex, its edges and every cube
+    are left out first."""
+    data = complex_to_dict(X)
+    order = [v for v in range(len(X.codes)) if v != drop]
+    rng.shuffle(order)
+    pos = {v: i for i, v in enumerate(order)}
+    data["vertices"] = [data["vertices"][v] for v in order]
+    data["edges"] = [[pos[u], pos[v], w] for u, v, w in data["edges"] if drop not in (u, v)]
+    if drop is None:
+        data["cubes"] = {k: [[pos[b], walls] for b, walls in cubes] for k, cubes in data["cubes"].items()}
+    else:
+        data["cubes"] = {}
+    return complex_from_dict(space, data)
+
+
+def _outcomes(space, Y, gens, start):
+    """What check_equivariance gives for each generator and what
+    orbit_and_stabilizer gives for all of them: a value or a message."""
+    out = []
+    for call in [lambda g=g: check_equivariance(space, Y, g) for g in gens] + [
+        lambda: orbit_and_stabilizer(space, Y, gens, start)
+    ]:
+        try:
+            out.append(call())
+        except EquivarianceViolation as exc:
+            out.append(str(exc))
+    return out
+
+
+def test_vertex_map_of_a_shuffled_vertex_list_matches_the_per_vertex_map(monkeypatch):
+    rng = random.Random(11)
+    roots = leaving = 0
+    for space, gens in orbit_cases():
+        X = build_complex(space)
+        gv = _per_vertex_map(X, gens[0])
+        moved = next(v for v in range(len(gv)) if gv[v] != v)
+        for drop in (None, gv[moved]):
+            Y = _shuffled_complex(space, X, rng, drop)
+            start = Y.index[X.codes[X.base]]
+            roots += sum(min(a.values(), default=v) >= v for v, a in enumerate(Y.adjacency))
+            carried = _outcomes(space, Y, gens, start)
+            with monkeypatch.context() as patch:
+                patch.setattr(action, "_vertex_map", _per_vertex_map)
+                assert carried == _outcomes(space, Y, gens, start)
+            leaving += isinstance(carried[0], str)
+    # vertex 0 is a root of every complex; the shuffles make others, and
+    # every dropped vertex makes the first generator leave
+    assert roots > 2 * len(orbit_cases())
+    assert leaving == len(orbit_cases())
 
 
 def test_corner_count_matches_enumerated_corners():

@@ -221,7 +221,7 @@ def test_flag_certificate_matches_link_search(raw, pick):
                 lambda: cubing._search_links(Y), lambda: cubing._check_cubes(Y)
             )
             canonical = [
-                (encodings[Y._index[c & full]], cubing._walls(c >> m))
+                (encodings[Y.index[c & full]], cubing._walls(c >> m))
                 for registry in Y.cubes.values()
                 for c in registry
                 if not c & c >> m  # the code chooses listed sides on the span
@@ -243,7 +243,7 @@ def test_distance_table_matches_oracle(raw, cut):
     n, walls = raw
     sp = WallSpace(n, walls)
     X = build_complex(sp)
-    sources = sorted({X._index[principal_section(sp, p)] for p in range(n)})
+    sources = sorted({X.index[principal_section(sp, p)] for p in range(n)})
     data = complex_to_dict(X)
     k = cut % len(data["edges"])
     a, b, _ = data["edges"][k]

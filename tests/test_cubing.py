@@ -4,6 +4,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubulate import (
     ComplexityBudgetExceeded,
@@ -27,7 +29,7 @@ from cubulate import (
     encode_section,
     to_dot,
 )
-from cubulate import cubing
+from cubulate import cubing, sections
 from cubulate.families import gen_crossing, gen_nested, gen_tree, triangle_lattice
 
 import oracles
@@ -75,7 +77,7 @@ def test_component_equals_brute_force_sections():
         got_edges = {(min(u, v), max(u, v)) for u, v, _ in X.edges}
         want_edges = set()
         for a, b in oracles.edges_among(expect):
-            i, j = (X._index[decode_section(t, sp.wall_count)] for t in (a, b))
+            i, j = (X.index[decode_section(t, sp.wall_count)] for t in (a, b))
             want_edges.add((min(i, j), max(i, j)))
         assert got_edges == want_edges, name
 
@@ -104,11 +106,12 @@ def test_vertex_budget():
 
 
 def test_vertex_budget_is_applied_to_the_clique_count_first(monkeypatch):
-    # the count refuses crossing(3) under a cap of 4 before the BFS starts
+    # the count refuses crossing(3) under a cap of 4 before the BFS reads
+    # its pointed masks, the first thing it computes
     def no_bfs(*args):
         raise AssertionError("the BFS ran")
 
-    monkeypatch.setattr(cubing, "admissible_flips", no_bfs)
+    monkeypatch.setattr(cubing, "_pointed", no_bfs)
     with pytest.raises(ComplexityBudgetExceeded, match="^component exceeds the vertex cap 4$"):
         build_component(gen_crossing(3), max_vertices=4)
     # and the BFS keeps its own guard when the count is not there to stop it
@@ -116,6 +119,56 @@ def test_vertex_budget_is_applied_to_the_clique_count_first(monkeypatch):
     monkeypatch.setattr(cubing, "_f_count", lambda space, limit: (1,))
     with pytest.raises(ComplexityBudgetExceeded, match="^component exceeds the vertex cap 4$"):
         build_component(gen_crossing(3), max_vertices=4)
+
+
+def _reordered(space, order):
+    """The space with its walls in the given order of wall ids."""
+    return WallSpace(space.point_count, [list(space.points_in(2 * w)) for w in order])
+
+
+def _assert_build_matches_oracle(space, base_point):
+    X = build_component(space, base_point)
+    codes, adjacency = oracles.flip_test_bfs(space, base_point)
+    assert list(X.codes) == codes
+    # same maps with the same insertion order
+    assert [list(a.items()) for a in X.adjacency] == [list(a.items()) for a in adjacency]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.integers(2, 8), st.integers(1, 7), st.integers(0, 1 << 32))
+def test_build_matches_the_flip_test_bfs(n, m, seed):
+    rng = random.Random(seed)
+    space = random_wall_space(rng, point_count=n, wall_count=min(m, 2 ** (n - 1) - 1))
+    shuffled = list(space.walls())
+    rng.shuffle(shuffled)
+    for order in (space.walls(), reversed(space.walls()), shuffled):
+        reordered = _reordered(space, order)
+        for p in space.points():
+            _assert_build_matches_oracle(reordered, p)
+
+
+def test_build_matches_the_flip_test_bfs_on_reordered_families():
+    nested = gen_nested(60)
+    _assert_build_matches_oracle(_reordered(nested, reversed(nested.walls())), 0)
+    _assert_build_matches_oracle(_reordered(nested, reversed(nested.walls())), 30)
+    tree = gen_tree(2, 4)
+    shuffled = list(tree.walls())
+    random.Random(5).shuffle(shuffled)
+    for p in (0, 7, 15):
+        _assert_build_matches_oracle(_reordered(tree, shuffled), p)
+
+
+def test_build_runs_no_flip_test(monkeypatch):
+    tl = triangle_lattice(2)
+    cases = [(gen_crossing(4), 3), (gen_nested(6), 2), (gen_tree(3, 2), 4), (tl.space, tl.base_point)]
+    expected = [oracles.flip_test_bfs(space, p)[0] for space, p in cases]
+
+    def forbidden(*args):
+        raise AssertionError("build_component ran a flip test")
+
+    monkeypatch.setattr(cubing, "admissible_flips", forbidden)
+    monkeypatch.setattr(sections, "admissible_flips", forbidden)
+    assert [list(build_component(space, p).codes) for space, p in cases] == expected
 
 
 @pytest.mark.parametrize("cap", [0, -1, True, 4.0, "8"])
@@ -170,7 +223,7 @@ def test_cube_faces_are_registered():
                         for bits in itertools.product((0, 1), repeat=len(fixed)):
                             on = [w for w, t in zip(fixed, bits) if t]
                             code = X.codes[b] ^ sum(1 << w for w in on)
-                            fb = X._index[code]
+                            fb = X.index[code]
                             assert (fb, sub) in pairs[size]
 
 
@@ -424,7 +477,7 @@ def test_count_falls_back_on_a_small_complex_over_many_crossing_walls():
 def test_graph_distance():
     cube = gen_crossing(3)
     X = build_complex(cube)
-    anti = X._index[0b111]
+    anti = X.index[0b111]
     assert X.distance_table([X.base, anti]) == [[0, 3], [3, 0]]
     vertices = range(len(X.codes))
     table = X.distance_table(vertices)

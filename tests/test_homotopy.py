@@ -42,7 +42,7 @@ def square_loop(X):
 def test_edge_loop_accepts_sections_and_indices():
     X = square_complex()
     ring = ["00", "10", "11", "01", "00"]
-    by_enc = EdgeLoop(X, [X._index[decode_section(t, 2)] for t in ring])
+    by_enc = EdgeLoop(X, [X.index[decode_section(t, 2)] for t in ring])
     assert by_enc.indices == (0, 1, 3, 2, 0)
     steps = zip(by_enc.indices, by_enc.indices[1:])
     assert [X.edge_wall(a, b) for a, b in steps] == [0, 1, 0, 1]
@@ -173,13 +173,13 @@ def test_contraction_stuck_on_a_hexagon():
     new = {old: i for i, old in enumerate(keep)}
     hexagon = CubeComplex(
         X.space,
-        new[X._index[decode_section("100", 3)]],
+        new[X.index[decode_section("100", 3)]],
         [X.codes[i] for i in keep],
         [{w: new[j] for w, j in X.adjacency[i].items() if j in new} for i in keep],
     )
     assert len(hexagon.edges) == 6
     ring = ["100", "110", "010", "011", "001", "101", "100"]
-    loop = EdgeLoop(hexagon, [hexagon._index[decode_section(t, 3)] for t in ring])
+    loop = EdgeLoop(hexagon, [hexagon.index[decode_section(t, 3)] for t in ring])
     with pytest.raises(ContractionStuck) as info:
         contract_loop(loop)
     assert str(info.value) == "opposite corner 000 is not a vertex"
