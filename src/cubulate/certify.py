@@ -4,8 +4,8 @@ Each suite either returns a small summary dict (suitable for JSON
 reports) or raises a CertificateError carrying a concrete witness.
 Random suites draw from streams derived from a caller-supplied seed so
 reports are reproducible.  The metric suite makes no traversal: it
-certifies the metric by one descent test per vertex, and sweeps the
-complex only to find a witness after that test fails.  The loop suites
+certifies the metric by one descent test per vertex, and the first
+vertex that fails it is the witness.  The loop suites
 share the complex's cached BFS tree at the base.  The parity
 suite reports its loops but checks nothing further: edge validation
 already implies what it would count.
@@ -63,12 +63,11 @@ def check_metric_correspondence(space: WallSpace, X: CubeComplex) -> dict:
     signatures, for every pair; the argument needs no connectivity, so
     a complex whose principal vertices are not connected fails.
 
-    O(V + E) ANDs of n-bit ints for n points.  Only on failure does the
-    multi-source sweep (_sweep_witness) run, for a pair witness; when it
-    finds no pair, the witness is the first failing u and the principal
-    vertex of the lowest point in its AND outside own[u].  A point whose
-    principal section is not a vertex at all is the witness before any
-    of that.
+    O(V + E) ANDs of n-bit ints for n points.  The witness of a failure
+    is the first failing u and the principal vertex of the lowest point
+    in its AND outside own[u], which no edge at u brings closer.  A
+    point whose principal section is not a vertex at all is the witness
+    before any of that.
     """
     vertex_of = []
     for p in space.points():
@@ -89,7 +88,6 @@ def check_metric_correspondence(space: WallSpace, X: CubeComplex) -> dict:
         for w in a:
             agree &= masks[2 * w | (code >> w & 1)]
         if agree != own[u]:
-            _sweep_witness(space, X, vertex_of)
             stray = agree & ~own[u]
             q = (stray & -stray).bit_length() - 1
             v = vertex_of[q]
@@ -104,33 +102,6 @@ def check_metric_correspondence(space: WallSpace, X: CubeComplex) -> dict:
         "pairs": n * (n - 1) // 2,
         "principal_vertices": len(set(vertex_of)),
     }
-
-
-def _sweep_witness(space: WallSpace, X: CubeComplex, vertex_of: list[int]) -> None:
-    """Raise MetricMismatch for the first pair of points, in order, whose
-    wall distance differs from the edge-path distance of their principal
-    vertices; return when there is none.
-
-    Pairs of wall-equivalent points share a principal vertex, so the
-    distances among the distinct principal vertices cover all pairs; one
-    multi-source sweep (CubeComplex.distance_table) finds them all.
-    """
-    sources = sorted(set(vertex_of))
-    slot = {v: i for i, v in enumerate(sources)}
-    table = X.distance_table(sources)
-    slot_of = [slot[v] for v in vertex_of]
-    sigs = space._signatures
-    n = space.point_count
-    for p in range(n):
-        sig, row = sigs[p], table[slot_of[p]]
-        for q in range(p + 1, n):
-            expected = (sig ^ sigs[q]).bit_count()
-            actual = row[slot_of[q]]
-            if actual != expected:
-                raise MetricMismatch(
-                    f"points {p} and {q} are separated by {expected} walls but "
-                    f"their principal vertices are {actual} edges apart"
-                )
 
 
 def parity_suite(X: CubeComplex, seed: int, runs: int = 100) -> dict:

@@ -25,8 +25,10 @@ Cliques of walls are enumerated as spans (_cliques).  Spans are decoded
 to wall tuples only at the boundaries: the JSON form and witnesses
 (_walls).  The cliques of the crossing graph also count the complex
 before it is built (_f_count): the vertex cap is applied to that count,
-and check_flag certifies a complex by comparing its f-vector with it,
-searching the vertex links only to name a witness.
+and check_flag certifies a complex by comparing its f-vector with it.
+A complex that fails that comparison is checked vertex by vertex with
+the same enumerator that attaches the cubes (_missing_cube), which
+names the first cube it lacks.
 
 Everything is deterministic: vertices are indexed in BFS discovery
 order from the base with neighbour walls visited in id order.
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 from collections import deque
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetError, CertificateError, InputError
 # the benchmark's traced pass wraps admissible_flips here
@@ -67,9 +69,9 @@ class ComplexityBudgetExceeded(BudgetError):
 
 
 class FlagViolation(CertificateError):
-    """A clique of squares in a vertex link spans no registered cube, or
-    a registered cube is not in the complex; the witness cube is decoded
-    to its vertex index and wall tuple."""
+    """Pairwise crossing walls labelling edges at a vertex span no
+    registered cube, or a registered cube is not in the complex; the
+    witness cube is decoded to its vertex index and wall tuple."""
 
     def __init__(self, vertex: int, walls: tuple[int, ...], message: str):
         super().__init__(message)
@@ -206,54 +208,6 @@ class CubeComplex:
             self._last_tree = (start, tuple(dist), tuple(parent))
         return self._last_tree[1], self._last_tree[2]
 
-    def distance_table(self, sources: Sequence[int]) -> list[list[int]]:
-        """Edge-path distances among distinct vertex indices:
-        ``table[j][i]`` is the distance from sources[i] to sources[j], -1
-        when they are not connected.  The metric suite calls it only
-        after its descent test fails, to name a pair of points whose
-        distances differ.
-
-        One BFS sweep from all sources together.  Each vertex holds an
-        int whose bit i is set once source i has reached it; a level
-        pushes each vertex's new bits to its neighbours, and each
-        neighbour keeps the bits it has not yet seen.  A source's level
-        is recorded only when it reaches another source, so the sweep
-        costs O(diameter * (V + E)) big-int operations plus P^2
-        recordings.
-        """
-        sources = [self.index_of(s) for s in sources]
-        slot = {v: j for j, v in enumerate(sources)}
-        if len(slot) != len(sources):
-            raise InputError("distance_table needs distinct vertices")
-        table = [[-1] * len(sources) for _ in sources]
-        seen = [0] * len(self.codes)
-        frontier: dict[int, int] = {}
-        for i, v in enumerate(sources):
-            seen[v] = frontier[v] = 1 << i
-        adj = self.adjacency
-        level = 0
-        while frontier:
-            for v, bits in frontier.items():
-                j = slot.get(v)
-                if j is not None:
-                    row = table[j]
-                    while bits:
-                        low = bits & -bits
-                        row[low.bit_length() - 1] = level
-                        bits ^= low
-            reached: dict[int, int] = {}
-            for u, bits in frontier.items():
-                for v in adj[u].values():
-                    reached[v] = reached.get(v, 0) | bits
-            frontier = {}
-            for v, bits in reached.items():
-                bits &= ~seen[v]
-                if bits:
-                    seen[v] |= bits
-                    frontier[v] = bits
-            level += 1
-        return table
-
     def f_vector(self) -> tuple[int, ...]:
         """(vertices, edges, squares, 3-cubes, ...) up to the dimension."""
         counts = [len(self.codes), len(self.edges)]
@@ -353,44 +307,31 @@ def _walls(span: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _cliques(
-    cands: int, link: Sequence[int], min_size: int, limit: int | None = None
-) -> list[int] | None:
+def _cliques(cands: int, link: Sequence[int], min_size: int) -> Iterator[int]:
     """The span of every clique with at least min_size members among the
     candidate walls (a mask) in the graph whose neighbourhoods are the
-    masks link[w], in lexicographic order of the sorted wall tuples.
+    masks link[w], lazily, in lexicographic order of the sorted wall
+    tuples, so each clique comes before its extensions.
 
     Each step takes the lowest remaining candidate w, narrows the rest to
     rest & link[w] and carries the span down, so a clique costs O(1) int
-    operations on top of the one it extends.
-
-    With a limit (and min_size 1), None as soon as the graph shows more
-    than limit cliques: limit + 1 spans, or a clique of more than
-    limit.bit_length() walls, whose subsets alone are more.  So it makes
-    O(limit) steps and recurses at most that bit length deep.
+    operations on top of the one it extends, and link[w] is read after
+    the clique ending in w is yielded, so a caller that stops at a
+    clique reads nothing beyond it.
     """
-    out: list[int] = []
-    if limit is None:  # no clique has more walls than cands has bits
-        depth = cands.bit_length()
-        limit = 1 << depth
-    else:
-        depth = limit.bit_length()
 
-    def grow(span: int, size: int, rest: int) -> bool:
+    def grow(span: int, size: int, rest: int) -> Iterator[int]:
         while rest:
             low = rest & -rest
             rest ^= low
             nxt = span | low
             if size >= min_size:
-                out.append(nxt)
+                yield nxt
             compatible = rest & link[low.bit_length() - 1]
-            if compatible and (
-                size >= depth or len(out) > limit or not grow(nxt, size + 1, compatible)
-            ):
-                return False
-        return True
+            if compatible:
+                yield from grow(nxt, size + 1, compatible)
 
-    return out if grow(0, 1, cands) and len(out) <= limit else None
+    return grow(0, 1, cands)
 
 
 def _f_count(space: WallSpace, limit: int) -> tuple[int, ...] | None:
@@ -408,12 +349,16 @@ def _f_count(space: WallSpace, limit: int) -> tuple[int, ...] | None:
     """
     f = space._f_counted
     if f is None:
-        spans = _cliques((1 << space.wall_count) - 1, space._crossing_masks, 1, limit - 1)
-        if spans is None:
-            return None
-        c = [1] + [0] * space.wall_count
-        for span in spans:
-            c[span.bit_count()] += 1
+        # limit nonempty cliques, or one of more than depth walls (whose
+        # nonempty subsets alone number limit or more), mean more than
+        # limit vertices: O(limit) steps at most depth levels deep
+        c, depth = [1] + [0] * space.wall_count, (limit - 1).bit_length()
+        spans = _cliques((1 << space.wall_count) - 1, space._crossing_masks, 1)
+        for n, span in enumerate(spans, 1):
+            size = span.bit_count()
+            if n >= limit or size > depth:
+                return None
+            c[size] += 1
         while not c[-1]:
             c.pop()
         f = space._f_counted = tuple(
@@ -546,39 +491,32 @@ def _certified(X: CubeComplex) -> bool:
                 return False
     try:
         _check_cubes(X)
-    except FlagViolation:  # check_flag searches the links first, for its witness
+    except FlagViolation:  # check_flag looks for a missing cube first, for its witness
         return False
     return True
 
 
-def _search_links(X: CubeComplex) -> None:
-    """Raise FlagViolation at the first clique of squares in a vertex
-    link that spans no registered cube.
+def _missing_cube(X: CubeComplex) -> None:
+    """Raise FlagViolation at the first vertex, in index order, with a set
+    of two or more pairwise crossing walls labelling edges at it whose
+    cube through it is not registered, the first such set in
+    lexicographic order.
 
-    In each link, join two incident walls when the square they span at
-    the vertex is registered; every clique of that graph must then carry
-    a registered cube, which costs one test per corner (sum_k 2^k f_k
-    corners in all).
+    In the dual complex every such set spans a cube (Roller's criterion,
+    see attach_cubes).  _cliques gives each set before its extensions,
+    so the walk stops at the first miss and extends registered cubes
+    only: O(V + E) steps plus one registry lookup per corner that X
+    registers.
     """
     m, cubes = X.space.wall_count, X.cubes
-    by_size = [cubes.get(k, {}) for k in range(m + 1)]
-    squares = cubes.get(2, {})
     for vi, code in enumerate(X.codes):
-        incident = sorted(X.adjacency[vi])
-        link = [0] * m
-        for i, w1 in enumerate(incident):
-            for w2 in incident[i + 1 :]:
-                s = 1 << w1 | 1 << w2
-                if (code & ~s | s << m) in squares:
-                    link[w1] |= 1 << w2
-                    link[w2] |= 1 << w1
-        for span in _cliques(_span(incident), link, 3):
-            if (code & ~span | span << m) not in by_size[span.bit_count()]:
+        for span in _cliques(_span(X.adjacency[vi]), X.space._crossing_masks, 2):
+            if (code & ~span | span << m) not in cubes.get(span.bit_count(), ()):
                 walls = _walls(span)
                 raise FlagViolation(
                     vi,
                     walls,
-                    f"vertex {vi}: walls {list(walls)} span pairwise squares "
+                    f"vertex {vi}: walls {list(walls)} cross and label edges at it, "
                     f"but no {len(walls)}-cube is registered",
                 )
 
@@ -593,19 +531,22 @@ def check_flag(X: CubeComplex) -> bool:
     is CAT(0), so by Gromov's link condition every link is flag.  Its
     f-vector is compared with the count from the crossing graph
     (Brešar, Klavžar and Škrekovski, 2003; see _f_count), which is
-    O(V + E + sum_k k^2 f_k) in all, and no link is searched.
+    O(V + E + sum_k k^2 f_k) in all, and _missing_cube does not run.
 
-    Any other complex gets the link search (_search_links), whose
-    cliques each cost one registry lookup, then _check_cubes; facet
-    closure alone is weaker than the flag condition (three squares at a
-    corner with no far vertex pass it).  So the search runs only to name
-    a witness.  Works on externally supplied complexes, so a missing,
-    forged or misplaced cube is detected and reported with a witness.
+    Any other complex must register, at every vertex, the cube spanned
+    by every set of pairwise crossing walls labelling edges there, as
+    the dual complex does (_missing_cube), and must carry every cube it
+    registers (_check_cubes).  That implies flag links: edges at a
+    vertex whose squares there are registered have pairwise crossing
+    walls (_check_cubes), so their cube is registered too.  It asks
+    more than flag links, which crossing(2) without its square has.
+    Works on externally supplied complexes, so a missing, forged or
+    misplaced cube is detected and reported with a witness.
     """
     if not X.cubes_attached:
         raise InputError("attach cubes before checking the flag condition")
     if not _certified(X):
-        _search_links(X)
+        _missing_cube(X)
         _check_cubes(X)
     return True
 

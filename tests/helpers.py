@@ -1,13 +1,17 @@
 """Shared fixtures: the shipped example registry, a seeded random
-wall-space generator for property checks, a forged complex, the
+wall-space generator for property checks, forged complexes, the
 decoding of a cube registry and of its corners, the verdict of a chain
-of flag checks, and an independent count of a loop's wall flips."""
+of flag checks and the one the oracles expect, and an independent count
+of a loop's wall flips."""
 
 from collections import Counter
 from itertools import combinations
 
 from cubulate import FlagViolation, WallSpace, encode_section, validate_generator
+from cubulate import cubing
 from cubulate.families import gen_crossing, gen_nested, gen_tree, triangle_lattice
+
+import oracles
 
 
 def shipped_examples():
@@ -80,6 +84,37 @@ def forge_nested3_cubes(data):
     }
 
 
+def forged_star(m):
+    """A space of m pairwise crossing walls and a complex file that has
+    every square at its base but no 3-cube.
+
+    The points are 0, e_i and e_i + e_j as ints; wall w holds the points
+    with coordinate w zero on its listed side, so all four quadrants of
+    two walls are filled and a point's principal code is the point.  The
+    file's vertices are the points, its edges join codes one bit apart
+    and its squares are the C(m, 2) at vertex 0: the dual complex's star
+    of the base with the cubes of 3 or more walls left out."""
+    points = [0] + [1 << i for i in range(m)]
+    points += [1 << i | 1 << j for i, j in combinations(range(m), 2)]
+    space = WallSpace(len(points), [[p for p, x in enumerate(points) if not x >> w & 1]
+                                    for w in range(m)])
+    index = {x: p for p, x in enumerate(points)}
+    edges = sorted(
+        sorted((index[x], index[x ^ 1 << w])) + [w]
+        for x in points
+        for w in range(m)
+        if x >> w & 1 and x ^ 1 << w in index
+    )
+    data = {
+        "walls": m,
+        "base": encode_section(0, m),
+        "vertices": [encode_section(x, m) for x in points],
+        "edges": edges,
+        "cubes": {"2": [[0, list(pair)] for pair in combinations(range(m), 2)]},
+    }
+    return space, data
+
+
 def cube_pairs(X, registry):
     """The (vertex index, sorted wall tuple) pair of each int key
     ``code | span << m`` of a cube registry of X, keyed by that key in
@@ -120,6 +155,36 @@ def flag_verdict(*checks):
     except FlagViolation as exc:
         return str(exc)
     return None
+
+
+def oracle_flag_verdicts(X):
+    """For a complex that the certificate refuses, the witness text that
+    check_flag must give, from the oracles, and whether its links fail
+    the flag condition.
+
+    The witness is the first corner that oracles.corner_violations names,
+    over the cubes registered at their canonical vertices (the only
+    keys the package looks up), else _check_cubes' verdict.  The links
+    are those of oracles.flag_violations over the same cubes."""
+    m = X.space.wall_count
+    encodings = [encode_section(c, m) for c in X.codes]
+    canonical = [
+        (encodings[vi], walls)
+        for registry in X.cubes.values()
+        for key, (vi, walls) in cube_pairs(X, registry).items()
+        if not key & key >> m  # the code chooses the listed side of each wall
+    ]
+    walls = [list(X.space.points_in(2 * w)) for w in range(m)]
+    corners = oracles.corner_violations(X.space.point_count, walls, encodings, canonical)
+    if corners:
+        vi, S = corners[0]
+        witness = (
+            f"vertex {vi}: walls {list(S)} cross and label edges at it, "
+            f"but no {len(S)}-cube is registered"
+        )
+    else:
+        witness = flag_verdict(lambda: cubing._check_cubes(X))
+    return witness, bool(oracles.flag_violations(set(encodings), canonical))
 
 
 def drop_edge(data, index=0):

@@ -299,21 +299,51 @@ def flag_violations(encodings, cubes):
     three or more pairwise joined points must span one of the cubes.
     Returns the (encoding, sorted walls) sets that do not, sorted.
     """
-    def cube(e, walls):
-        chars = list(e)
-        for i in walls:
-            chars[i] = "0"
-        return "".join(chars), frozenset(walls)
-
-    present = {cube(e, S) for e, S in cubes}
+    present = {_cube(e, S) for e, S in cubes}
     violations = []
     for e in sorted(encodings):
         points = [i for i in range(len(e)) if _flipped(e, i) in encodings]
-        joined = {pair for pair in combinations(points, 2) if cube(e, pair) in present}
+        joined = {pair for pair in combinations(points, 2) if _cube(e, pair) in present}
         for k in range(3, len(points) + 1):
             for S in combinations(points, k):
-                if all(pair in joined for pair in combinations(S, 2)) and cube(e, S) not in present:
+                if all(pair in joined for pair in combinations(S, 2)) and _cube(e, S) not in present:
                     violations.append((e, S))
+    return violations
+
+
+def _cube(e, walls):
+    """The cube through encoding e over the walls, as (its vertex with a
+    0 on each of the walls, frozenset of the walls)."""
+    chars = list(e)
+    for i in walls:
+        chars[i] = "0"
+    return "".join(chars), frozenset(walls)
+
+
+def corner_violations(point_count, walls, encodings, cubes):
+    """Every corner whose cube is not among the given ones.
+
+    ``encodings`` lists the vertices in index order and ``cubes`` holds
+    (encoding, walls) pairs as in flag_violations.  Vertex by vertex,
+    every set of two or more pairwise crossing walls that flip the
+    encoding to another encoding spans a cube of the dual complex
+    through it; returns (vertex index, sorted walls) for each set whose
+    cube is missing, in lexicographic order of the walls per vertex.
+    """
+    present = {_cube(e, S) for e, S in cubes}
+    members = set(encodings)
+    crossing = {
+        pair for pair in combinations(range(len(walls)), 2) if walls_cross(point_count, walls, *pair)
+    }
+    violations = []
+    for i, e in enumerate(encodings):
+        points = [w for w in range(len(walls)) if _flipped(e, w) in members]
+        violations += sorted(
+            (i, S)
+            for k in range(2, len(points) + 1)
+            for S in combinations(points, k)
+            if all(pair in crossing for pair in combinations(S, 2)) and _cube(e, S) not in present
+        )
     return violations
 
 

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubulate import (
-    FlagViolation,
     MetricMismatch,
     WallSpace,
     admissible_flips,
@@ -35,7 +34,7 @@ from cubulate import cubing
 from cubulate.cli import _complex_text
 
 import oracles
-from helpers import cube_pairs, drop_edge, flag_verdict, registry_corners
+from helpers import drop_edge, flag_verdict, oracle_flag_verdicts, registry_corners
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=80)
 
@@ -146,41 +145,24 @@ def test_complex_writer_matches_json_dumps(raw):
         assert _complex_text(d) == json.dumps(d, indent=2) + "\n"
 
 
-def _inside(small, big):
-    """Whether the cube (encoding, walls) small is a face of big."""
-    (e, S), (f, T) = small, big
-    return set(S) < set(T) and all(e[i] == f[i] for i in range(len(e)) if i not in T)
-
-
 # each example runs the brute-force oracle once per registered cube
 @settings(SETTINGS, max_examples=40)
 @given(wall_spaces())
 def test_check_flag_matches_flag_oracle(raw):
     """check_flag passes the built complex; without any one registered
-    cube it fails exactly when a link stops being flag (the oracle) or
-    the cube was a face of a registered cube (facet closure)."""
+    cube it fails with the oracles' witness, the dropped cube at its
+    canonical vertex or a corner found before it, whether or not a link
+    stops being flag (flag_violations)."""
     n, walls = raw
     X = build_complex(WallSpace(n, walls))
-    encodings = [encode_section(c, X.space.wall_count) for c in X.codes]
-    registered = {
-        key: (encodings[b], walls)
-        for k in X.cubes
-        for key, (b, walls) in cube_pairs(X, X.cubes[k]).items()
-    }
     assert check_flag(X)
-    assert oracles.flag_violations(set(encodings), registered.values()) == []
-    for dropped, as_text in registered.items():
-        rest = [c for c in registered.values() if c != as_text]
-        expect = bool(oracles.flag_violations(set(encodings), rest)) or any(
-            _inside(as_text, c) for c in rest
-        )
+    assert oracle_flag_verdicts(X) == (None, False)
+    for dropped in (key for registry in X.cubes.values() for key in registry):
         Y = copy.copy(X)
         Y.cubes = {k: {c: None for c in X.cubes[k] if c != dropped} for k in X.cubes}
-        if expect:
-            with pytest.raises(FlagViolation):
-                check_flag(Y)
-        else:
-            assert check_flag(Y)
+        witness, _ = oracle_flag_verdicts(Y)
+        assert witness is not None
+        assert flag_verdict(lambda: check_flag(Y)) == witness
 
 
 # each example runs the brute-force oracle four times per base point
@@ -191,12 +173,12 @@ def test_flag_certificate_matches_link_search(raw, pick):
     and its reloaded file.  With one drawn cube (any, then a top one)
     dropped, or its key moved to another vertex of the cube (the counts
     still match), the certificate refuses it and check_flag gives the
-    verdict and witness of the link search followed by _check_cubes.  The search fails where
-    the brute-force oracle finds a link that is not flag, over the
-    cubes registered at their canonical vertices, and nowhere else."""
+    oracles' witness: the first corner whose cube is not registered at
+    its canonical vertex, else _check_cubes' witness.  It fails wherever
+    the brute-force oracle finds a link that is not flag."""
     n, walls = raw
     sp = WallSpace(n, walls)
-    m, full = sp.wall_count, (1 << sp.wall_count) - 1
+    m = sp.wall_count
     for base in range(n):
         X = build_complex(sp, base_point=base)
         assert cubing._certified(X)
@@ -205,7 +187,6 @@ def test_flag_certificate_matches_link_search(raw, pick):
         if not keys:
             continue
         top = list(X.cubes[max(X.cubes)])  # a top cube's loss shows in a link
-        encodings = [encode_section(c, X.space.wall_count) for c in X.codes]
         for key, twinned in product((keys[pick % len(keys)], top[pick % len(top)]), (0, 1)):
             span_walls = cubing._walls(key >> m)
             twin = key ^ 1 << span_walls[pick // len(keys) % len(span_walls)]
@@ -217,45 +198,10 @@ def test_flag_certificate_matches_link_search(raw, pick):
             }
             Y.cubes = {k: registry for k, registry in Y.cubes.items() if registry}
             assert not cubing._certified(Y)
-            assert flag_verdict(lambda: check_flag(Y)) == flag_verdict(
-                lambda: cubing._search_links(Y), lambda: cubing._check_cubes(Y)
-            )
-            canonical = [
-                (encodings[Y.index[c & full]], cubing._walls(c >> m))
-                for registry in Y.cubes.values()
-                for c in registry
-                if not c & c >> m  # the code chooses listed sides on the span
-            ]
-            violations = oracles.flag_violations(set(encodings), canonical)
-            try:
-                cubing._search_links(Y)
-            except FlagViolation as exc:
-                assert (encodings[exc.vertex], exc.walls) in violations
-            else:
-                assert violations == []
-
-
-@SETTINGS
-@given(wall_spaces(), st.integers(0, 63))
-def test_distance_table_matches_oracle(raw, cut):
-    """Distances among principal vertices, on the complex and on it with
-    one edge dropped (which may disconnect it: -1 there)."""
-    n, walls = raw
-    sp = WallSpace(n, walls)
-    X = build_complex(sp)
-    sources = sorted({X.index[principal_section(sp, p)] for p in range(n)})
-    data = complex_to_dict(X)
-    k = cut % len(data["edges"])
-    a, b, _ = data["edges"][k]
-    encodings = [encode_section(c, X.space.wall_count) for c in X.codes]
-    for Y, dropped in (
-        (X, ()),
-        (complex_from_dict(sp, drop_edge(data, k)), {frozenset((encodings[a], encodings[b]))}),
-    ):
-        table = Y.distance_table(sources)
-        for i, u in enumerate(sources):
-            dist = oracles.graph_distances(encodings, encodings[u], dropped)
-            assert [row[i] for row in table] == [dist.get(encodings[v], -1) for v in sources]
+            verdict = flag_verdict(lambda: check_flag(Y))
+            witness, links_not_flag = oracle_flag_verdicts(Y)
+            assert verdict == witness
+            assert verdict is not None or not links_not_flag
 
 
 @SETTINGS
@@ -263,8 +209,9 @@ def test_distance_table_matches_oracle(raw, cut):
 def test_metric_suite_matches_oracle(raw, cut):
     """From every base, the metric suite passes the built complex.  With
     one edge dropped, it passes only when the all-pairs BFS oracle finds
-    every pair of points at its wall distance, and it fails whenever the
-    oracle finds a mismatch, naming the oracle's first mismatched pair."""
+    every pair of points at its wall distance, and whenever it fails it
+    names a vertex: a dropped edge can leave every principal pair at its
+    distance and break descent elsewhere."""
     n, walls = raw
     sp = WallSpace(n, walls)
     for base in range(n):
@@ -277,22 +224,12 @@ def test_metric_suite_matches_oracle(raw, cut):
         dropped = {frozenset((encodings[a], encodings[b]))}
         mismatches = oracles.metric_mismatches(n, walls, encodings, dropped)
         Y = complex_from_dict(sp, drop_edge(data, k))
-        if mismatches:
-            p, q, expect, actual = mismatches[0]
-            with pytest.raises(MetricMismatch) as info:
-                check_metric_correspondence(sp, Y)
-            assert str(info.value) == (
-                f"points {p} and {q} are separated by {expect} walls but "
-                f"their principal vertices are {actual} edges apart"
-            )
+        try:
+            check_metric_correspondence(sp, Y)
+        except MetricMismatch as exc:
+            assert str(exc).startswith("vertex ")
         else:
-            # the suite may still fail: a dropped edge can leave every
-            # principal pair at its distance and break descent elsewhere,
-            # and then the sweep finds no pair and the vertex is named
-            try:
-                check_metric_correspondence(sp, Y)
-            except MetricMismatch as exc:
-                assert str(exc).startswith("vertex ")
+            assert mismatches == []
 
 
 @SETTINGS

@@ -192,8 +192,11 @@ def test_check_complex_with_a_dropped_edge_fails_metric(capsys, tmp_path):
     assert code == 3
     checks = json.loads(out)["checks"]
     assert checks["flag"]["status"] == "pass"
-    assert checks["metric_correspondence"]["status"] == "fail"
-    assert "-1 edges apart" in checks["metric_correspondence"]["witness"]
+    assert checks["metric_correspondence"] == {
+        "status": "fail",
+        "witness": "vertex 0: no edge at it flips a wall separating it from vertex 3, "
+        "the principal vertex of point 1, 2 walls away",
+    }
     assert checks["parity"]["status"] == "skipped"
 
 
@@ -211,24 +214,27 @@ def test_check_complex_with_a_self_loop_edge_exits_before_the_suites(capsys, tmp
         assert err == "error: edge [0, 0, 0]: endpoints do not differ exactly on wall 0\n"
 
 
-def test_check_complex_without_squares_fails_contraction(capsys, tmp_path):
-    """crossing(2) loaded with no squares: its links, distances and loop
-    lengths are those of the square's boundary, which does not contract."""
-    space_file = tmp_path / "c2.json"
-    space_file.write_text(json.dumps(gen_crossing(2).to_dict()))
-    data = complex_to_dict(build_complex(gen_crossing(2)))
-    data["cubes"] = {}
-    cx = tmp_path / "no_squares.json"
-    cx.write_text(json.dumps(data))
-    code, out, _ = run(capsys, "check", str(space_file), "--complex-in", str(cx))
-    assert code == 3
-    checks = json.loads(out)["checks"]
-    for name in ("flag", "metric_correspondence", "parity"):
-        assert checks[name]["status"] == "pass", name
-    assert checks["contraction"] == {
-        "status": "fail",
-        "witness": "square over walls [0, 1] at vertex 3 is not registered",
-    }
+def test_check_complex_without_squares_fails_flag(capsys, tmp_path):
+    """crossing(2) and crossing(3) loaded with no cubes: their links are
+    flag and their distances those of the dual complex, but walls 0 and
+    1 cross and label edges at vertex 0, so their square is missing,
+    with or without loops."""
+    space_file, cx = tmp_path / "space.json", tmp_path / "no_squares.json"
+    for n in (2, 3):
+        space_file.write_text(json.dumps(gen_crossing(n).to_dict()))
+        data = complex_to_dict(build_complex(gen_crossing(n)))
+        data["cubes"] = {}
+        cx.write_text(json.dumps(data))
+        for loops in ([], ["--loops", "0"]):
+            code, out, _ = run(capsys, "check", str(space_file), "--complex-in", str(cx), *loops)
+            assert code == 3
+            checks = json.loads(out)["checks"]
+            assert checks["flag"] == {
+                "status": "fail",
+                "witness": "vertex 0: walls [0, 1] cross and label edges at it, "
+                "but no 2-cube is registered",
+            }
+            assert checks["contraction"]["status"] == "skipped"
 
 
 def _crossing3_complex(tmp_path):
@@ -438,7 +444,7 @@ def test_an_empty_top_cube_list_fails_like_a_missing_key(capsys, tmp_path):
     report = json.loads(outs[0])
     assert report["dimension"] == 3 and "4" not in report["complex"]["cubes"]
     assert report["checks"]["flag"]["witness"] == (
-        "vertex 0: walls [0, 1, 2, 3] span pairwise squares but no 4-cube is registered"
+        "vertex 0: walls [0, 1, 2, 3] cross and label edges at it, but no 4-cube is registered"
     )
 
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from pathlib import Path
 
@@ -39,7 +40,9 @@ from helpers import (
     drop_edge,
     flag_verdict,
     forge_nested3_cubes,
+    forged_star,
     lattice_reflection,
+    oracle_flag_verdicts,
     random_wall_space,
     shipped_examples,
     small_examples,
@@ -359,7 +362,8 @@ def add_square_off_its_corner(d):
     "space, tamper, witness",
     [
         (gen_nested(3), forge_nested3_cubes, "do not cross"),
-        (gen_crossing(3), drop_square_under_cube, r"facet over walls \[0, 1\]"),
+        (gen_crossing(3), drop_square_under_cube,
+         r"^vertex 0: walls \[0, 1\] cross and label edges at it, but no 2-cube is registered$"),
         (gen_crossing(3), add_square_off_its_corner, "chooses a complement side"),
     ],
     ids=["non_crossing_walls", "dropped_facet", "off_corner"],
@@ -374,8 +378,8 @@ def test_check_flag_rejects_forged_cubes(space, tamper, witness):
     assert info.value.walls
 
 
-def _no_link_search(X):
-    raise AssertionError("a passing flag check searched the vertex links")
+def _no_vertex_walk(X):
+    raise AssertionError("a passing flag check walked the vertices for a missing cube")
 
 
 @pytest.mark.parametrize(
@@ -387,8 +391,8 @@ def _no_link_search(X):
 )
 def test_passing_check_flag_searches_no_link(space, monkeypatch):
     """The count certificate passes every built complex and its reloaded
-    file, so the link search never runs on them."""
-    monkeypatch.setattr(cubing, "_search_links", _no_link_search)
+    file, so the walk for a missing cube never runs on them."""
+    monkeypatch.setattr(cubing, "_missing_cube", _no_vertex_walk)
     for base in sorted({0, space.point_count - 1}):
         X = build_complex(space, base_point=base)
         assert check_flag(X)
@@ -399,8 +403,9 @@ def test_passing_check_flag_searches_no_link(space, monkeypatch):
                          ids=["crossing4", "triangle2"])
 def test_dropping_any_cube_takes_the_search(space):
     """Without any one of its cubes a built complex fails the count, and
-    check_flag's verdict and witness are those of the link search
-    followed by _check_cubes."""
+    check_flag fails it with the oracles' witness: the first corner whose
+    cube is missing, else _check_cubes' witness.  Every drop that leaves
+    a link that is not flag is among the failures."""
     X = build_complex(space)
     assert cubing._certified(X)
     failed = 0
@@ -411,9 +416,9 @@ def test_dropping_any_cube_takes_the_search(space):
             Y = complex_from_dict(space, data)
             assert not cubing._certified(Y)
             verdict = flag_verdict(lambda: check_flag(Y))
-            assert verdict == flag_verdict(
-                lambda: cubing._search_links(Y), lambda: cubing._check_cubes(Y)
-            )
+            witness, links_not_flag = oracle_flag_verdicts(Y)
+            assert verdict == witness
+            assert verdict is not None or not links_not_flag
             failed += verdict is not None
     assert failed
 
@@ -435,18 +440,25 @@ def test_certificate_needs_every_vertex_admissible():
     assert not cubing._certified(X)
 
 
+class _CountedLink(list):
+    """Neighbour masks that log the index of every read."""
+
+    def __init__(self, masks, log):
+        super().__init__(masks)
+        self.log = log
+
+    def __getitem__(self, w):
+        self.log.append(w)
+        return list.__getitem__(self, w)
+
+
 def test_count_falls_back_on_a_small_complex_over_many_crossing_walls():
     """40 pairwise crossing walls have 2^40 cliques.  Counting stops
     after a few of them and a few recursion levels, so the certificate
-    refuses a 3-vertex file at once and the search gives today's
-    verdict, and a build is refused under the default cap before the BFS."""
+    refuses a 3-vertex file at once and the fallback names its missing
+    square, and a build is refused under the default cap before the BFS."""
     m = 40
-    # points 0, e_i and e_i + e_j; wall w holds the points with coordinate w
-    # zero on its listed side, so all four quadrants of two walls are filled
-    points = [0] + [1 << i for i in range(m)]
-    points += [1 << i | 1 << j for i, j in itertools.combinations(range(m), 2)]
-    sp = WallSpace(len(points), [[p for p, x in enumerate(points) if not x >> w & 1]
-                                 for w in range(m)])
+    sp, _ = forged_star(m)
     assert sp.crosses(0, 39)
     zero = "0" * m
     data = {
@@ -458,44 +470,56 @@ def test_count_falls_back_on_a_small_complex_over_many_crossing_walls():
     }
     X = complex_from_dict(sp, data)
     assert not cubing._certified(X)
-    assert check_flag(X)
+    with pytest.raises(FlagViolation) as info:
+        check_flag(X)
+    assert (info.value.vertex, info.value.walls) == (0, (0, 1))
     with pytest.raises(ComplexityBudgetExceeded, match="vertex cap 1048576$"):
         build_component(sp)
     # under the default cap the count descends 20 walls, one lookup each:
     # a 21-clique alone has more than 2^20 subsets
     lookups = []
-
-    class Link(list):
-        def __getitem__(self, w):
-            lookups.append(w)
-            return list.__getitem__(self, w)
-
-    assert cubing._cliques((1 << m) - 1, Link(sp._crossing_masks), 1, (1 << 20) - 1) is None
+    sp._crossing = _CountedLink(sp._crossing_masks, lookups)
+    assert cubing._f_count(sp, 1 << 20) is None
     assert lookups == list(range(20))
 
 
+def test_a_forged_star_fails_flag_without_enumerating_its_link(monkeypatch):
+    """18 pairwise crossing walls with every square at the base and no
+    3-cube: the base's edges span 2^18 cliques, but the walk for a
+    missing cube stops at the first, walls [0, 1, 2], after reading a
+    crossing mask for a few of them (and the count for a few more)."""
+    m = 18
+    sp, data = forged_star(m)
+    X = complex_from_dict(sp, data)
+    reads, cliques = [], cubing._cliques
+    monkeypatch.setattr(
+        cubing, "_cliques", lambda cands, link, *rest: cliques(cands, _CountedLink(link, reads), *rest)
+    )
+    with pytest.raises(FlagViolation) as info:
+        check_flag(X)
+    assert (info.value.vertex, info.value.walls) == (0, (0, 1, 2))
+    assert len(reads) <= m + math.comb(m, 2) + 1
+    assert str(info.value) == (
+        "vertex 0: walls [0, 1, 2] cross and label edges at it, but no 3-cube is registered"
+    )
+
+
 def test_graph_distance():
-    cube = gen_crossing(3)
-    X = build_complex(cube)
-    anti = X.index[0b111]
-    assert X.distance_table([X.base, anti]) == [[0, 3], [3, 0]]
-    vertices = range(len(X.codes))
-    table = X.distance_table(vertices)
-    for u in vertices:
-        assert X.bfs_tree(u)[0] == table[u]
-        for v in vertices:
-            assert table[v][u] == oracles.hamming(
-                encode_section(X.codes[u], 3), encode_section(X.codes[v], 3)
-            )
+    X = build_complex(gen_crossing(3))
+    for u in range(len(X.codes)):
+        dist, _ = X.bfs_tree(u)
+        assert dist == [
+            oracles.hamming(encode_section(X.codes[u], 3), encode_section(c, 3)) for c in X.codes
+        ]
 
 
 @pytest.mark.parametrize(
     "space, witness",
     [
-        (gen_tree(2, 3), "points 0 and 1 are separated by 2 walls but their "
-         "principal vertices are -1 edges apart"),
-        (gen_crossing(3), "points 0 and 1 are separated by 1 walls but their "
-         "principal vertices are 3 edges apart"),
+        (gen_tree(2, 3), "vertex 0: no edge at it flips a wall separating it from "
+         "vertex 3, the principal vertex of point 1, 2 walls away"),
+        (gen_crossing(3), "vertex 0: no edge at it flips a wall separating it from "
+         "vertex 1, the principal vertex of point 1, 1 walls away"),
     ],
     ids=["tree2x3", "crossing3"],
 )
@@ -540,13 +564,12 @@ def test_metric_correspondence_names_the_vertex_when_pairs_agree():
     ids=["nested300", "crossing10", "cube_dense", "wall_sparse", "lattice_mixed"],
 )
 def test_metric_correspondence_passes_without_a_traversal(space, monkeypatch):
-    # the descent test is linear; a passing run must not sweep or BFS
+    # the descent test is linear; a passing run must not BFS
     X = build_component(space)
 
     def forbidden(*args):
         raise AssertionError("a passing metric check ran a traversal")
 
-    monkeypatch.setattr(CubeComplex, "distance_table", forbidden)
     monkeypatch.setattr(CubeComplex, "bfs_tree", forbidden)
     report = check_metric_correspondence(space, X)
     assert report["principal_vertices"] == space.point_count
@@ -569,13 +592,7 @@ def test_graph_distance_not_in_component():
     sp = gen_nested(3)
     X = build_complex(sp)
     with pytest.raises(NotInComponent):
-        X.distance_table(["101", X.base])
-    with pytest.raises(NotInComponent):
         X.index_of(99)
-    with pytest.raises(NotInComponent):
-        X.distance_table([0, 99])
-    with pytest.raises(InputError, match="distinct"):
-        X.distance_table([0, 0])
 
 
 def test_complex_json_roundtrip():
