@@ -16,19 +16,20 @@ the low m bits and spans the bits above, so the key is injective, and
 the same cube found from different corners registers once.  The cube
 through any vertex with code c spanned by s has the key
 ``c & ~s | s << m``, so the flag check, the loop suites and the action
-check each find a cube with one dict membership test.  A registered
-k-cube is checked through its 2k facets, not its 2^k vertices
-(_check_cubes), once, by check_flag.  The 1-skeleton is stored once,
-as the adjacency maps; the sorted edge list is derived from them.
+check each find a cube with one dict membership test.  The 1-skeleton
+is stored once, as the adjacency maps; the sorted edge list is derived
+from them.
 
 Cliques of walls are enumerated as spans (_cliques).  Spans are decoded
 to wall tuples only at the boundaries: the JSON form and witnesses
 (_walls).  The cliques of the crossing graph also count the complex
 before it is built (_f_count): the vertex cap is applied to that count,
-and check_flag certifies a complex by comparing its f-vector with it.
-A complex that fails that comparison is checked vertex by vertex with
-the same enumerator that attaches the cubes (_missing_cube), which
-names the first cube it lacks.
+and check_flag certifies a complex by comparing its f-vector with it,
+then each cube key by Roller's criterion in O(k) mask operations
+(_certified).  A complex that fails is walked vertex by vertex with the
+same enumerator that attaches the cubes (_missing_cube), which names
+the first cube it lacks or the first registered cube it does not have
+at all 2^k corners.
 
 Everything is deterministic: vertices are indexed in BFS discovery
 order from the base with neighbour walls visited in id order.
@@ -70,8 +71,8 @@ class ComplexityBudgetExceeded(BudgetError):
 
 class FlagViolation(CertificateError):
     """Pairwise crossing walls labelling edges at a vertex span no
-    registered cube, or a registered cube is not in the complex; the
-    witness cube is decoded to its vertex index and wall tuple."""
+    registered cube, or a registered k-cube is not in the complex at all
+    2^k corners; the witness is decoded to a vertex index and walls."""
 
     def __init__(self, vertex: int, walls: tuple[int, ...], message: str):
         super().__init__(message)
@@ -367,56 +368,6 @@ def _f_count(space: WallSpace, limit: int) -> tuple[int, ...] | None:
     return f if f[0] <= limit else None
 
 
-def _check_cubes(X: CubeComplex) -> None:
-    """Raise FlagViolation unless X carries every cube of its registry.
-
-    A key ``code | span << m`` names the cube at the vertex with that
-    code over the walls of span.  A square needs crossing walls, the
-    listed sides of both at its vertex and its four edges.  A k-cube
-    with k >= 3 needs its 2k facets in ``cubes[k - 1]``: over each k-1 of
-    its walls, at its vertex (key ``code | (span ^ low) << m``) and across
-    the remaining wall (key ``(code ^ low) | (span ^ low) << m``, present
-    only when that code is a vertex's).  By induction on k that gives
-    each k-cube its 2^k vertices and its whole 1-skeleton (the two facets
-    across one wall hold every vertex and the edges on the other walls;
-    the facets across a second wall hold the edges on the first), walls
-    that pairwise cross and the listed sides at its vertex.
-    O(sum_k k^2 f_k).
-    """
-    cross, adj, m, cubes = X.space._crossing_masks, X.adjacency, X.space.wall_count, X.cubes
-    full = (1 << m) - 1
-    for k, registry in cubes.items():
-        facets = cubes.get(k - 1, {})
-        for key in registry:
-            code, span, reason = key & full, key >> m, ""
-            if k > 2:
-                rest = span
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    facet = (span ^ low) << m
-                    if (code | facet) not in facets or (code ^ low | facet) not in facets:
-                        missing = list(_walls(span ^ low))
-                        reason = f"its facet over walls {missing} is not registered"
-            else:
-                w1, w2 = _walls(span)
-                vi = X.index[code]
-                a, b = adj[vi].get(w1), adj[vi].get(w2)
-                if not cross[w1] >> w2 & 1:
-                    reason = "its walls do not cross"
-                elif code >> w1 & 1 or code >> w2 & 1:
-                    reason = "its vertex chooses a complement side"
-                # an edge flips its wall's bit, so both far edges end at code ^ w1 ^ w2
-                elif a is None or b is None or w2 not in adj[a] or w1 not in adj[b]:
-                    reason = "one of its edges is missing"
-            if reason:
-                vi, walls = X.index[code], _walls(span)
-                raise FlagViolation(
-                    vi, walls, f"vertex {vi}: the {k}-cube over walls {list(walls)} "
-                    f"is not in the complex: {reason}"
-                )
-
-
 def attach_cubes(X: CubeComplex) -> CubeComplex:
     """Attach one cube per corner, keyed canonically; idempotent.
 
@@ -426,8 +377,8 @@ def attach_cubes(X: CubeComplex) -> CubeComplex:
     ``code | span << m``.  The cubes are not checked here: by Roller's
     flip criterion, flipping any subset of pairwise crossing walls that
     each flip admissibly keeps a section admissible, so every cube found
-    at a corner of a built component lies in it, and check_flag checks
-    every registry it is given (_check_cubes).
+    at a corner of a built component lies in it.  check_flag relies on
+    the same criterion to certify every registry it is given.
     """
     if X.cubes_attached:
         return X
@@ -464,15 +415,19 @@ def _certified(X: CubeComplex) -> bool:
     tests, cheapest first: its f-vector equals the count from the
     crossing graph (_f_count); its base is admissible and every other
     vertex hangs in the base's BFS tree from an edge whose flip passes
-    Roller's test at the parent; and every registered cube is in X
-    (_check_cubes).
+    Roller's test at the parent; and every key of cubes[k] spans k
+    pairwise crossing walls labelling edges at its vertex, which chooses
+    the listed side of each.
 
     The tree makes every vertex admissible, and each edge flips one wall
     (the constructor checks it), so X holds V distinct admissible
-    sections, E distinct single-wall flips between them and, by
-    _check_cubes, f_k distinct cubes of the dual complex.  The dual
-    complex of a finite wall space holds every admissible section and
-    has exactly the counted numbers of each, so X is all of it.
+    sections and E distinct single-wall flips between them: the whole
+    1-skeleton of the dual complex, which has exactly the counted
+    numbers of each.  Every admissible flip is then an edge, so by
+    Roller's criterion (see attach_cubes) a key's walls span a cube of
+    the dual complex with the key's vertex as its canonical one, and the
+    f_k distinct keys of cubes[k] are all its k-cubes.  Edge walls are
+    read only at vertices that keys name, crossing once per span.
     """
     f = _f_count(X.space, len(X.codes))
     # f_vector lists the registries in key order, so their keys must be 2..d
@@ -489,10 +444,32 @@ def _certified(X: CubeComplex) -> bool:
             inside_listed, inside_any = flips[w][c >> w & 1]
             if c & inside_any != inside_listed:
                 return False
-    try:
-        _check_cubes(X)
-    except FlagViolation:  # check_flag looks for a missing cube first, for its witness
-        return False
+    m, cross = X.space.wall_count, X.space._crossing_masks
+    full = (1 << m) - 1
+    closed: dict[int, int] = {}  # code -> the walls a span at it must avoid
+    for k, registry in X.cubes.items():
+        spans: set[int] = set()  # spans of k pairwise crossing walls
+        for key in registry:
+            code, span = key & full, key >> m
+            if span not in spans:
+                if span.bit_count() != k or not _pairwise_crossing(cross, span):
+                    return False
+                spans.add(span)
+            avoid = closed.get(code)
+            if avoid is None:
+                avoid = closed[code] = ~_span(X.adjacency[X.index[code]]) | code
+            if span & avoid:
+                return False
+    return True
+
+
+def _pairwise_crossing(cross: Sequence[int], span: int) -> bool:
+    """Whether each wall of span crosses (cross[w]) every higher one."""
+    while span:
+        low = span & -span
+        span ^= low
+        if span & ~cross[low.bit_length() - 1]:
+            return False
     return True
 
 
@@ -500,25 +477,45 @@ def _missing_cube(X: CubeComplex) -> None:
     """Raise FlagViolation at the first vertex, in index order, with a set
     of two or more pairwise crossing walls labelling edges at it whose
     cube through it is not registered, the first such set in
-    lexicographic order.
+    lexicographic order; else at the first registered cube not in X.
 
     In the dual complex every such set spans a cube (Roller's criterion,
     see attach_cubes).  _cliques gives each set before its extensions,
     so the walk stops at the first miss and extends registered cubes
-    only: O(V + E) steps plus one registry lookup per corner that X
-    registers.
+    only: O(V + E) steps plus one lookup per corner that X registers.
+    Each lookup counts a vertex for its key.  A key is found at exactly
+    those vertices of its cube with edges on all its walls, and only
+    when its walls cross and its vertex chooses their listed sides, so a
+    key of cubes[k] is a cube of X when it spans k walls and is found at
+    2^k vertices.
     """
-    m, cubes = X.space.wall_count, X.cubes
+    m, cubes, cross = X.space.wall_count, X.cubes, X.space._crossing_masks
+    found = {key: 0 for registry in cubes.values() for key in registry}
     for vi, code in enumerate(X.codes):
-        for span in _cliques(_span(X.adjacency[vi]), X.space._crossing_masks, 2):
-            if (code & ~span | span << m) not in cubes.get(span.bit_count(), ()):
+        for span in _cliques(_span(X.adjacency[vi]), cross, 2):
+            try:
+                found[code & ~span | span << m] += 1
+            except KeyError:
                 walls = _walls(span)
-                raise FlagViolation(
-                    vi,
-                    walls,
-                    f"vertex {vi}: walls {list(walls)} cross and label edges at it, "
-                    f"but no {len(walls)}-cube is registered",
-                )
+                raise FlagViolation(vi, walls, f"vertex {vi}: walls {list(walls)} cross and label "
+                                    f"edges at it, but no {len(walls)}-cube is registered") from None
+    full = (1 << m) - 1
+    for k, registry in cubes.items():
+        for key in registry:
+            code, span, n = key & full, key >> m, found[key]
+            if span.bit_count() != k:
+                reason = f"it spans {span.bit_count()} walls"
+            elif n == 1 << k:
+                continue
+            elif not _pairwise_crossing(cross, span):
+                reason = "its walls do not cross"
+            elif code & span:
+                reason = "its vertex chooses a complement side"
+            else:
+                reason = f"it has edges on all its walls at only {n} of its {1 << k} vertices"
+            vi, walls = X.index[code], _walls(span)
+            raise FlagViolation(vi, walls, f"vertex {vi}: the {k}-cube over walls {list(walls)} "
+                                f"is not in the complex: {reason}")
 
 
 def check_flag(X: CubeComplex) -> bool:
@@ -531,23 +528,21 @@ def check_flag(X: CubeComplex) -> bool:
     is CAT(0), so by Gromov's link condition every link is flag.  Its
     f-vector is compared with the count from the crossing graph
     (Brešar, Klavžar and Škrekovski, 2003; see _f_count), which is
-    O(V + E + sum_k k^2 f_k) in all, and _missing_cube does not run.
+    O(V + E + sum_k k f_k) in all, and _missing_cube does not run.
 
     Any other complex must register, at every vertex, the cube spanned
     by every set of pairwise crossing walls labelling edges there, as
-    the dual complex does (_missing_cube), and must carry every cube it
-    registers (_check_cubes).  That implies flag links: edges at a
-    vertex whose squares there are registered have pairwise crossing
-    walls (_check_cubes), so their cube is registered too.  It asks
-    more than flag links, which crossing(2) without its square has.
-    Works on externally supplied complexes, so a missing, forged or
-    misplaced cube is detected and reported with a witness.
+    the dual complex does, and must have each registered cube at all
+    2^k of its vertices (_missing_cube).  That implies flag links: edges
+    at a vertex with registered squares, which are then in X, have
+    pairwise crossing walls, so their cube is registered too.  It asks
+    more than flag links, which crossing(2) without its square has.  A
+    missing, forged or misplaced cube in a file fails with a witness.
     """
     if not X.cubes_attached:
         raise InputError("attach cubes before checking the flag condition")
     if not _certified(X):
         _missing_cube(X)
-        _check_cubes(X)
     return True
 
 
@@ -588,7 +583,7 @@ def complex_from_dict(
     """Rebuild a complex from its JSON form without re-deriving cubes.
 
     Structural well-formedness (edge labels consistent with the vertex
-    encodings) is enforced; completeness of the cube dictionary is not,
+    encodings, no entry twice) is enforced; completeness of the cubes is not,
     so broken complexes can be loaded and then failed by check_flag.  An
     empty cube list is checked like any other and registers nothing.
     A vertex list longer than the cap (see resolve_max_vertices) raises
@@ -638,6 +633,8 @@ def complex_from_dict(
             raise InputError(f"edge {e!r}: wall out of range")
         if codes[u] ^ codes[v] != 1 << w:  # a later entry could hide it from the constructor
             raise InputError(f"edge {e!r}: endpoints do not differ exactly on wall {w}")
+        if w in adjacency[u]:  # the XOR test leaves one far end on wall w: this edge
+            raise InputError(f"edge {e!r} is listed twice")
         adjacency[u][w] = v
         adjacency[v][w] = u
     X = CubeComplex(space, base, codes, adjacency)
@@ -674,6 +671,8 @@ def complex_from_dict(
                 span |= 1 << w
             if not ok:
                 raise InputError(f"cube entry {entry!r}: walls must be {k} sorted wall ids")
+            if codes[b] | span << m in registry:
+                raise InputError(f"cube entry {entry!r} is listed twice")
             registry[codes[b] | span << m] = None
         if registry:  # no dimension without a cube
             cubes[k] = registry

@@ -154,7 +154,7 @@ def contract_loop(loop: EdgeLoop) -> ContractionCertificate:
             raise ContractionStuck(
                 f"opposite corner {encode_section(opposite, m)} is not a vertex"
             )
-        # wa and wb cross: check_flag, which check runs first, checks each square's walls
+        # wa and wb cross: check_flag, which check runs first, refuses a square whose walls do not
         s = 1 << wa | 1 << wb
         if (X.codes[sigma] & ~s | s << m) not in squares:
             raise ContractionStuck(

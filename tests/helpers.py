@@ -8,7 +8,6 @@ from collections import Counter
 from itertools import combinations
 
 from cubulate import FlagViolation, WallSpace, encode_section, validate_generator
-from cubulate import cubing
 from cubulate.families import gen_crossing, gen_nested, gen_tree, triangle_lattice
 
 import oracles
@@ -164,8 +163,9 @@ def oracle_flag_verdicts(X):
 
     The witness is the first corner that oracles.corner_violations names,
     over the cubes registered at their canonical vertices (the only
-    keys the package looks up), else _check_cubes' verdict.  The links
-    are those of oracles.flag_violations over the same cubes."""
+    keys the package looks up), else the first registered cube that
+    oracles.cube_violations names.  The links are those of
+    oracles.flag_violations over the same cubes."""
     m = X.space.wall_count
     encodings = [encode_section(c, m) for c in X.codes]
     canonical = [
@@ -183,7 +183,17 @@ def oracle_flag_verdicts(X):
             f"but no {len(S)}-cube is registered"
         )
     else:
-        witness = flag_verdict(lambda: cubing._check_cubes(X))
+        cubes = [
+            (k, vi, S)
+            for k, registry in X.cubes.items()
+            for vi, S in cube_pairs(X, registry).values()
+        ]
+        bad = oracles.cube_violations(X.space.point_count, walls, encodings, X.edges, cubes)
+        if bad:
+            k, vi, S, reason = bad
+            witness = f"vertex {vi}: the {k}-cube over walls {list(S)} is not in the complex: {reason}"
+        else:
+            witness = None
     return witness, bool(oracles.flag_violations(set(encodings), canonical))
 
 

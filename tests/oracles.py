@@ -347,6 +347,43 @@ def corner_violations(point_count, walls, encodings, cubes):
     return violations
 
 
+def cube_violations(point_count, walls, encodings, edges, cubes):
+    """The first registered cube that is not a cube of the complex, or
+    None.
+
+    ``encodings`` lists the vertices in index order, ``edges`` holds
+    (u, v, wall) index triples and ``cubes`` holds (k, vertex index,
+    walls) triples in registry order.  A k-cube needs k walls that
+    pairwise cross as point sets, a vertex with a 0 on each of them, and
+    its 2^k corners: every flip of a subset of its walls is a vertex with
+    an edge on each of the walls.  Returns (k, vertex index, walls,
+    reason), the corner count in the last reason.
+    """
+    members = set(encodings)
+    pairs = {frozenset((encodings[u], encodings[v])) for u, v, _ in edges}
+    for k, vi, S in cubes:
+        e = encodings[vi]
+        corners = 0
+        for size in range(len(S) + 1):
+            for sub in combinations(S, size):
+                c = e
+                for w in sub:
+                    c = _flipped(c, w)
+                corners += c in members and all(frozenset((c, _flipped(c, w))) in pairs for w in S)
+        if len(S) != k:
+            reason = f"it spans {len(S)} walls"
+        elif not all(walls_cross(point_count, walls, *pair) for pair in combinations(S, 2)):
+            reason = "its walls do not cross"
+        elif any(e[w] == "1" for w in S):
+            reason = "its vertex chooses a complement side"
+        elif corners < 2 ** k:
+            reason = f"it has edges on all its walls at only {corners} of its {2 ** k} vertices"
+        else:
+            continue
+        return k, vi, S, reason
+    return None
+
+
 def orbit_and_stabilizer(point_count, walls, generators, start, word_length):
     """Orbit of an encoding and its stabilizer words, from point maps.
 

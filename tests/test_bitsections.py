@@ -174,8 +174,9 @@ def test_flag_certificate_matches_link_search(raw, pick):
     dropped, or its key moved to another vertex of the cube (the counts
     still match), the certificate refuses it and check_flag gives the
     oracles' witness: the first corner whose cube is not registered at
-    its canonical vertex, else _check_cubes' witness.  It fails wherever
-    the brute-force oracle finds a link that is not flag."""
+    its canonical vertex, else the first registered cube that is not in
+    the complex.  It fails wherever the brute-force oracle finds a link
+    that is not flag."""
     n, walls = raw
     sp = WallSpace(n, walls)
     m = sp.wall_count

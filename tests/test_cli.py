@@ -237,6 +237,29 @@ def test_check_complex_without_squares_fails_flag(capsys, tmp_path):
             assert checks["contraction"]["status"] == "skipped"
 
 
+@pytest.mark.parametrize(
+    "tamper, witness",
+    [
+        (lambda d: d["cubes"]["2"].append(d["cubes"]["2"][0]), "cube entry [0, [0, 1]] is listed twice"),
+        (lambda d: d["edges"].append(d["edges"][0]), "edge [0, 1, 0] is listed twice"),
+        (lambda d: d["edges"].append([1, 0, 0]), "edge [1, 0, 0] is listed twice"),
+    ],
+    ids=["square", "edge", "reversed_edge"],
+)
+def test_check_complex_in_refuses_an_entry_listed_twice(capsys, tmp_path, tamper, witness):
+    """crossing(2)'s file with its square or an edge, either way round,
+    listed twice: the loader would merge the copies and report 4 edges
+    and 1 square where the file lists 5 and 2."""
+    space_file, cx = tmp_path / "space.json", tmp_path / "twice.json"
+    space_file.write_text(json.dumps(gen_crossing(2).to_dict()))
+    data = complex_to_dict(build_complex(gen_crossing(2)))
+    assert data["edges"][0] == [0, 1, 0] and data["cubes"] == {"2": [[0, [0, 1]]]}
+    tamper(data)
+    cx.write_text(json.dumps(data))
+    code, out, err = run(capsys, "check", str(space_file), "--complex-in", str(cx), "--loops", "0")
+    assert (code, out, err) == (1, "", f"error: {witness}\n")
+
+
 def _crossing3_complex(tmp_path):
     cx = tmp_path / "c3.json"
     cx.write_text(json.dumps(complex_to_dict(build_complex(gen_crossing(3)))))

@@ -306,7 +306,7 @@ def test_attach_cubes_rejects_component_missing_a_vertex():
         check_flag(broken)
     assert str(info.value) == (
         "vertex 1: the 2-cube over walls [1, 2] is not in the complex: "
-        "one of its edges is missing"
+        "it has edges on all its walls at only 1 of its 4 vertices"
     )
 
 
@@ -404,8 +404,9 @@ def test_passing_check_flag_searches_no_link(space, monkeypatch):
 def test_dropping_any_cube_takes_the_search(space):
     """Without any one of its cubes a built complex fails the count, and
     check_flag fails it with the oracles' witness: the first corner whose
-    cube is missing, else _check_cubes' witness.  Every drop that leaves
-    a link that is not flag is among the failures."""
+    cube is missing, else the first registered cube that is not in the
+    complex.  Every drop that leaves a link that is not flag is among
+    the failures."""
     X = build_complex(space)
     assert cubing._certified(X)
     failed = 0
@@ -421,6 +422,73 @@ def test_dropping_any_cube_takes_the_search(space):
             assert verdict is not None or not links_not_flag
             failed += verdict is not None
     assert failed
+
+
+def _square_over_non_crossing_walls(X, key):
+    # a vertex with edges on two walls that do not cross, on whose listed
+    # sides it lies: only the crossing test refuses the key
+    m = X.space.wall_count
+    for vi, code in enumerate(X.codes):
+        free = [w for w in sorted(X.adjacency[vi]) if not code >> w & 1]
+        for a, b in itertools.combinations(free, 2):
+            if not X.space.crosses(a, b):
+                return code | (1 << a | 1 << b) << m
+    raise AssertionError("no vertex has edges on two non-crossing walls")
+
+
+def _square_off_its_edges(X, key):
+    # the square's crossing walls at a vertex on their listed sides that
+    # has no edge on one of them: only the edge-wall test refuses the key
+    m = X.space.wall_count
+    span = key >> m
+    for vi, code in enumerate(X.codes):
+        edge_walls = sum(1 << w for w in X.adjacency[vi])
+        if not code & span and edge_walls & span != span:
+            return code | span << m
+    raise AssertionError("every vertex on the listed sides has both edges")
+
+
+def _three_walls_in_squares(X, key):
+    # the 3-cube's own key, registered a second time as a square
+    return next(iter(X.cubes[3]))
+
+
+@pytest.mark.parametrize(
+    "space, forged",
+    [
+        (triangle_lattice(2).space, _square_over_non_crossing_walls),
+        (triangle_lattice(2).space, _square_off_its_edges),
+        (gen_crossing(3), _three_walls_in_squares),
+    ],
+    ids=["non_crossing_walls", "wall_without_edge", "three_walls_in_cubes2"],
+)
+def test_certificate_tests_each_cube_key(space, forged):
+    """The first square's key swapped for a forged one keeps the
+    f-vector and the 1-skeleton, so only the key test refuses it;
+    check_flag then gives the oracles' witness."""
+    X = build_complex(space)
+    old = next(iter(X.cubes[2]))
+    new = forged(X, old)
+    assert new not in X.cubes[2]
+    Y = complex_from_dict(space, complex_to_dict(X))
+    Y.cubes[2] = {new if key == old else key: None for key in Y.cubes[2]}
+    assert Y.f_vector() == X.f_vector() and cubing._certified(X)
+    assert not cubing._certified(Y)
+    verdict = flag_verdict(lambda: check_flag(Y))
+    assert verdict is not None
+    assert verdict == oracle_flag_verdicts(Y)[0]
+
+
+def test_a_key_registered_in_the_wrong_dimension_is_named():
+    """crossing(3) with its 3-cube's key listed among the squares too:
+    every cube is in the complex and registered, so the walk misses
+    nothing, and the key is named for its span's size."""
+    X = build_complex(gen_crossing(3))
+    X.cubes[2][next(iter(X.cubes[3]))] = None
+    assert not cubing._certified(X)
+    verdict = flag_verdict(lambda: check_flag(X))
+    assert verdict == "vertex 0: the 2-cube over walls [0, 1, 2] is not in the complex: it spans 3 walls"
+    assert verdict == oracle_flag_verdicts(X)[0]
 
 
 def test_certificate_needs_every_vertex_admissible():
