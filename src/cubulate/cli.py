@@ -17,29 +17,47 @@ import hashlib
 import json
 import sys
 import time
+from operator import attrgetter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .action import load_generators, check_equivariance, orbit_and_stabilizer
-from .certify import (
-    check_metric_correspondence,
-    contraction_suite,
-    flag_suite,
-    parity_suite,
-)
-from .cubing import (
-    CubeComplex,
-    build_complex,
-    complex_from_dict,
-    complex_to_dict,
-    dimension,
-    to_dot,
-)
 from .errors import BudgetError, CertificateError, InputError
-from .families import FAMILIES
-from .sections import principal_section
 from .wallspace import WallSpace
 
+if TYPE_CHECKING:
+    from .cubing import CubeComplex
+
 __all__ = ["main"]
+
+
+def _forward(module: str, name: str):
+    """A stand-in for ``module.name`` (dotted) that imports the module on
+    its first call: each command loads only the modules it runs."""
+    def forward(*args, **kwargs):
+        # unlike importlib.import_module, __import__ shows in -X importtime
+        owner = __import__(module, globals(), None, ("*",), 1)
+        return attrgetter(name)(owner)(*args, **kwargs)
+
+    return forward
+
+
+load_generators = _forward("action", "load_generators")
+check_equivariance = _forward("action", "check_equivariance")
+orbit_and_stabilizer = _forward("action", "orbit_and_stabilizer")
+check_metric_correspondence = _forward("certify", "check_metric_correspondence")
+contraction_suite = _forward("certify", "contraction_suite")
+flag_suite = _forward("certify", "flag_suite")
+parity_suite = _forward("certify", "parity_suite")
+build_complex = _forward("cubing", "build_complex")
+complex_from_dict = _forward("cubing", "complex_from_dict")
+complex_to_dict = _forward("cubing", "complex_to_dict")
+dimension = _forward("cubing", "dimension")
+to_dot = _forward("cubing", "to_dot")
+_family = _forward("families", "FAMILIES.__getitem__")
+principal_section = _forward("sections", "principal_section")
+
+# sorted(families.FAMILIES), kept here so that the parser needs no families
+FAMILY_NAMES = ("crossing", "nested", "tree", "triangle-lattice")
 
 CHECK_NAMES = ("flag", "metric_correspondence", "parity", "contraction", "equivariance")
 
@@ -58,14 +76,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _count(text: str) -> int:
-    """argparse type for counts: a non-negative integer."""
+def _count(text: str, least: int = 0) -> int:
+    """argparse type for counts: a non-negative integer, or with least=1
+    a positive one."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    if value < least:
+        sign = "positive" if least else "non-negative"
+        raise argparse.ArgumentTypeError(f"must be {sign}, got {value}")
     return value
 
 
@@ -249,7 +269,7 @@ def cmd_generate(args) -> int:
         params = [int(part) for part in args.param.split(",")]
     except ValueError:
         raise InputError(f"--param must be comma-separated integers, got {args.param!r}")
-    space = FAMILIES[args.family](params)
+    space = _family(args.family)(params)
     _emit(space.to_dict(), args.out)
     return 0
 
@@ -294,7 +314,7 @@ def _add_build_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--base", type=int, default=0, help="base point (default 0)")
     p.add_argument(
         "--max-vertices",
-        type=int,
+        type=lambda text: _count(text, least=1),
         default=None,
         help="vertex budget (default: 2^20)",
     )
@@ -333,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("generate", help="emit a model family as wall-space JSON")
-    p.add_argument("--family", choices=sorted(FAMILIES), required=True)
+    p.add_argument("--family", choices=FAMILY_NAMES, required=True)
     p.add_argument("--param", required=True, help='size, e.g. "3" or "2,2"')
     p.add_argument("--out", help="write to this file instead of stdout")
     p.set_defaults(func=cmd_generate)

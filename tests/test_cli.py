@@ -575,6 +575,15 @@ def test_generate_nested_rejects_oversize_before_building(capsys, monkeypatch, n
         ["check", SPACE3, "--loops", "-1", "--seed", "2"],
         ["act", SPACE3, "--generators", str(FIXTURES / "generators_swaps.json"),
          "--word-length", "-1"],
+        *(
+            [*command, "--max-vertices", cap]
+            for command in (
+                ["build", SPACE3],
+                ["check", SPACE3, "--complex-in", "/nonexistent"],
+                ["act", SPACE3, "--generators", str(FIXTURES / "generators_swaps.json")],
+            )
+            for cap in ("0", "-2")
+        ),
     ],
 )
 def test_negative_counts_rejected_before_work(capsys, monkeypatch, argv):
@@ -589,7 +598,11 @@ def test_negative_counts_rejected_before_work(capsys, monkeypatch, argv):
     assert info.value.code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "must be non-negative" in captured.err
+    if "--max-vertices" in argv:
+        cap = argv[-1]
+        assert f"error: argument --max-vertices: must be positive, got {cap}" in captured.err
+    else:
+        assert "must be non-negative" in captured.err
 
 
 def test_zero_counts_accepted(capsys):

@@ -1,5 +1,6 @@
-"""Every name a module exports resolves, every name the benchmark
-wraps exists, and every name a module imports is used.
+"""Every name a module exports resolves, the package exports the
+modules' names in a fixed order, every name the benchmark wraps exists,
+and every name a module imports is used.
 
 A name left in an ``__all__`` after its definition is deleted breaks
 only ``from cubulate import *``, which no other test runs; this fails
@@ -30,6 +31,41 @@ def test_every_exported_name_resolves(module):
     exported = getattr(module, "__all__", ())
     assert [name for name in exported if not hasattr(module, name)] == []
     assert len(set(exported)) == len(exported)
+
+
+def test_package_all_joins_the_module_lists_in_order():
+    from cubulate import action, certify, cubing, errors, families, homotopy, sections, wallspace
+
+    assert cubulate.__all__ == [
+        "__version__",
+        *errors.__all__,
+        *wallspace.__all__,
+        *sections.__all__,
+        *cubing.__all__,
+        *homotopy.__all__,
+        *action.__all__,
+        *certify.__all__,
+        *families.__all__,
+    ]
+
+
+def test_star_import_binds_exactly_the_package_all():
+    namespace = {}
+    exec("from cubulate import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(cubulate.__all__)
+    assert [n for n, value in namespace.items() if value is not getattr(cubulate, n)] == []
+
+
+def test_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        cubulate.no_such_name
+
+
+def test_cli_family_names_are_the_families():
+    from cubulate import cli, families
+
+    assert cli.FAMILY_NAMES == tuple(sorted(families.FAMILIES))
 
 
 def _traced_targets():

@@ -1,9 +1,12 @@
 """The CLI starts lean, and its value classes stay immutable.
 
-The five value classes are NamedTuples, so importing the CLI pulls in
-neither ``dataclasses`` nor ``inspect``; these tests keep it that way.
+Each command imports only the library modules it runs, and importing
+the package imports none.  The five value classes are NamedTuples, so
+no command pulls in ``dataclasses`` or ``inspect``; these tests keep it
+that way.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -20,22 +23,74 @@ from cubulate.cli import main
 from cubulate.families import gen_crossing, gen_nested
 from cubulate.homotopy import ContractionCertificate, Move
 
-SPACE3 = str(Path(__file__).parent / "fixtures" / "crossing3_space.json")
+FIXTURES = Path(__file__).parent / "fixtures"
+SPACE3 = str(FIXTURES / "crossing3_space.json")
+GENERATORS = str(FIXTURES / "generators_swaps.json")
 
 
-def test_cli_import_adds_neither_dataclasses_nor_inspect():
+# what each command loads besides the package, its CLI, errors and wallspace
+_RUNS = {
+    "validate": ([], ()),
+    "build": (["--out", "{tmp}/built.json"], ("sections", "cubing")),
+    "check": (["--loops", "2"], ("sections", "cubing", "certify", "homotopy")),
+    "recheck": (
+        ["--loops", "2", "--complex-in", "{tmp}/built.json"],
+        ("sections", "cubing", "certify", "homotopy"),
+    ),
+    "act": (["--generators", GENERATORS], ("sections", "cubing", "action")),
+    "generate": (["--family", "nested", "--param", "2"], ("families",)),
+}
+
+_PROBE = (
+    "import json, sys\n"
+    "heavy = {'dataclasses', 'inspect'}\n"
+    "bare = heavy & set(sys.modules)\n"
+    "from cubulate.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'cubulate')))\n"
+    "print(json.dumps(sorted(heavy & set(sys.modules) - bare)))\n"
+    "sys.exit(code)\n"
+)
+
+
+def _cubulate_modules(names):
+    base = {"cubulate", "cubulate.cli", "cubulate.errors", "cubulate.wallspace"}
+    return sorted(base | {f"cubulate.{name}" for name in names})
+
+
+@pytest.mark.parametrize("run", sorted(_RUNS))
+def test_each_command_loads_only_its_modules(run, tmp_path):
+    flags, loaded = _RUNS[run]
+    assert main(["build", SPACE3, "--out", str(tmp_path / "built.json")]) == 0
+    command = "check" if run == "recheck" else run
+    argv = [command] + ([] if command == "generate" else [SPACE3])
+    argv += [flag.format(tmp=tmp_path) for flag in flags]
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules, heavy = map(json.loads, proc.stdout.splitlines()[-2:])
+    assert modules == _cubulate_modules(loaded)
+    # the value classes are NamedTuples: no command needs dataclasses or inspect
+    assert heavy == []
+
+
+def test_importing_the_package_loads_no_submodule():
     probe = (
         "import sys\n"
-        "heavy = {'dataclasses', 'inspect'}\n"
-        "bare = heavy & set(sys.modules)\n"
-        "import cubulate.cli\n"
-        "print(sorted(heavy & set(sys.modules) - bare))\n"
+        "import cubulate\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'cubulate'))\n"
+        "cubulate.WallSpace\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'cubulate'))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout.splitlines() == [
+        "['cubulate']",
+        "['cubulate', 'cubulate.errors', 'cubulate.wallspace']",
+    ]
 
 
 def test_module_run_prints_the_bytes_of_main(capsysbinary):
