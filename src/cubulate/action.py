@@ -22,11 +22,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, NamedTuple, Sequence
 
-from .cubing import CubeComplex, _walls
+from .cubing import CubeComplex
 from .errors import BudgetError, CertificateError, InputError
 # unused here, but the benchmark's traced pass wraps principal_section in this module
 from .sections import encode_section, is_admissible, principal_section
-from .wallspace import WallSpace, _is_int
+from .wallspace import WallSpace, _bit_indices, _is_int
 
 __all__ = [
     "Generator",
@@ -275,7 +275,7 @@ def check_equivariance(space: WallSpace, X: CubeComplex, gen: Generator) -> dict
                 image = images[span] = _apply_perm_to_mask(span, gen.wall_perm)
             if (X.codes[gv[b]] & ~image | image << m) not in registry:
                 raise EquivarianceViolation(
-                    f"{name}: {k}-cube at vertex {b} over walls {list(_walls(span))} "
+                    f"{name}: {k}-cube at vertex {b} over walls {list(_bit_indices(span))} "
                     f"has no image cube"
                 )
             cube_total += 1

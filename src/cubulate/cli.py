@@ -97,7 +97,9 @@ def _load_json(path: str) -> tuple[object, str]:
     raw = Path(path).read_bytes()
     try:
         return json.loads(raw), _digest(raw)
-    except json.JSONDecodeError as e:
+    # JSONDecodeError is a ValueError, as is an int literal past Python's
+    # digit limit; nesting past the recursion limit raises RecursionError
+    except (ValueError, RecursionError) as e:
         raise InputError(f"{path}: invalid JSON: {e}") from e
 
 

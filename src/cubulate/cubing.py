@@ -1,8 +1,11 @@
 """Construction of the cube complex dual to a wall space.
 
-The vertices are the admissible sections reachable from a base
-principal section by single-wall flips; edges join sections differing
-on exactly one wall.  A vertex is an index i into one tuple of codes:
+The vertices are the admissible sections; edges join sections
+differing on exactly one wall.  Rooted at an admissible base, a vertex
+is fixed by the walls of its edges toward the base, which pairwise
+cross, and every set of pairwise crossing walls is so fixed by one
+vertex, so the cliques of the crossing graph list the vertices
+(_vertices).  A vertex is an index i into one tuple of codes:
 ``X.codes[i]`` is its section's code, so a flip is an XOR, and the dict
 ``X.index`` maps a code back to its index.  Codes become text only in
 the JSON form, the DOT labels and witnesses (encode_section).  A k-corner
@@ -22,14 +25,14 @@ from them.
 
 Cliques of walls are enumerated as spans (_cliques).  Spans are decoded
 to wall tuples only at the boundaries: the JSON form and witnesses
-(_walls).  The cliques of the crossing graph also count the complex
-before it is built (_f_count): the vertex cap is applied to that count,
-and check_flag certifies a complex by comparing its f-vector with it,
-then each cube key by Roller's criterion in O(k) mask operations
-(_certified).  A complex that fails is walked vertex by vertex with the
-same enumerator that attaches the cubes (_missing_cube), which names
-the first cube it lacks or the first registered cube it does not have
-at all 2^k corners.
+(_bit_indices).  The same cliques count the complex before it is built
+(_f_count): the vertex cap is applied to that count, and check_flag
+certifies a complex by comparing its f-vector with it, its vertices
+with the listed ones, then each cube key by Roller's criterion in O(k)
+mask operations (_certified).  A complex that fails is walked vertex
+by vertex with the same enumerator that attaches the cubes
+(_missing_cube), which names the first cube it lacks or the first
+registered cube it does not have at all 2^k corners.
 
 Everything is deterministic: vertices are indexed in BFS discovery
 order from the base with neighbour walls visited in id order.
@@ -43,8 +46,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetError, CertificateError, InputError
 # the benchmark's traced pass wraps admissible_flips here
-from .sections import _pointed, admissible_flips, decode_section, encode_section, is_admissible, principal_section
-from .wallspace import WallSpace, _is_int
+from .sections import admissible_flips, decode_section, encode_section, is_admissible, principal_section
+from .wallspace import WallSpace, _bit_indices, _is_int
 
 __all__ = [
     "DEFAULT_MAX_VERTICES",
@@ -237,57 +240,85 @@ def build_component(
     base_point: int = 0,
     max_vertices: int | None = None,
 ) -> CubeComplex:
-    """BFS the component of the base point's principal section.
+    """The cube complex's 1-skeleton, rooted at the base point's principal
+    section.
 
-    Vertices receive indices in discovery order; flips are tried in wall
-    id order, so the construction is deterministic.  Raises
-    ComplexityBudgetExceeded when the component outgrows the cap, from
-    the clique count before any vertex is visited.
-
-    A queued vertex carries its flips as two masks over the poc set
-    pointed at the base (sections._pointed): add, the far sides it may
-    take, and rem, those it may give back.  A discovery lies one level
-    further from the base than its finder, so it adds a wall w to the
-    set d of walls flipped from the base: rem loses req[w] and gains w;
-    add loses w and inc[w] and gains each x of cov[w] whose req[x] lies
-    in d and whose inc[x] misses it.  O(n*m + V + E + sum_k k*f_k) with
-    one test per cov wall per discovery, where a flip test of every wall
-    at every vertex cost O(V*m).
+    Raises ComplexityBudgetExceeded when the clique count (_f_count)
+    exceeds the cap, before any vertex is listed; the complex has
+    exactly that many vertices, so the listing needs no cap check of its
+    own.  _vertices
+    lists each vertex with the walls of its edges toward the base; each
+    such edge leads away from the base at its other end, which gives
+    every vertex the mask of its edges away from the base.  A BFS from
+    the base, walls in id order, numbers the vertices in discovery order
+    as a flip test of every wall at every vertex would.  It meets the
+    other end of each edge toward the base first, so it need follow
+    only the edges away from it: O(n*m + V + E) int operations beyond
+    the count, where that test cost O(V*m).
     """
     cap = resolve_max_vertices(max_vertices)
     base = principal_section(space, base_point)
     if _f_count(space, cap) is None:
         raise ComplexityBudgetExceeded(f"component exceeds the vertex cap {cap}")
-    req, inc, cov = _pointed(space, base)
+    up: dict[int, int] = {}  # code -> the walls of its edges away from the base
+    for code, down in _vertices(space, base):
+        while down:
+            low = down & -down
+            down ^= low
+            below = code ^ low
+            up[below] = up.get(below, 0) | low
     codes = [base]
     index = {base: 0}
     adjacency: list[dict[int, int]] = [{}]
-    queue = deque([(0, _span(w for w, r in enumerate(req) if not r), 0)])
-    while queue:
-        ui, add, rem = queue.popleft()
-        code = codes[ui]
-        flips = add | rem
-        while flips:
-            low = flips & -flips
-            flips ^= low
+    for ui, code in enumerate(codes):  # a BFS queue: discoveries append to codes
+        mask = up.get(code, 0)
+        while mask:
+            low = mask & -mask
+            mask ^= low
             w = low.bit_length() - 1
             t = code ^ low
             vi = index.get(t)
             if vi is None:
-                if len(codes) >= cap:
-                    raise ComplexityBudgetExceeded(
-                        f"component exceeds the vertex cap {cap}"
-                    )
-                d = t ^ base
-                grown = _span(x for x in cov[w] if not (req[x] & ~d or inc[x] & d))
-                vi = len(codes)
+                vi = index[t] = len(codes)
                 codes.append(t)
-                index[t] = vi
                 adjacency.append({})
-                queue.append((vi, add & ~low & ~inc[w] | grown, rem & ~req[w] | low))
             adjacency[ui][w] = vi
             adjacency[vi][w] = ui
     return CubeComplex(space, 0, codes, adjacency)
+
+
+def _vertices(space: WallSpace, base: int) -> Iterator[tuple[int, int]]:
+    """(code, down span) of every vertex of the complex dual to the space,
+    rooted at the admissible section with code base: the base first,
+    then one vertex per clique of the crossing graph in _cliques order.
+
+    With F_w the far side of wall w, the side base does not choose, a
+    vertex is fixed by the set D of walls whose F_w it chooses, and D is
+    admissible exactly when it holds every wall whose far side contains
+    the far side of a wall in D and no two far sides in D are disjoint
+    (Roller 1998).  The walls of D with no far side of D strictly inside theirs
+    are its edges toward the base (the down span): they pairwise cross,
+    D is them together with req[w] for each of them, req[w] being the
+    walls whose far side strictly contains F_w, and each clique K gives
+    such a D as K | req[K].  So the vertex of K is base ^ (K | req[K]).
+    """
+    m, meets = space.wall_count, space._meets_masks
+    full = (1 << m) - 1
+    far = full ^ base
+    req = []
+    for w in range(m):
+        listed, comp = meets[2 * w | far >> w & 1]  # the pair of F_w
+        # v's base side is its listed side where far has bit v, so
+        # listed & far | comp & base are the walls whose base side meets F_w
+        req.append(full ^ 1 << w ^ (listed & far | comp & base))
+    yield base, 0
+    for span in _cliques(full, space._crossing_masks, 1):
+        flipped, rest = span, span
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            flipped |= req[low.bit_length() - 1]
+        yield base ^ flipped, span
 
 
 def _span(walls: Iterable[int]) -> int:
@@ -296,16 +327,6 @@ def _span(walls: Iterable[int]) -> int:
     for w in walls:
         span |= 1 << w
     return span
-
-
-def _walls(span: int) -> tuple[int, ...]:
-    """The walls of a wall mask, in ascending order."""
-    out = []
-    while span:
-        low = span & -span
-        out.append(low.bit_length() - 1)
-        span ^= low
-    return tuple(out)
 
 
 def _cliques(cands: int, link: Sequence[int], min_size: int) -> Iterator[int]:
@@ -413,37 +434,32 @@ def dimension(X: CubeComplex) -> int:
 def _certified(X: CubeComplex) -> bool:
     """True when X is the whole cube complex dual to its space, by three
     tests, cheapest first: its f-vector equals the count from the
-    crossing graph (_f_count); its base is admissible and every other
-    vertex hangs in the base's BFS tree from an edge whose flip passes
-    Roller's test at the parent; and every key of cubes[k] spans k
-    pairwise crossing walls labelling edges at its vertex, which chooses
-    the listed side of each.
+    crossing graph (_f_count); its base is admissible and every vertex
+    listed from it (_vertices) is a vertex of X; and every key of
+    cubes[k] spans k pairwise crossing walls labelling edges at its
+    vertex, which chooses the listed side of each.
 
-    The tree makes every vertex admissible, and each edge flips one wall
-    (the constructor checks it), so X holds V distinct admissible
-    sections and E distinct single-wall flips between them: the whole
-    1-skeleton of the dual complex, which has exactly the counted
-    numbers of each.  Every admissible flip is then an edge, so by
-    Roller's criterion (see attach_cubes) a key's walls span a cube of
-    the dual complex with the key's vertex as its canonical one, and the
-    f_k distinct keys of cubes[k] are all its k-cubes.  Edge walls are
-    read only at vertices that keys name, crossing once per span.
+    After the first test the listing yields exactly X's V distinct
+    codes, so X holds all V admissible sections, and each edge flips one
+    wall (the constructor checks it), so X holds E distinct single-wall
+    flips between them: the whole 1-skeleton of the dual complex, which
+    has exactly the counted numbers of each.  Every admissible flip is
+    then an edge, so by Roller's criterion (see attach_cubes) a key's
+    walls span a cube of the dual complex with the key's vertex as its
+    canonical one, and the f_k distinct keys of cubes[k] are all its
+    k-cubes.  Edge walls are read only at vertices that keys name,
+    crossing once per span.
     """
     f = _f_count(X.space, len(X.codes))
     # f_vector lists the registries in key order, so their keys must be 2..d
     if f != X.f_vector() or sorted(X.cubes) != [*range(2, len(f))]:
         return False
-    codes, flips = X.codes, X.space._flip_masks
-    _, parent = X.cached_tree(X.base)
-    if not is_admissible(X.space, codes[X.base]) or parent.count(-1) != 1:
-        return False  # only the base has no parent when every vertex is reached
-    for u, code in zip(parent, codes):
-        if u >= 0:
-            c = codes[u]
-            w = (c ^ code).bit_length() - 1
-            inside_listed, inside_any = flips[w][c >> w & 1]
-            if c & inside_any != inside_listed:
-                return False
+    base, index = X.codes[X.base], X.index
+    if not is_admissible(X.space, base):
+        return False
+    for code, _ in _vertices(X.space, base):
+        if code not in index:
+            return False
     m, cross = X.space.wall_count, X.space._crossing_masks
     full = (1 << m) - 1
     closed: dict[int, int] = {}  # code -> the walls a span at it must avoid
@@ -496,7 +512,7 @@ def _missing_cube(X: CubeComplex) -> None:
             try:
                 found[code & ~span | span << m] += 1
             except KeyError:
-                walls = _walls(span)
+                walls = _bit_indices(span)
                 raise FlagViolation(vi, walls, f"vertex {vi}: walls {list(walls)} cross and label "
                                     f"edges at it, but no {len(walls)}-cube is registered") from None
     full = (1 << m) - 1
@@ -513,7 +529,7 @@ def _missing_cube(X: CubeComplex) -> None:
                 reason = "its vertex chooses a complement side"
             else:
                 reason = f"it has edges on all its walls at only {n} of its {1 << k} vertices"
-            vi, walls = X.index[code], _walls(span)
+            vi, walls = X.index[code], _bit_indices(span)
             raise FlagViolation(vi, walls, f"vertex {vi}: the {k}-cube over walls {list(walls)} "
                                 f"is not in the complex: {reason}")
 
@@ -564,7 +580,7 @@ def complex_to_dict(X: CubeComplex) -> dict:
             span = key >> m
             walls = walls_of.get(span)
             if walls is None:
-                walls = walls_of[span] = list(_walls(span))
+                walls = walls_of[span] = list(_bit_indices(span))
             entries.append([index[key & full], walls])
         entries.sort()
         cubes[str(k)] = entries

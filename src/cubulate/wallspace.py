@@ -13,8 +13,9 @@ is exactly p's principal section (see the sections module).  The wall
 distance of p and q is then ``(sig[p] ^ sig[q]).bit_count()``.  From
 the signatures each half-space gets two m-bit masks, the walls whose
 listed side and the walls whose complement it meets; the crossing
-graph and Roller's flip masks both read off those two masks, so no
-table costs m^2 half-space comparisons.
+graph and Roller's admissibility test (see the sections module) both
+read off those two masks, so no table costs m^2 half-space
+comparisons.
 
 Instances are immutable after construction; every operation is a pure
 read and safe to share between threads.
@@ -22,7 +23,7 @@ read and safe to share between threads.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InputError
 
@@ -65,11 +66,14 @@ class SameWall(InputError):
     """A two-wall operation was called with the same wall twice."""
 
 
-def _bit_indices(mask: int) -> Iterator[int]:
+def _bit_indices(mask: int) -> tuple[int, ...]:
+    """The indices of the set bits of a mask, in ascending order."""
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return tuple(out)
 
 
 class WallSpace:
@@ -124,7 +128,6 @@ class WallSpace:
         self._sigs: tuple[int, ...] | None = None
         self._meets: tuple[tuple[int, int], ...] | None = None
         self._crossing: tuple[int, ...] | None = None
-        self._flip: tuple[tuple[tuple[int, int], tuple[int, int]], ...] | None = None
         # the f-vector of the dual complex, once cubing._f_count has counted it all
         self._f_counted: tuple[int, ...] | None = None
         # action.validate_generator's (wall_perm, side_swap) per valid perm
@@ -156,7 +159,7 @@ class WallSpace:
         return self._masks[half_space_id]
 
     def points_in(self, half_space_id: int) -> tuple[int, ...]:
-        return tuple(_bit_indices(self.mask(half_space_id)))
+        return _bit_indices(self.mask(half_space_id))
 
     def _check_point(self, p: int) -> None:
         if not _is_int(p) or not 0 <= p < self._n:
@@ -253,33 +256,6 @@ class WallSpace:
         if self._iw is None:
             self._iw = _max_clique_size(self._crossing_masks)
         return self._iw
-
-    # -- admissibility support ------------------------------------------
-
-    @property
-    def _flip_masks(self) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
-        """Roller's flip test.  Per wall w, for its listed side and then its
-        complement a, the pair (inside_listed, inside_any) of masks over
-        the other walls: the walls whose listed side lies in a and the
-        walls with either side in a.
-
-        A section s (bit v set when it chooses wall v's complement) that
-        chooses a on wall w may flip w exactly when no other chosen side
-        lies in a, i.e. ``s & inside_any == inside_listed``.  A side lies
-        in a exactly when it misses a's complement, which the meets masks
-        record; no wall has both sides in a proper half-space.
-        """
-        if self._flip is None:
-            full = (1 << self.wall_count) - 1
-            meets = self._meets_masks
-            sides = []
-            for a in range(len(meets)):
-                others = full ^ 1 << (a >> 1)
-                listed, comp = meets[a ^ 1]
-                inside_listed = others & ~listed
-                sides.append((inside_listed, inside_listed | others & ~comp))
-            self._flip = tuple(zip(sides[::2], sides[1::2]))
-        return self._flip
 
     # -- serialization ---------------------------------------------------
 

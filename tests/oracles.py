@@ -5,7 +5,7 @@ sides) description with naive enumeration over frozensets.  Package
 outputs are compared against these in the tests; none of the package's
 bitmask or BFS machinery is used.  The one exception, flip_test_bfs,
 keeps the component BFS that ran a Roller flip test per wall at every
-vertex, as the reference order for the pointed build.
+vertex, as the reference order for the build.
 """
 
 import math

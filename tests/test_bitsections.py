@@ -30,7 +30,7 @@ from cubulate import (
     is_admissible,
     principal_section,
 )
-from cubulate import cubing
+from cubulate import cubing, wallspace
 from cubulate.cli import _complex_text
 
 import oracles
@@ -189,7 +189,7 @@ def test_flag_certificate_matches_link_search(raw, pick):
             continue
         top = list(X.cubes[max(X.cubes)])  # a top cube's loss shows in a link
         for key, twinned in product((keys[pick % len(keys)], top[pick % len(top)]), (0, 1)):
-            span_walls = cubing._walls(key >> m)
+            span_walls = wallspace._bit_indices(key >> m)
             twin = key ^ 1 << span_walls[pick // len(keys) % len(span_walls)]
             replacement = (twin,) * twinned
             Y = copy.copy(X)

@@ -59,6 +59,33 @@ def test_validate_malformed_json(capsys):
     assert "invalid JSON" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        "[" * 200_000 + "]" * 200_000,  # past the recursion limit
+        '{"points": ' + "1" * 5000 + "}",  # past the int digit limit
+    ],
+    ids=["malformed", "deep", "long_int"],
+)
+@pytest.mark.parametrize("role", ["space", "complex_in", "generators"])
+def test_unreadable_json_exits_through_the_error_path(tmp_path, role, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    argv = {
+        "space": ["validate", str(bad)],
+        "complex_in": ["check", SPACE3, "--complex-in", str(bad)],
+        "generators": ["act", SPACE3, "--generators", str(bad)],
+    }[role]
+    proc = subprocess.run(
+        [sys.executable, "-m", "cubulate.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {bad}: invalid JSON: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_validate_missing_file(capsys):
     code, out, err = run(capsys, "validate", "no_such_file.json")
     assert code == 1

@@ -109,17 +109,13 @@ def test_vertex_budget():
 
 
 def test_vertex_budget_is_applied_to_the_clique_count_first(monkeypatch):
-    # the count refuses crossing(3) under a cap of 4 before the BFS reads
-    # its pointed masks, the first thing it computes
-    def no_bfs(*args):
-        raise AssertionError("the BFS ran")
+    # the count refuses crossing(3) under a cap of 4 before any vertex is
+    # listed; the complex has exactly the counted vertices, so the build
+    # needs no guard of its own
+    def no_listing(*args):
+        raise AssertionError("a vertex was listed")
 
-    monkeypatch.setattr(cubing, "_pointed", no_bfs)
-    with pytest.raises(ComplexityBudgetExceeded, match="^component exceeds the vertex cap 4$"):
-        build_component(gen_crossing(3), max_vertices=4)
-    # and the BFS keeps its own guard when the count is not there to stop it
-    monkeypatch.undo()
-    monkeypatch.setattr(cubing, "_f_count", lambda space, limit: (1,))
+    monkeypatch.setattr(cubing, "_vertices", no_listing)
     with pytest.raises(ComplexityBudgetExceeded, match="^component exceeds the vertex cap 4$"):
         build_component(gen_crossing(3), max_vertices=4)
 
@@ -494,7 +490,8 @@ def test_a_key_registered_in_the_wrong_dimension_is_named():
 def test_certificate_needs_every_vertex_admissible():
     """nested(3)'s complex is the path 111-011-001-000.  The path
     111-110-100-000 has its f-vector, but 110 and 100 choose disjoint
-    sides, so the tree test refuses it."""
+    sides: the vertices listed from the base (111, 011, 001, 000) are not
+    all in the file, so the vertex-set test refuses it."""
     sp = gen_nested(3)
     data = {
         "walls": 3,
@@ -506,6 +503,98 @@ def test_certificate_needs_every_vertex_admissible():
     X = complex_from_dict(sp, data)
     assert X.f_vector() == cubing._f_count(sp, 4) == (4, 3)
     assert not cubing._certified(X)
+
+
+def test_certificate_lists_the_vertices_it_counted():
+    """nested(2)'s complex is 00-01-11 (codes 0b00, 0b10, 0b11).  The
+    star 01-00-10 (codes 0b10, 0b00, 0b01) keeps f = (3, 2), an
+    admissible base and no cube, but swaps the admissible 11 for the
+    inadmissible 10: only the vertex-set test refuses it.  No walls
+    cross, so check_flag passes, and the metric suite names point 0,
+    whose principal section 11 is missing."""
+    sp = gen_nested(2)
+    codes = [0b00, 0b10, 0b01]
+    data = {
+        "walls": 2,
+        "base": encode_section(0b00, 2),
+        "vertices": [encode_section(c, 2) for c in codes],
+        "edges": [[0, 1, 1], [0, 2, 0]],
+        "cubes": {},
+    }
+    X = complex_from_dict(sp, data)
+    assert X.f_vector() == cubing._f_count(sp, 3) == (3, 2)
+    assert sections.is_admissible(sp, X.codes[X.base])
+    assert not sections.is_admissible(sp, 0b01)
+    assert not cubing._certified(X)
+    assert check_flag(X)
+    with pytest.raises(MetricMismatch, match=r"\bpoint 0\b"):
+        check_metric_correspondence(sp, X)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.integers(2, 7), st.integers(1, 6), st.integers(0, 1 << 32))
+def test_vertices_are_the_admissible_sections_with_their_edges_toward_the_base(n, m, seed):
+    """From every admissible section as base, not only the principal
+    ones, the listing yields each admissible section exactly once, and
+    its down span is the walls of the edges at it that lead one step
+    closer to the base."""
+    rng = random.Random(seed)
+    space = random_wall_space(rng, point_count=n, wall_count=min(m, 2 ** (n - 1) - 1))
+    raw, m = space.to_dict(), space.wall_count
+    admissible = oracles.admissible_encodings(raw["points"], raw["walls"])
+    for base in sorted(admissible):
+        listed = [(encode_section(c, m), down) for c, down in cubing._vertices(space, decode_section(base, m))]
+        assert sorted(text for text, _ in listed) == sorted(admissible)
+        dist = oracles.graph_distances(admissible, base)
+        for text, down in listed:
+            flipped = (text[:w] + "01"[text[w] == "0"] + text[w + 1:] for w in range(m))
+            closer = sum(1 << w for w, t in enumerate(flipped) if dist.get(t) == dist[text] - 1)
+            assert down == closer, (base, text)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.integers(2, 6), st.integers(1, 5), st.integers(0, 1 << 32), st.integers(0, 3))
+def test_certified_exactly_when_the_complex_is_the_built_one(n, m, seed, mutations):
+    """A built complex with up to three random changes (a vertex moved
+    next to another, an edge dropped, a cube key added or dropped)
+    and a random vertex as base: the certificate accepts it exactly when
+    its codes, edges and cube keys are those of build_complex."""
+    rng = random.Random(seed)
+    space = random_wall_space(rng, point_count=n, wall_count=min(m, 2 ** (n - 1) - 1))
+    m = space.wall_count
+    built = build_complex(space)
+    codes = set(built.codes)
+    keys = {key for registry in built.cubes.values() for key in registry}
+    kinds = [rng.randrange(3) for _ in range(mutations)]
+    for _ in range(kinds.count(0)):  # a moved leaf keeps the f-vector
+        codes.discard(rng.choice(sorted(codes)))
+        codes.add(rng.choice([c ^ 1 << w for c in sorted(codes) for w in range(m) if c ^ 1 << w not in codes]))
+    codes = sorted(codes)
+    edges = {(u, u | 1 << w, w) for u in codes for w in range(m) if not u >> w & 1 and u | 1 << w in codes}
+    for _ in range(kinds.count(1)):
+        if edges:
+            edges.discard(rng.choice(sorted(edges)))
+    keys = {key for key in keys if key & (1 << m) - 1 in codes}
+    for _ in range(kinds.count(2)):
+        if keys and rng.random() < 0.5:
+            keys.discard(rng.choice(sorted(keys)))
+        elif m >= 2:
+            span = sum(1 << w for w in rng.sample(range(m), rng.randrange(2, m + 1)))
+            keys.add(rng.choice(codes) | span << m)
+    index = {c: i for i, c in enumerate(codes)}
+    adjacency = [{} for _ in codes]
+    for u, v, w in edges:
+        adjacency[index[u]][w] = index[v]
+        adjacency[index[v]][w] = index[u]
+    X = CubeComplex(space, rng.randrange(len(codes)), codes, adjacency)
+    for key in sorted(keys):
+        X.cubes.setdefault((key >> m).bit_count(), {})[key] = None
+    X.cubes = {k: X.cubes[k] for k in sorted(X.cubes)}
+    X.cubes_attached = True
+    built_edges = {(*sorted((built.codes[u], built.codes[v])), w) for u, v, w in built.edges}
+    built_keys = {key for registry in built.cubes.values() for key in registry}
+    same = set(codes) == set(built.codes) and edges == built_edges and keys == built_keys
+    assert cubing._certified(X) == same
 
 
 class _CountedLink(list):
