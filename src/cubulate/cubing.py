@@ -19,9 +19,9 @@ the low m bits and spans the bits above, so the key is injective, and
 the same cube found from different corners registers once.  The cube
 through any vertex with code c spanned by s has the key
 ``c & ~s | s << m``, so the flag check, the loop suites and the action
-check each find a cube with one dict membership test.  The 1-skeleton
-is stored once, as the adjacency maps; the sorted edge list is derived
-from them.
+check each find a cube with one dict membership test.  A complex is
+constructed from its edge list, whose entries the constructor checks
+once each; the adjacency maps and the sorted edges are derived from it.
 
 Cliques of walls are enumerated as spans (_cliques).  Spans are decoded
 to wall tuples only at the boundaries: the JSON form and witnesses
@@ -93,12 +93,14 @@ class CubeComplex:
     A vertex is an index i: ``codes[i]`` is its section's code (bit w set
     when it chooses wall w's complement side) and ``base`` is the index
     of the base vertex.
-    ``adjacency[i]`` maps the wall of each edge at i to its far end;
-    ``edges``, the sorted ``(u, v, wall)`` triples with u < v, is derived
-    from it while each entry is checked once: InputError unless it flips
-    exactly its wall's bit and is listed at the far end too, and unless
-    the base is an index and the codes are distinct ints that fit the
-    space's m walls.
+    ``edges`` lists each edge once, as [u, v, wall] in either orientation.
+    The constructor is the one check of a complex's vertices and edges:
+    InputError unless the base is an index and the codes distinct ints
+    that fit the space's m walls, and at the first entry, in list order,
+    that is malformed, out of range, not a flip of exactly its wall or
+    an edge listed before.  ``adjacency[i]``, built from the checked
+    entries, maps the wall of each edge at i to its far end, and
+    ``edges`` becomes their sorted ``(u, v, wall)`` triples with u < v.
     ``cubes[k]`` holds the key ``codes[b] | span << m`` of each k-cube,
     b being its canonical vertex and span its wall mask, in insertion
     order (a dict with None values).  ``index`` maps each code back to
@@ -112,39 +114,45 @@ class CubeComplex:
         space: WallSpace,
         base: int,
         codes: Sequence[int],
-        adjacency: Sequence[dict[int, int]],
+        edges: Iterable[Sequence[int]],
     ):
         self.space = space
         self.base = base
         self.codes: tuple[int, ...] = tuple(codes)
-        self.adjacency: tuple[dict[int, int], ...] = tuple(dict(a) for a in adjacency)
-        codes, adjacency, edges, m = self.codes, self.adjacency, [], space.wall_count
-        if not _is_int(base) or not 0 <= base < len(codes):
-            raise InputError(f"base {base!r} is not a vertex index in 0..{len(codes) - 1}")
-        if len(adjacency) != len(codes):
-            raise InputError(f"{len(adjacency)} adjacency maps for {len(codes)} vertices")
+        codes, n, m = self.codes, len(self.codes), space.wall_count
+        if not _is_int(base) or not 0 <= base < n:
+            raise InputError(f"base {base!r} is not a vertex index in 0..{n - 1}")
         if not {*map(type, codes)} <= {int} or min(codes) < 0 or max(codes) >> m:
             raise InputError(f"vertex codes must be ints that fit {m} bits")
-        # the codes fit m bits, so an entry that passes the XOR test names
-        # a wall in 0..m-1; a far end that is no index raises below
-        try:
-            for u, a in enumerate(adjacency):
-                for w, v in a.items():
-                    if codes[u] ^ codes[v] != 1 << w:
-                        edge = sorted((u, v)) + [w]
-                        raise InputError(f"edge {edge}: endpoints do not differ exactly on wall {w}")
-                    if adjacency[v].get(w) != u:
-                        raise InputError(f"edge {sorted((u, v)) + [w]} is listed at vertex {u} only")
-                    if u < v:
-                        edges.append((u, v, w))
-                    elif v < 0:  # passed the tests above as index len(codes) + v
-                        raise IndexError(v)
-        except (IndexError, TypeError, ValueError):
-            raise InputError(f"vertex {u}: entry {w!r}: {v!r} is not a wall and a vertex index") from None
-        self.edges: tuple[tuple[int, int, int], ...] = tuple(sorted(edges))
-        self.index = {c: i for i, c in enumerate(self.codes)}
-        if len(self.index) != len(codes):
-            raise InputError("two vertices share a code")
+        self.index = dict(zip(codes, range(n)))
+        if len(self.index) != n:
+            seen: set[int] = set()
+            twice = next(c for c in codes if c in seen or seen.add(c))
+            raise InputError(f"duplicate vertex encoding {encode_section(twice, m)}")
+        adjacency: list[dict[int, int]] = [{} for _ in codes]
+        pairs = []
+        # `type(x) is int or _is_int(x)` is _is_int(x) without a call for a plain int
+        for e in edges:
+            if not (isinstance(e, (list, tuple)) and len(e) == 3):
+                raise InputError(f"edge entries must be [u, v, wall], got {e!r}")
+            u, v, w = e
+            if not (
+                (type(u) is int or _is_int(u)) and 0 <= u < n
+                and (type(v) is int or _is_int(v)) and 0 <= v < n
+            ):
+                raise InputError(f"edge {e!r}: vertex index out of range")
+            if not (type(w) is int or _is_int(w)) or not 0 <= w < m:
+                raise InputError(f"edge {e!r}: wall out of range")
+            if codes[u] ^ codes[v] != 1 << w:
+                raise InputError(f"edge {e!r}: endpoints do not differ exactly on wall {w}")
+            if w in adjacency[u]:  # the XOR test leaves one far end on wall w: this edge
+                raise InputError(f"edge {e!r} is listed twice")
+            adjacency[u][w] = v
+            adjacency[v][w] = u
+            # an ordered tuple, as build_component lists, is stored without a copy
+            pairs.append(e if u < v and type(e) is tuple else (u, v, w) if u < v else (v, u, w))
+        self.adjacency: tuple[dict[int, int], ...] = tuple(adjacency)
+        self.edges: tuple[tuple[int, int, int], ...] = tuple(sorted(pairs))
         self.cubes: dict[int, dict[int, None]] = {}
         self.cubes_attached = False
         self._last_tree: tuple[int, tuple[int, ...], tuple[int, ...]] | None = None
@@ -254,7 +262,8 @@ def build_component(
     as a flip test of every wall at every vertex would.  It meets the
     other end of each edge toward the base first, so it need follow
     only the edges away from it: O(n*m + V + E) int operations beyond
-    the count, where that test cost O(V*m).
+    the count, where that test cost O(V*m).  The constructor checks these
+    edges like any others: the certificates cite that check.
     """
     cap = resolve_max_vertices(max_vertices)
     base = principal_section(space, base_point)
@@ -269,22 +278,19 @@ def build_component(
             up[below] = up.get(below, 0) | low
     codes = [base]
     index = {base: 0}
-    adjacency: list[dict[int, int]] = [{}]
+    edges: list[tuple[int, int, int]] = []
     for ui, code in enumerate(codes):  # a BFS queue: discoveries append to codes
         mask = up.get(code, 0)
         while mask:
             low = mask & -mask
             mask ^= low
-            w = low.bit_length() - 1
             t = code ^ low
             vi = index.get(t)
             if vi is None:
                 vi = index[t] = len(codes)
                 codes.append(t)
-                adjacency.append({})
-            adjacency[ui][w] = vi
-            adjacency[vi][w] = ui
-    return CubeComplex(space, 0, codes, adjacency)
+            edges.append((ui, vi, low.bit_length() - 1))
+    return CubeComplex(space, 0, codes, edges)
 
 
 def _vertices(space: WallSpace, base: int) -> Iterator[tuple[int, int]]:
@@ -339,10 +345,13 @@ def _cliques(cands: int, link: Sequence[int], min_size: int) -> Iterator[int]:
     rest & link[w] and carries the span down, so a clique costs O(1) int
     operations on top of the one it extends, and link[w] is read after
     the clique ending in w is yielded, so a caller that stops at a
-    clique reads nothing beyond it.
+    clique reads nothing beyond it.  The cliques being extended wait on
+    an explicit stack, not in recursion: a clique may have more walls
+    than Python's recursion limit.
     """
-
-    def grow(span: int, size: int, rest: int) -> Iterator[int]:
+    stack = [(0, 1, cands)]  # (span, size, rest) of the cliques to resume
+    while stack:
+        span, size, rest = stack.pop()
         while rest:
             low = rest & -rest
             rest ^= low
@@ -351,9 +360,8 @@ def _cliques(cands: int, link: Sequence[int], min_size: int) -> Iterator[int]:
                 yield nxt
             compatible = rest & link[low.bit_length() - 1]
             if compatible:
-                yield from grow(nxt, size + 1, compatible)
-
-    return grow(0, 1, cands)
+                stack.append((span, size, rest))
+                span, size, rest = nxt, size + 1, compatible
 
 
 def _f_count(space: WallSpace, limit: int) -> tuple[int, ...] | None:
@@ -598,10 +606,10 @@ def complex_from_dict(
 ) -> CubeComplex:
     """Rebuild a complex from its JSON form without re-deriving cubes.
 
-    Structural well-formedness (edge labels consistent with the vertex
-    encodings, no entry twice) is enforced; completeness of the cubes is not,
-    so broken complexes can be loaded and then failed by check_flag.  An
-    empty cube list is checked like any other and registers nothing.
+    The edge list goes to the CubeComplex constructor unchanged, which
+    checks it entry by entry.  Cube entries are checked for form and
+    repeats, not completeness, so broken complexes can be loaded and
+    then failed by check_flag.  An empty cube list registers nothing.
     A vertex list longer than the cap (see resolve_max_vertices) raises
     ComplexityBudgetExceeded before any encoding is decoded.
     """
@@ -622,38 +630,14 @@ def complex_from_dict(
             f"complex has {len(raw_vertices)} vertices, over the vertex cap {cap}"
         )
     codes = [decode_section(t, m) for t in raw_vertices]
-    index: dict[int, int] = {}
-    for i, c in enumerate(codes):
-        if c in index:
-            raise InputError(f"duplicate vertex encoding {raw_vertices[i]}")
-        index[c] = i
-    base = index.get(decode_section(data["base"], m))
-    if base is None:
+    base = decode_section(data["base"], m)
+    if base not in codes:
         raise InputError("base encoding is not among the vertices")
-    adjacency: list[dict[int, int]] = [{} for _ in codes]
     raw_edges = data["edges"]
     if not isinstance(raw_edges, list):
         raise InputError("'edges' must be a list of [u, v, wall] entries")
-    # `type(x) is int or _is_int(x)` is _is_int(x) without a call for a plain int
+    X = CubeComplex(space, codes.index(base), codes, raw_edges)
     n = len(codes)
-    for e in raw_edges:
-        if not (isinstance(e, list) and len(e) == 3):
-            raise InputError(f"edge entries must be [u, v, wall], got {e!r}")
-        u, v, w = e
-        if not (
-            (type(u) is int or _is_int(u)) and 0 <= u < n
-            and (type(v) is int or _is_int(v)) and 0 <= v < n
-        ):
-            raise InputError(f"edge {e!r}: vertex index out of range")
-        if not (type(w) is int or _is_int(w)) or not 0 <= w < m:
-            raise InputError(f"edge {e!r}: wall out of range")
-        if codes[u] ^ codes[v] != 1 << w:  # a later entry could hide it from the constructor
-            raise InputError(f"edge {e!r}: endpoints do not differ exactly on wall {w}")
-        if w in adjacency[u]:  # the XOR test leaves one far end on wall w: this edge
-            raise InputError(f"edge {e!r} is listed twice")
-        adjacency[u][w] = v
-        adjacency[v][w] = u
-    X = CubeComplex(space, base, codes, adjacency)
     cubes: dict[int, dict[int, None]] = {}
     raw_cubes = data["cubes"]
     if not isinstance(raw_cubes, dict):

@@ -8,6 +8,7 @@ triangular lattice patch, whose complex embeds into the integer grid.
 
 from __future__ import annotations
 
+from math import log10
 from typing import NamedTuple
 
 from .errors import InputError
@@ -65,35 +66,34 @@ def gen_tree(arity: int, depth: int) -> WallSpace:
     """Leaves of the complete rooted (arity, depth) tree; every edge
     contributes the wall splitting off the leaves below it.
 
-    Edges inducing a partition already present are skipped (for arity 2
-    the two root edges split the leaves identically).  No two walls
-    cross; the complex is a tree."""
+    Two edges induce the same partition only when their leaf blocks are
+    complements: the two root edges for arity 2, whose second wall is
+    skipped.  No two walls cross; the complex is a tree."""
     _check_int(arity, "arity")
     _check_int(depth, "depth")
     if arity < 2:
         raise SizeOutOfRange(f"arity must be >= 2, got {arity}")
     if depth < 1:
         raise SizeOutOfRange(f"depth must be >= 1, got {depth}")
+    # a leaf count of 4301 or more digits, which Python would not print
+    # and whose power can take seconds, is named by the power unevaluated;
+    # 2**14286 has 4301 digits
+    if depth >= 14286 or depth * log10(arity) >= 4300:
+        raise SizeOutOfRange(f"tree has {arity}**{depth} leaves, the supported maximum is 4096")
     leaves = arity**depth
     if leaves > 4096:
         raise SizeOutOfRange(
             f"tree has {leaves} leaves, the supported maximum is 4096"
         )
     walls: list[list[int]] = []
-    seen: set[frozenset[int]] = set()
     # walk internal levels top-down; a node at level d covers a
     # contiguous block of leaves
     for level in range(1, depth + 1):
         block = arity ** (depth - level)
         for node in range(arity**level):
-            below = list(range(node * block, (node + 1) * block))
-            partition = frozenset(
-                (frozenset(below), frozenset(set(range(leaves)) - set(below)))
-            )
-            if partition in seen:
-                continue
-            seen.add(partition)
-            walls.append(below)
+            # distinct blocks are complements only for the two root children
+            if not (level == 1 and node == 1 and arity == 2):
+                walls.append(list(range(node * block, (node + 1) * block)))
     return WallSpace(leaves, walls)
 
 

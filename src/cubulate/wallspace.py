@@ -291,8 +291,6 @@ def _max_clique_size(adj: Sequence[int]) -> int:
     here.
     """
     n = len(adj)
-    if n == 0:
-        return 0
     order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
     pos = {v: i for i, v in enumerate(order)}
     radj = [0] * n
@@ -300,31 +298,34 @@ def _max_clique_size(adj: Sequence[int]) -> int:
         for u in _bit_indices(adj[v]):
             radj[pos[v]] |= 1 << pos[u]
 
-    best = 0
-
-    def expand(size: int, cand: int) -> None:
-        nonlocal best
-        if cand == 0:
-            if size > best:
-                best = size
-            return
-        colour_order: list[tuple[int, int]] = []
-        uncoloured = cand
+    def colour_order(cand: int) -> list[tuple[int, int]]:
+        """(vertex, colour) for a greedy colouring of cand, in colour order."""
+        order: list[tuple[int, int]] = []
         colour = 0
-        while uncoloured:
+        while cand:
             colour += 1
-            avail = uncoloured
+            avail = cand
             while avail:
                 v = (avail & -avail).bit_length() - 1
-                colour_order.append((v, colour))
-                avail &= ~radj[v]
-                avail &= ~(1 << v)
-                uncoloured &= ~(1 << v)
-        for v, c in reversed(colour_order):
-            if size + c <= best:
-                return
-            expand(size + 1, cand & radj[v])
-            cand &= ~(1 << v)
+                order.append((v, colour))
+                avail &= ~(radj[v] | 1 << v)
+                cand &= ~(1 << v)
+        return order
 
-    expand(0, (1 << n) - 1)
+    # one frame per clique being extended, on a stack as a clique may be
+    # deeper than the recursion limit: size, candidates, colour order
+    best = 0
+    stack = [[0, (1 << n) - 1, colour_order((1 << n) - 1)]]
+    while stack:
+        size, cand, order = frame = stack[-1]
+        if not order or size + order[-1][1] <= best:
+            stack.pop()
+            continue
+        v = order.pop()[0]  # the highest colour left
+        frame[1] = cand & ~(1 << v)
+        cand &= radj[v]
+        if cand:
+            stack.append([size + 1, cand, colour_order(cand)])
+        else:
+            best = max(best, size + 1)
     return best

@@ -2,8 +2,10 @@
 wall-space generator for property checks, forged complexes, the
 decoding of a cube registry and of its corners, the verdict of a chain
 of flag checks and the one the oracles expect, and an independent count
-of a loop's wall flips."""
+of a loop's wall flips, and a space whose cliques are deeper than the
+recursion limit."""
 
+import random
 from collections import Counter
 from itertools import combinations
 
@@ -81,6 +83,19 @@ def forge_nested3_cubes(data):
         "2": [[vi, list(pair)] for pair in combinations(range(3), 2)],
         "3": [[vi, [0, 1, 2]]],
     }
+
+
+def deep_clique_space(wall_count=1200, point_count=64, seed=5):
+    """wall_count seeded random halves of the points, each listed by its
+    side holding point 0, so point 0's principal code is 0.  Two random
+    halves of 64 points almost surely cross: at seed 5 all 1200 walls
+    pairwise cross, more than Python's recursion limit."""
+    rng = random.Random(seed)
+    walls = []
+    for _ in range(wall_count):
+        half = set(rng.sample(range(point_count), point_count // 2))
+        walls.append(sorted(half if 0 in half else set(range(point_count)) - half))
+    return WallSpace(point_count, walls)
 
 
 def forged_star(m):

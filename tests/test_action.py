@@ -439,7 +439,7 @@ def test_orbit_reports_a_vertex_that_leaves_the_component():
     s01 sends 10 to 01, which is not a vertex there.  check_equivariance
     gives the same witness."""
     sp = gen_crossing(2)
-    X = CubeComplex(sp, 0, [0b00, 0b01, 0b11], [{0: 1}, {0: 0, 1: 2}, {1: 1}])
+    X = CubeComplex(sp, 0, [0b00, 0b01, 0b11], [(0, 1, 0), (1, 2, 1)])
     assert [encode_section(c, 2) for c in X.codes] == ["00", "10", "11"]
     s01 = cube_swap(sp, 0, 1, "s01")
     for run in (

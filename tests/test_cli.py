@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from cubulate import (
 from cubulate.cli import _complex_text, main
 from cubulate.families import gen_crossing, gen_nested, gen_tree, triangle_lattice
 
-from helpers import drop_edge, forge_nested3_cubes
+from helpers import deep_clique_space, drop_edge, forge_nested3_cubes
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SPACE3 = str(FIXTURES / "crossing3_space.json")
@@ -642,3 +643,36 @@ def test_zero_counts_accepted(capsys):
     )
     assert code == 0
     assert json.loads(out)["orbit"]["stabilizer_words"] == []
+
+
+def test_clique_searches_deeper_than_the_recursion_limit_end_without_a_traceback(capsys, tmp_path):
+    """1200 pairwise crossing walls: the intersection number and the
+    clique count descend 1200 levels.  A one-vertex file fails the metric
+    suite, and a cap of 10**300 is refused after 997 levels of counting."""
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps(deep_clique_space().to_dict()))
+    one = tmp_path / "one.json"
+    zero = "0" * 1200
+    one.write_text(json.dumps({"walls": 1200, "base": zero, "vertices": [zero], "edges": [], "cubes": {}}))
+    code, out, err = run(capsys, "check", str(space), "--complex-in", str(one), "--loops", "0")
+    report = json.loads(out)
+    assert code == 3 and report["intersection_number"] == 1200
+    assert report["checks"]["metric_correspondence"]["status"] == "fail"
+    code, out, err = run(capsys, "build", str(space), "--max-vertices", str(10**300))
+    assert code == 2 and err == f"error: component exceeds the vertex cap {10**300}\n"
+
+
+@pytest.mark.parametrize("param", ["1000,100000", "100000,1000000"])
+def test_generate_tree_refuses_an_unprintable_leaf_count_before_its_power(param):
+    """arity**depth has 300,001 and 5,000,001 digits: Python prints
+    neither, and the second takes seconds to compute."""
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "cubulate.cli", "generate", "--family", "tree", "--param", param],
+        capture_output=True,
+        text=True,
+    )
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 1 and proc.stdout == ""
+    arity, depth = param.split(",")
+    assert proc.stderr == f"error: tree has {arity}**{depth} leaves, the supported maximum is 4096\n"

@@ -37,6 +37,7 @@ import oracles
 from helpers import (
     cube_pairs,
     cube_swap,
+    deep_clique_space,
     drop_edge,
     flag_verdict,
     forge_nested3_cubes,
@@ -288,15 +289,10 @@ def test_attach_cubes_rejects_component_missing_a_vertex():
     X = build_component(gen_crossing(3))
     keep = [i for i, c in enumerate(X.codes) if c != 0b111]
     new = {old: i for i, old in enumerate(keep)}
-    broken = CubeComplex(
-        X.space,
-        X.base,
-        [X.codes[i] for i in keep],
-        [{w: new[j] for w, j in X.adjacency[i].items() if j in new} for i in keep],
-    )
-    assert broken.edges == tuple(
-        (new[u], new[v], w) for u, v, w in X.edges if u in new and v in new
-    )
+    edges = [(new[u], new[v], w) for u, v, w in X.edges if u in new and v in new]
+    # the constructor sorts the edges it is given
+    broken = CubeComplex(X.space, X.base, [X.codes[i] for i in keep], edges[::-1])
+    assert broken.edges == tuple(edges)
     attach_cubes(broken)
     with pytest.raises(FlagViolation) as info:
         check_flag(broken)
@@ -307,43 +303,93 @@ def test_attach_cubes_rejects_component_missing_a_vertex():
 
 
 @pytest.mark.parametrize(
-    "adjacency, witness",
+    "edges, witness",
     [
-        ([{0: 0}, {}], "edge [0, 0, 0]: endpoints do not differ exactly on wall 0"),
-        ([{0: 1}, {}], "edge [0, 1, 0] is listed at vertex 0 only"),
-        ([{}, {0: 0}], "edge [0, 1, 0] is listed at vertex 1 only"),
-        ([{1: 1}, {1: 0}], "edge [0, 1, 1]: endpoints do not differ exactly on wall 1"),
-        ([{0: 5}, {}], "vertex 0: entry 0: 5 is not a wall and a vertex index"),
-        ([{0: "x"}, {}], "vertex 0: entry 0: 'x' is not a wall and a vertex index"),
-        ([{-1: 1}, {}], "vertex 0: entry -1: 1 is not a wall and a vertex index"),
-        ([{0: -1}, {0: 0}], "vertex 0: entry 0: -1 is not a wall and a vertex index"),
+        ([[0, 0, 0]], "edge [0, 0, 0]: endpoints do not differ exactly on wall 0"),
+        ([[0, 1, 1]], "edge [0, 1, 1]: wall out of range"),
+        ([[0, 5, 0]], "edge [0, 5, 0]: vertex index out of range"),
+        ([[0, "x", 0]], "edge [0, 'x', 0]: vertex index out of range"),
+        ([[0, 1, -1]], "edge [0, 1, -1]: wall out of range"),
+        ([[0, -1, 0]], "edge [0, -1, 0]: vertex index out of range"),
+        ([[0, 1, 0], [1, 0, 0]], "edge [1, 0, 0] is listed twice"),
+        ([[0, 1]], "edge entries must be [u, v, wall], got [0, 1]"),
     ],
-    ids=["self_loop", "one_end", "other_end", "wrong_wall", "far_end", "str_far_end",
-         "negative_wall", "negative_far_end"],
+    ids=["self_loop", "wrong_wall", "far_end", "str_far_end", "negative_wall",
+         "negative_far_end", "reversed_twice", "pair"],
 )
-def test_constructor_checks_each_adjacency_entry(adjacency, witness):
-    # a self-loop would make EdgeLoop(X, [0, 0]) a closed loop of odd length
+def test_constructor_checks_each_adjacency_entry(edges, witness):
+    # each edge entry is checked before it enters the adjacency maps; a
+    # self-loop would make EdgeLoop(X, [0, 0]) a closed loop of odd length
     with pytest.raises(InputError) as info:
-        CubeComplex(gen_crossing(1), 0, [0, 1], adjacency)
+        CubeComplex(gen_crossing(1), 0, [0, 1], edges)
     assert str(info.value) == witness
 
 
 @pytest.mark.parametrize(
-    "base, codes, adjacency, witness",
+    "base, codes, edges, witness",
     [
-        (7, [0, 1], [{0: 1}, {0: 0}], "base 7 is not a vertex index in 0..1"),
-        (0, [0, 1 << 40], [{40: 1}, {40: 0}], "vertex codes must be ints that fit 1 bits"),
-        (0, [0, -1], [{}, {}], "vertex codes must be ints that fit 1 bits"),
-        (0, [0, "1"], [{}, {}], "vertex codes must be ints that fit 1 bits"),
-        (0, [0, 1], [{0: 1}, {0: 0}, {}], "3 adjacency maps for 2 vertices"),
-        (0, [1, 1], [{}, {}], "two vertices share a code"),
+        (7, [0, 1], [[0, 1, 0]], "base 7 is not a vertex index in 0..1"),
+        (0, [0, 1 << 40], [[0, 1, 40]], "vertex codes must be ints that fit 1 bits"),
+        (0, [0, -1], [], "vertex codes must be ints that fit 1 bits"),
+        (0, [0, "1"], [], "vertex codes must be ints that fit 1 bits"),
+        (0, [1, 1], [], "duplicate vertex encoding 1"),
     ],
-    ids=["base", "wide_code", "negative_code", "str_code", "extra_map", "duplicate_code"],
+    ids=["base", "wide_code", "negative_code", "str_code", "duplicate_code"],
 )
-def test_constructor_checks_base_and_codes(base, codes, adjacency, witness):
+def test_constructor_checks_base_and_codes(base, codes, edges, witness):
     with pytest.raises(InputError) as info:
-        CubeComplex(gen_crossing(1), base, codes, adjacency)
+        CubeComplex(gen_crossing(1), base, codes, edges)
     assert str(info.value) == witness
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.integers(2, 6), st.integers(1, 5), st.integers(0, 1 << 32), st.integers(0, 4))
+def test_constructor_accepts_an_edge_list_exactly_when_each_entry_is_new_and_flips_its_wall(
+    n, m, seed, mutations
+):
+    """The edges of a built complex with up to four random changes (an
+    entry dropped, reversed, listed again in either orientation, or
+    given another wall) in random order, as lists or tuples: the
+    constructor names the first entry that repeats an edge or does not
+    flip exactly its wall, or derives symmetric adjacency maps and the
+    sorted edges of the set."""
+    rng = random.Random(seed)
+    space = random_wall_space(rng, point_count=n, wall_count=min(m, 2 ** (n - 1) - 1))
+    m = space.wall_count
+    X = build_component(space)
+    entries = [list(e) for e in X.edges]
+    rng.shuffle(entries)
+    for kind in (rng.randrange(4) for _ in range(mutations)):
+        if not entries:
+            break
+        i = rng.randrange(len(entries))
+        u, v, w = entries[i]
+        if kind == 0:
+            del entries[i]
+        elif kind == 1:
+            entries[i] = [v, u, w]
+        elif kind == 2:
+            entries.insert(rng.randrange(len(entries) + 1), rng.choice([[u, v, w], [v, u, w]]))
+        else:
+            entries[i] = [u, v, rng.choice([x for x in range(-1, m + 1) if x != w])]
+    entries = [tuple(e) if rng.random() < 0.5 else e for e in entries]
+    seen, bad = set(), None
+    for e in entries:
+        u, v, w = e
+        edge = (min(u, v), max(u, v), w)
+        if not 0 <= w < m or X.codes[u] ^ X.codes[v] != 1 << w or edge in seen:
+            bad = e
+            break
+        seen.add(edge)
+    if bad is not None:
+        with pytest.raises(InputError) as info:
+            CubeComplex(space, X.base, X.codes, entries)
+        assert str(info.value).startswith(f"edge {bad!r}")
+        return
+    Y = CubeComplex(space, X.base, X.codes, entries)
+    assert Y.edges == tuple(sorted(seen))
+    assert {(min(u, v), max(u, v), w) for u, a in enumerate(Y.adjacency) for w, v in a.items()} == seen
+    assert all(Y.adjacency[v][w] == u for u, a in enumerate(Y.adjacency) for w, v in a.items())
 
 
 def drop_square_under_cube(d):
@@ -582,11 +628,7 @@ def test_certified_exactly_when_the_complex_is_the_built_one(n, m, seed, mutatio
             span = sum(1 << w for w in rng.sample(range(m), rng.randrange(2, m + 1)))
             keys.add(rng.choice(codes) | span << m)
     index = {c: i for i, c in enumerate(codes)}
-    adjacency = [{} for _ in codes]
-    for u, v, w in edges:
-        adjacency[index[u]][w] = index[v]
-        adjacency[index[v]][w] = index[u]
-    X = CubeComplex(space, rng.randrange(len(codes)), codes, adjacency)
+    X = CubeComplex(space, rng.randrange(len(codes)), codes, [(index[u], index[v], w) for u, v, w in sorted(edges)])
     for key in sorted(keys):
         X.cubes.setdefault((key >> m).bit_count(), {})[key] = None
     X.cubes = {k: X.cubes[k] for k in sorted(X.cubes)}
@@ -638,6 +680,25 @@ def test_count_falls_back_on_a_small_complex_over_many_crossing_walls():
     sp._crossing = _CountedLink(sp._crossing_masks, lookups)
     assert cubing._f_count(sp, 1 << 20) is None
     assert lookups == list(range(20))
+
+
+def test_flag_walk_descends_a_clique_deeper_than_the_recursion_limit():
+    """1200 pairwise crossing walls: a file with the base, its 1200
+    neighbours and the cubes over walls 0..k-1 at the base for every k
+    registers the whole first chain of cliques, so the walk descends all
+    1200 levels before it names the first clique off that chain."""
+    sp, m = deep_clique_space(), 1200
+    data = {
+        "walls": m,
+        "base": encode_section(0, m),
+        "vertices": [encode_section(0, m)] + [encode_section(1 << w, m) for w in range(m)],
+        "edges": [[0, w + 1, w] for w in range(m)],
+        "cubes": {str(k): [[0, list(range(k))]] for k in range(2, m + 1)},
+    }
+    X = complex_from_dict(sp, data)
+    with pytest.raises(FlagViolation) as info:
+        check_flag(X)
+    assert (info.value.vertex, info.value.walls) == (0, (*range(m - 2), m - 1))
 
 
 def test_a_forged_star_fails_flag_without_enumerating_its_link(monkeypatch):

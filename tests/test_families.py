@@ -93,6 +93,48 @@ def test_tree_range():
             gen_tree(a, d)
 
 
+def _tree_walls_by_partition(arity, depth):
+    """The subtree walls with every repeated partition skipped, as sets."""
+    leaves, walls, seen = arity**depth, [], set()
+    for level in range(1, depth + 1):
+        block = arity ** (depth - level)
+        for node in range(arity**level):
+            below = frozenset(range(node * block, (node + 1) * block))
+            partition = frozenset((below, frozenset(range(leaves)) - below))
+            if partition not in seen:
+                seen.add(partition)
+                walls.append(sorted(below))
+    return walls
+
+
+def test_tree_skips_exactly_the_repeated_partitions():
+    trees = [(a, d) for a in range(2, 129) for d in range(1, 8) if a**d <= 128]
+    assert len(trees) == 146
+    for a, d in trees:
+        expected = WallSpace(a**d, _tree_walls_by_partition(a, d)).to_dict()
+        assert gen_tree(a, d).to_dict() == expected, (a, d)
+
+
+@pytest.mark.parametrize(
+    "arity, depth, count",
+    [
+        (2, 13, "8192"),
+        (1000, 1000, str(1000**1000)),
+        (10, 4299, str(10**4299)),  # 4300 digits, the most Python prints
+        (10, 4300, "10**4300"),
+        (2, 14286, "2**14286"),
+        (1000, 100000, "1000**100000"),
+        (100000, 1000000, "100000**1000000"),
+    ],
+    ids=["8192", "3001_digits", "4300_digits", "4301_digits", "depth_14286", "1000^100000",
+         "100000^1000000"],
+)
+def test_tree_names_an_unprintable_leaf_count_by_its_power(arity, depth, count):
+    with pytest.raises(SizeOutOfRange) as info:
+        gen_tree(arity, depth)
+    assert str(info.value) == f"tree has {count} leaves, the supported maximum is 4096"
+
+
 def test_triangle_lattice_radius_one():
     tl = triangle_lattice(1)
     assert tl.space.point_count == 13

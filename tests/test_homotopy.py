@@ -175,7 +175,7 @@ def test_contraction_stuck_on_a_hexagon():
         X.space,
         new[X.index[decode_section("100", 3)]],
         [X.codes[i] for i in keep],
-        [{w: new[j] for w, j in X.adjacency[i].items() if j in new} for i in keep],
+        [(new[u], new[v], w) for u, v, w in X.edges if u in new and v in new],
     )
     assert len(hexagon.edges) == 6
     ring = ["100", "110", "010", "011", "001", "101", "100"]
