@@ -159,14 +159,6 @@ class CubeComplex:
 
     # -- lookups ----------------------------------------------------------
 
-    def _flipped(self, vi: int, *walls: int) -> tuple[int, int | None]:
-        """The code of vertex vi with the given walls flipped, and the
-        index of that section, or None when it is not a vertex."""
-        code = self.codes[vi]
-        for w in walls:
-            code ^= 1 << w
-        return code, self.index.get(code)
-
     def index_of(self, v: int) -> int:
         """v, once it is a vertex index; NotInComponent otherwise."""
         if not _is_int(v):
@@ -182,10 +174,12 @@ class CubeComplex:
 
     def edge_wall(self, i: int, j: int) -> int:
         """The wall labelling the edge between two adjacent vertices."""
-        u, v = self.index_of(i), self.index_of(j)
+        codes = self.codes
+        if not (type(i) is type(j) is int and 0 <= i < len(codes) and 0 <= j < len(codes)):
+            i, j = self.index_of(i), self.index_of(j)
         # an edge's codes differ exactly on its wall; equal codes give -1
-        w = (self.codes[u] ^ self.codes[v]).bit_length() - 1
-        if self.adjacency[u].get(w) != v:
+        w = (codes[i] ^ codes[j]).bit_length() - 1
+        if self.adjacency[i].get(w) != j:
             raise InputError(f"vertices {i} and {j} are not adjacent")
         return w
 

@@ -31,6 +31,16 @@ class SizeOutOfRange(InputError):
     """A family parameter is outside its supported range."""
 
 
+def _shown(value: int) -> str:
+    """value as a refusal prints it, or its size where Python will not
+    print an int of that many digits (4300 by default)."""
+    try:
+        return f"{value}"
+    except ValueError:
+        sign = "negative " if value < 0 else ""
+        return f"<{sign}int of {value.bit_length()} bits>"
+
+
 def _check_int(value: int, name: str) -> int:
     if not _is_int(value):
         raise SizeOutOfRange(f"{name} must be an integer, got {value!r}")
@@ -43,7 +53,7 @@ def gen_crossing(n: int) -> WallSpace:
     n-cube.  1 <= n <= 15."""
     _check_int(n, "n")
     if not 1 <= n <= 15:
-        raise SizeOutOfRange(f"crossing size n must be in 1..15, got {n}")
+        raise SizeOutOfRange(f"crossing size n must be in 1..15, got {_shown(n)}")
     points = 1 << n
     walls = [
         [p for p in range(points) if not p >> i & 1] for i in range(n)
@@ -58,7 +68,7 @@ def gen_nested(n: int) -> WallSpace:
     before any of the n wall lists is built."""
     _check_int(n, "n")
     if not 1 <= n <= 4095:
-        raise SizeOutOfRange(f"nested size n must be in 1..4095, got {n}")
+        raise SizeOutOfRange(f"nested size n must be in 1..4095, got {_shown(n)}")
     return WallSpace(n + 1, [list(range(i, n + 1)) for i in range(1, n + 1)])
 
 
@@ -72,14 +82,16 @@ def gen_tree(arity: int, depth: int) -> WallSpace:
     _check_int(arity, "arity")
     _check_int(depth, "depth")
     if arity < 2:
-        raise SizeOutOfRange(f"arity must be >= 2, got {arity}")
+        raise SizeOutOfRange(f"arity must be >= 2, got {_shown(arity)}")
     if depth < 1:
-        raise SizeOutOfRange(f"depth must be >= 1, got {depth}")
+        raise SizeOutOfRange(f"depth must be >= 1, got {_shown(depth)}")
     # a leaf count of 4301 or more digits, which Python would not print
     # and whose power can take seconds, is named by the power unevaluated;
     # 2**14286 has 4301 digits
     if depth >= 14286 or depth * log10(arity) >= 4300:
-        raise SizeOutOfRange(f"tree has {arity}**{depth} leaves, the supported maximum is 4096")
+        raise SizeOutOfRange(
+            f"tree has {_shown(arity)}**{_shown(depth)} leaves, the supported maximum is 4096"
+        )
     leaves = arity**depth
     if leaves > 4096:
         raise SizeOutOfRange(
@@ -168,7 +180,7 @@ def triangle_lattice(radius: int) -> TriangleLattice:
     line.  1 <= radius <= 6."""
     _check_int(radius, "radius")
     if not 1 <= radius <= 6:
-        raise SizeOutOfRange(f"radius must be in 1..6, got {radius}")
+        raise SizeOutOfRange(f"radius must be in 1..6, got {_shown(radius)}")
     base = Cell(0, 0, 0)
     ball = {base}
     frontier = [base]

@@ -3,12 +3,15 @@
 Every closed edge path has even length and flips every wall an even
 number of times: each edge of a complex flips exactly its wall's bit
 (the CubeComplex constructor checks it), and a closed path returns
-every bit to its start.  Nothing here recounts it.
+every bit to its start.  Nothing here recounts it.  So b is adjacent
+to a exactly when adjacency[a] maps the top bit of codes[a] ^ codes[b]
+to b: one O(1) adjacency test per loop vertex.
 contract_loop shrinks a loop to its basepoint one move at a time: the
 first interior vertex furthest from the basepoint is pushed across the
 registered square spanned by its two loop edges to the opposite corner,
-two steps closer, and spurs are removed eagerly.  The moves are
-recorded as a replayable certificate.
+two steps closer, and spurs are removed eagerly, resuming at the move;
+a move costs O(L) on a loop of length L.  The moves are recorded as a
+replayable certificate.
 
 random_loop and contract_loop read distances and parents from the BFS
 tree that the complex keeps for the last start (CubeComplex.cached_tree),
@@ -51,19 +54,21 @@ class EdgeLoop:
     """
 
     def __init__(self, complex: CubeComplex, vertices: Sequence[int]):
-        if not vertices:
+        idxs, codes, adjacency = tuple(vertices), complex.codes, complex.adjacency
+        if not idxs:
             raise NotALoop("a loop needs at least its basepoint")
-        try:
-            idxs = [complex.index_of(v) for v in vertices]
-        except NotInComponent as exc:
-            raise NotALoop(str(exc)) from exc
+        if not {*map(type, idxs)} <= {int} or min(idxs) < 0 or max(idxs) >= len(codes):
+            try:  # index_of names the first entry that is not a vertex index
+                idxs = tuple(map(complex.index_of, idxs))
+            except NotInComponent as exc:
+                raise NotALoop(str(exc)) from exc
         if idxs[0] != idxs[-1]:
             raise NotALoop("the path does not return to its start")
         for a, b in zip(idxs, idxs[1:]):
-            if b not in complex.adjacency[a].values():
+            if adjacency[a].get((codes[a] ^ codes[b]).bit_length() - 1) != b:
                 raise NotALoop(f"vertices {a} and {b} are not adjacent")
         self.complex = complex
-        self.indices: tuple[int, ...] = tuple(idxs)
+        self.indices: tuple[int, ...] = idxs
 
     @property
     def edge_length(self) -> int:
@@ -107,19 +112,6 @@ class ContractionCertificate(NamedTuple):
         return [m.to_dict() for m in self.moves]
 
 
-def _strip_backtracks(seq: list[int], X: CubeComplex, moves: list[Move]) -> list[int]:
-    """Delete (v, w, v) spurs until none remain, recording the removals."""
-    i = 1
-    while i < len(seq) - 1:
-        if seq[i - 1] == seq[i + 1]:
-            moves.append(Move("backtrack", i, (X.edge_wall(seq[i - 1], seq[i]),)))
-            del seq[i : i + 2]
-            i = max(i - 1, 1)
-        else:
-            i += 1
-    return seq
-
-
 def contract_loop(loop: EdgeLoop) -> ContractionCertificate:
     """Contract a loop to its basepoint, emitting a replayable certificate.
 
@@ -135,28 +127,37 @@ def contract_loop(loop: EdgeLoop) -> ContractionCertificate:
     X = loop.complex
     base = loop.indices[0]
     dist, _ = X.cached_tree(base)
-    m, squares = X.space.wall_count, X.cubes.get(2, {})
+    codes, index, m, squares = X.codes, X.index, X.space.wall_count, X.cubes.get(2, {})
     moves: list[Move] = []
-    seq = _strip_backtracks(list(loop.indices), X, moves)
-    while len(seq) > 1:
-        radius = max(dist[v] for v in seq)
-        pos = next((i for i in range(1, len(seq) - 1) if dist[seq[i]] == radius), None)
-        if pos is None:
+    seq = list(loop.indices)
+    i, hi = 1, len(seq)  # seq's (v, w, v) spurs sit at positions i to hi
+    while True:
+        while i <= hi and i < len(seq) - 1:
+            if seq[i - 1] == seq[i + 1]:
+                moves.append(Move("backtrack", i, (X.edge_wall(seq[i - 1], seq[i]),)))
+                del seq[i : i + 2]
+                # this can make a spur at i - 1 only, and it moves later ones two down
+                i, hi = (i - 1 if i > 1 else 1), (hi - 2 if hi > i else i - 1)
+            else:
+                i += 1
+        if len(seq) == 1:
+            break
+        ds = [*map(dist.__getitem__, seq)]
+        radius = max(ds)
+        pos = ds.index(radius, 1)  # the loop ends where it starts, at the same distance
+        if pos == len(seq) - 1:
             raise ContractionStuck(f"no interior vertex sits at the loop radius {radius}")
         sigma = seq[pos]
         # sigma's loop neighbours differ: spurs are stripped
         # both sit at radius - 1: each edge flips one bit, so the graph is bipartite
-        wa = X.edge_wall(sigma, seq[pos - 1])
-        wb = X.edge_wall(sigma, seq[pos + 1])
-        walls = (min(wa, wb), max(wa, wb))
-        opposite, tau = X._flipped(sigma, wa, wb)
-        if tau is None:
-            raise ContractionStuck(
-                f"opposite corner {encode_section(opposite, m)} is not a vertex"
-            )
-        # wa and wb cross: check_flag, which check runs first, refuses a square whose walls do not
+        wa, wb = X.edge_wall(sigma, seq[pos - 1]), X.edge_wall(sigma, seq[pos + 1])
+        walls = (wa, wb) if wa < wb else (wb, wa)
         s = 1 << wa | 1 << wb
-        if (X.codes[sigma] & ~s | s << m) not in squares:
+        tau = index.get(corner := codes[sigma] ^ s)
+        if tau is None:
+            raise ContractionStuck(f"opposite corner {encode_section(corner, m)} is not a vertex")
+        # wa and wb cross: check_flag, which check runs first, refuses a square whose walls do not
+        if (codes[sigma] & ~s | s << m) not in squares:
             raise ContractionStuck(
                 f"square over walls {list(walls)} at vertex {sigma} is not registered"
             )
@@ -168,10 +169,8 @@ def contract_loop(loop: EdgeLoop) -> ContractionCertificate:
         # at radius - 2, and spur removal adds none
         seq[pos] = tau
         moves.append(Move("square", pos, walls))
-        seq = _strip_backtracks(seq, X, moves)
-    return ContractionCertificate(
-        base=base, initial=tuple(loop.indices), moves=tuple(moves)
-    )
+        i, hi = max(pos - 1, 1), pos + 1  # the loop had no spur, and the move changed pos only
+    return ContractionCertificate(base=base, initial=loop.indices, moves=tuple(moves))
 
 
 def replay_certificate(
@@ -182,23 +181,22 @@ def replay_certificate(
     must name two distinct walls spanning a registered square at the
     vertex it replaces."""
     seq = list(EdgeLoop(X, initial).indices)
-    m = X.space.wall_count
-    squares = X.cubes.get(2, {})
+    codes, adjacency, m, squares = X.codes, X.adjacency, X.space.wall_count, X.cubes.get(2, {})
+    # seq stays an edge path: EdgeLoop checks it, and so does every square move below
     for n, mv in enumerate(moves):
         i = mv.at
-        if not _is_int(i) or not 1 <= i < len(seq) - 1:
+        if not (type(i) is int or _is_int(i)) or not 1 <= i < len(seq) - 1:
             raise CertificateError(f"move {n}: position {i!r} out of range")
         walls = mv.walls
-        if not isinstance(walls, (tuple, list)) or not all(
-            _is_int(w) and 0 <= w < m for w in walls
-        ):
-            raise CertificateError(f"move {n}: walls {walls!r} out of range")
+        for w in walls if isinstance(walls, (tuple, list)) else [None]:  # fails as None does
+            if not (type(w) is int or _is_int(w)) or not 0 <= w < m:
+                raise CertificateError(f"move {n}: walls {walls!r} out of range")
         if mv.kind == "backtrack":
             if len(walls) != 1:
                 raise CertificateError(f"move {n}: backtrack needs one wall")
             if seq[i - 1] != seq[i + 1]:
                 raise CertificateError(f"move {n}: no spur at position {i}")
-            if X.edge_wall(seq[i - 1], seq[i]) != walls[0]:
+            if codes[seq[i - 1]] ^ codes[seq[i]] != 1 << walls[0]:
                 raise CertificateError(f"move {n}: wall does not match the spur")
             del seq[i : i + 2]
         elif mv.kind == "square":
@@ -206,19 +204,20 @@ def replay_certificate(
                 raise CertificateError(f"move {n}: square needs two distinct walls")
             w1, w2 = walls
             s = 1 << w1 | 1 << w2
-            if (X.codes[seq[i]] & ~s | s << m) not in squares:
+            if (codes[seq[i]] & ~s | s << m) not in squares:
                 raise CertificateError(
                     f"move {n}: square over walls {list(walls)} at vertex "
                     f"{seq[i]} is not registered"
                 )
-            target, ti = X._flipped(seq[i], w1, w2)
+            ti = X.index.get(target := codes[seq[i]] ^ s)
             if ti is None:
                 raise CertificateError(
                     f"move {n}: opposite corner {encode_section(target, m)} is not a vertex"
                 )
+            a, b = seq[i - 1], seq[i + 1]
             if (
-                ti not in X.adjacency[seq[i - 1]].values()
-                or ti not in X.adjacency[seq[i + 1]].values()
+                adjacency[a].get((codes[a] ^ target).bit_length() - 1) != ti
+                or adjacency[b].get((codes[b] ^ target).bit_length() - 1) != ti
             ):
                 raise CertificateError(
                     f"move {n}: replacement vertex breaks the loop at position {i}"
@@ -237,13 +236,13 @@ def random_loop(
     complex's cached one)."""
     if steps is None:
         steps = rng.randrange(2, 17)
-    start = X.base
+    start = v = X.base
     walk = [start]
-    for _ in range(steps):
-        nbrs = [v for _, v in X.neighbors(walk[-1])]
-        walk.append(rng.choice(nbrs))
+    for _ in range(steps):  # the draw X.neighbors(v) would give, without its list
+        adj = X.adjacency[v]
+        v = adj[rng.choice(sorted(adj))]
+        walk.append(v)
     _, parent = X.cached_tree(start)
-    v = walk[-1]
     while v != start:
         v = parent[v]
         walk.append(v)

@@ -285,18 +285,22 @@ def _max_clique_size(adj: Sequence[int]) -> int:
     """Exact maximum clique size via branch and bound.
 
     Vertices are relabelled by degree, densest first (ties by index),
-    then searched with the classic greedy-colouring bound.  The order
-    only steers the search, so one O(n log n) sort serves.  Exponential
-    worst case, exact always; intended for the desk-scale wall counts
-    here.
+    then searched with the classic greedy-colouring bound from the size
+    of a greedy clique.  The order only steers the search, so one
+    O(n log n) sort serves, and the identity order relabels nothing.
+    Exponential worst case, exact always; intended for the desk-scale
+    wall counts here.
     """
     n = len(adj)
     order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-    pos = {v: i for i, v in enumerate(order)}
-    radj = [0] * n
-    for v in range(n):
-        for u in _bit_indices(adj[v]):
-            radj[pos[v]] |= 1 << pos[u]
+    if order == list(range(n)):  # the degrees already fall with the index
+        radj = adj
+    else:
+        pos = {v: i for i, v in enumerate(order)}
+        radj = [0] * n
+        for v in range(n):
+            for u in _bit_indices(adj[v]):
+                radj[pos[v]] |= 1 << pos[u]
 
     def colour_order(cand: int) -> list[tuple[int, int]]:
         """(vertex, colour) for a greedy colouring of cand, in colour order."""
@@ -312,9 +316,13 @@ def _max_clique_size(adj: Sequence[int]) -> int:
                 cand &= ~(1 << v)
         return order
 
+    # a greedy clique, densest vertex first, bounds the search from below:
+    # the root's colour bound ends it at once when the two meet
+    best, cand = 0, (1 << n) - 1
+    while cand:
+        best, cand = best + 1, cand & radj[(cand & -cand).bit_length() - 1]
     # one frame per clique being extended, on a stack as a clique may be
     # deeper than the recursion limit: size, candidates, colour order
-    best = 0
     stack = [[0, (1 << n) - 1, colour_order((1 << n) - 1)]]
     while stack:
         size, cand, order = frame = stack[-1]

@@ -3,9 +3,11 @@
 Everything here recomputes results from the raw (point_count, listed
 sides) description with naive enumeration over frozensets.  Package
 outputs are compared against these in the tests; none of the package's
-bitmask or BFS machinery is used.  The one exception, flip_test_bfs,
-keeps the component BFS that ran a Roller flip test per wall at every
-vertex, as the reference order for the build.
+bitmask or BFS machinery is used.  The two exceptions keep earlier
+forms of package code as reference orders: flip_test_bfs, the component
+BFS that ran a Roller flip test per wall at every vertex, for the build,
+and contract_by_rescan, the contraction that rescanned the whole loop
+for spurs after every move, for the contraction's moves.
 """
 
 import math
@@ -463,3 +465,42 @@ def flip_test_bfs(space, base_point):
             adjacency[ui][w] = vi
             adjacency[vi][w] = ui
     return codes, adjacency
+
+
+def contract_by_rescan(X, indices):
+    """The moves that contract a closed edge path of X to its first
+    vertex, as (kind, at, walls) triples, by the sweep that rescans the
+    loop from position 1 for (v, w, v) spurs after every square move.
+
+    Each square move pushes the first interior vertex at the loop's
+    largest BFS distance from the base across the registered square of
+    its two loop edges; walls are read with X.edge_wall."""
+    dist, _ = X.bfs_tree(indices[0])
+    m = X.space.wall_count
+    moves = []
+
+    def strip(seq):
+        i = 1
+        while i < len(seq) - 1:
+            if seq[i - 1] == seq[i + 1]:
+                moves.append(("backtrack", i, (X.edge_wall(seq[i - 1], seq[i]),)))
+                del seq[i : i + 2]
+                i = max(i - 1, 1)
+            else:
+                i += 1
+        return seq
+
+    seq = strip(list(indices))
+    while len(seq) > 1:
+        radius = max(dist[v] for v in seq)
+        pos = next(i for i in range(1, len(seq) - 1) if dist[seq[i]] == radius)
+        sigma = seq[pos]
+        wa = X.edge_wall(sigma, seq[pos - 1])
+        wb = X.edge_wall(sigma, seq[pos + 1])
+        s = 1 << wa | 1 << wb
+        assert (X.codes[sigma] & ~s | s << m) in X.cubes[2], "square not registered"
+        seq[pos] = X.index[X.codes[sigma] ^ s]
+        assert dist[seq[pos]] == radius - 2
+        moves.append(("square", pos, (min(wa, wb), max(wa, wb))))
+        seq = strip(seq)
+    return moves

@@ -802,8 +802,17 @@ def test_edge_wall():
     for i, j in ((u, u), (u, far), (far, u)):
         with pytest.raises(InputError, match="not adjacent"):
             X.edge_wall(i, j)
-    with pytest.raises(NotInComponent):
-        X.edge_wall(u, len(X.codes))
+    for bad in (len(X.codes), -1, True, 1.0):
+        with pytest.raises(NotInComponent):
+            X.edge_wall(u, bad)
+        with pytest.raises(NotInComponent):
+            X.edge_wall(bad, v)
+
+    class Index(int):
+        pass
+
+    # an int subclass other than bool is an index, as index_of has it
+    assert X.edge_wall(Index(u), Index(v)) == X.edge_wall(u, v)
 
 
 def test_graph_distance_not_in_component():

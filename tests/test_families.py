@@ -125,14 +125,33 @@ def test_tree_skips_exactly_the_repeated_partitions():
         (2, 14286, "2**14286"),
         (1000, 100000, "1000**100000"),
         (100000, 1000000, "100000**1000000"),
+        # a parameter Python will not print is named by its bit length
+        (2, 10**4400, "2**<int of 14617 bits>"),
+        (10**4400, 2, "<int of 14617 bits>**2"),
     ],
     ids=["8192", "3001_digits", "4300_digits", "4301_digits", "depth_14286", "1000^100000",
-         "100000^1000000"],
+         "100000^1000000", "depth_4401_digits", "arity_4401_digits"],
 )
 def test_tree_names_an_unprintable_leaf_count_by_its_power(arity, depth, count):
     with pytest.raises(SizeOutOfRange) as info:
         gen_tree(arity, depth)
     assert str(info.value) == f"tree has {count} leaves, the supported maximum is 4096"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: gen_tree(-(10**4400), 2), "arity must be >= 2, got <negative int of 14617 bits>"),
+        (lambda: gen_crossing(10**4400), "crossing size n must be in 1..15, got <int of 14617 bits>"),
+    ],
+    ids=["negative_arity", "crossing"],
+)
+def test_a_parameter_of_more_than_4300_digits_is_named_by_its_size(call, message):
+    # Python refuses to print an int of more than 4300 digits, so the
+    # refusal names its bit length instead
+    with pytest.raises(SizeOutOfRange) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_triangle_lattice_radius_one():

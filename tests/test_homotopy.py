@@ -1,10 +1,13 @@
 import copy
+import functools
 import hashlib
 import json
 import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubulate import (
     CertificateError,
@@ -27,7 +30,8 @@ from cubulate import (
 )
 from cubulate.families import gen_crossing, gen_nested, gen_tree, triangle_lattice
 
-from helpers import assert_even_loop, loop_flip_counts, shipped_examples
+import oracles
+from helpers import assert_even_loop, loop_flip_counts, random_wall_space, shipped_examples
 
 
 def square_complex():
@@ -295,3 +299,74 @@ def test_suites_share_one_bfs_tree_and_the_metric_runs_none(monkeypatch):
     assert X.cached_tree(other) == tuple(map(tuple, bfs_tree(X, other)))
     assert X.cached_tree(base) == (dist, parent)
     assert traversals == [base, other, base]
+
+
+@functools.lru_cache(maxsize=None)
+def family_complex(family, size):
+    """The complex of a small family member, built once per test run."""
+    if family == "crossing":
+        return build_complex(gen_crossing(size))
+    if family == "tree":
+        return build_complex(gen_tree(*size))
+    tl = triangle_lattice(size)
+    return build_complex(tl.space, base_point=tl.base_point)
+
+
+small_families = st.one_of(
+    st.tuples(st.just("crossing"), st.integers(1, 5)),
+    st.tuples(st.just("triangle-lattice"), st.integers(1, 3)),
+    st.tuples(st.just("tree"), st.tuples(st.integers(2, 3), st.integers(1, 3))),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(small_families, st.integers(0, 2**32 - 1))
+def test_contraction_moves_match_the_rescanning_sweep(family, seed):
+    """Resuming the spur scan at each move gives the moves of the sweep
+    that rescans the whole loop, and every certificate replays to the
+    base; the walks run past the default 16 steps too."""
+    X = family_complex(*family)
+    rng = random.Random(seed)
+    for _ in range(10):
+        loop = random_loop(X, rng, steps=rng.randrange(0, 40))
+        cert = contract_loop(loop)
+        assert list(cert.moves) == oracles.contract_by_rescan(X, loop.indices)
+        assert replay_certificate(X, cert.initial, cert.moves) == [X.base]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    st.one_of(
+        small_families.map(lambda f: family_complex(*f)),
+        st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 6)).map(
+            lambda drawn: build_complex(random_wall_space(random.Random(drawn[0]), 7, drawn[1]))
+        ),
+    )
+)
+def test_edge_loop_adjacency_matches_the_hamming_scan(X):
+    """[a, b, a] is a loop exactly when the codes of a and b are one bit
+    apart, for every ordered pair of vertex indices, a == b included."""
+    m = X.space.wall_count
+    edges = oracles.edges_among({encode_section(c, m) for c in X.codes})
+    for a, ca in enumerate(X.codes):
+        for b, cb in enumerate(X.codes):
+            pair = tuple(sorted((encode_section(ca, m), encode_section(cb, m))))
+            try:
+                EdgeLoop(X, [a, b, a])
+            except NotALoop as exc:
+                assert str(exc) == f"vertices {a} and {b} are not adjacent"
+                assert pair not in edges
+            else:
+                assert pair in edges
+
+
+@pytest.mark.parametrize("walls", [(1, 2), (0, 2)])
+def test_replay_refuses_a_replacement_off_the_loop(walls):
+    # a face of the 3-cube, 000 001 011 010; a registered square at 011
+    # whose walls do not both label its loop edges sends it to a vertex
+    # that one loop neighbour does not reach
+    X = build_complex(gen_crossing(3))
+    loop = [X.index[code] for code in (0b000, 0b001, 0b011, 0b010, 0b000)]
+    with pytest.raises(CertificateError) as info:
+        replay_certificate(X, loop, [Move("square", 2, walls)])
+    assert str(info.value) == "move 0: replacement vertex breaks the loop at position 2"

@@ -163,15 +163,22 @@ def test_intersection_number_matches_oracle():
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(
     st.integers(0, 11).flatmap(
-        lambda n: st.tuples(st.just(n), st.integers(0, (1 << n * (n - 1) // 2) - 1))
+        lambda n: st.tuples(
+            st.just(n),
+            st.integers(0, (1 << n * (n - 1) // 2) - 1),
+            st.sets(st.integers(0, n - 1)) if n else st.just(set()),
+        )
     )
 )
 def test_max_clique_size_matches_oracle(graph):
     """The branch and bound on neighbour masks against brute force; bit
-    i of the drawn int keeps the i-th vertex pair as an edge."""
-    n, chosen = graph
+    i of the drawn int keeps the i-th vertex pair as an edge, and the
+    drawn vertex set is made pairwise adjacent on top, so that the greedy
+    clique the search starts from often meets the root's colour bound."""
+    n, chosen, planted = graph
     pairs = combinations(range(n), 2)
     edges = {pair for i, pair in enumerate(pairs) if chosen >> i & 1}
+    edges |= set(combinations(sorted(planted), 2))
     adj = [0] * n
     for i, j in edges:
         adj[i] |= 1 << j
