@@ -130,14 +130,13 @@ def contract_loop(loop: EdgeLoop) -> ContractionCertificate:
     codes, index, m, squares = X.codes, X.index, X.space.wall_count, X.cubes.get(2, {})
     moves: list[Move] = []
     seq = list(loop.indices)
-    i, hi = 1, len(seq)  # seq's (v, w, v) spurs sit at positions i to hi
+    i = 1  # seq has no (v, w, v) spur before position i
     while True:
-        while i <= hi and i < len(seq) - 1:
+        while i < len(seq) - 1:
             if seq[i - 1] == seq[i + 1]:
                 moves.append(Move("backtrack", i, (X.edge_wall(seq[i - 1], seq[i]),)))
                 del seq[i : i + 2]
-                # this can make a spur at i - 1 only, and it moves later ones two down
-                i, hi = (i - 1 if i > 1 else 1), (hi - 2 if hi > i else i - 1)
+                i = max(i - 1, 1)  # this can make a spur at i - 1 only
             else:
                 i += 1
         if len(seq) == 1:
@@ -169,7 +168,7 @@ def contract_loop(loop: EdgeLoop) -> ContractionCertificate:
         # at radius - 2, and spur removal adds none
         seq[pos] = tau
         moves.append(Move("square", pos, walls))
-        i, hi = max(pos - 1, 1), pos + 1  # the loop had no spur, and the move changed pos only
+        i = max(pos - 1, 1)  # the loop had no spur, and the move changed pos only
     return ContractionCertificate(base=base, initial=loop.indices, moves=tuple(moves))
 
 

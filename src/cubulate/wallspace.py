@@ -287,20 +287,16 @@ def _max_clique_size(adj: Sequence[int]) -> int:
     Vertices are relabelled by degree, densest first (ties by index),
     then searched with the classic greedy-colouring bound from the size
     of a greedy clique.  The order only steers the search, so one
-    O(n log n) sort serves, and the identity order relabels nothing.
-    Exponential worst case, exact always; intended for the desk-scale
-    wall counts here.
+    O(n log n) sort serves.  Exponential worst case, exact always;
+    intended for the desk-scale wall counts here.
     """
     n = len(adj)
     order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-    if order == list(range(n)):  # the degrees already fall with the index
-        radj = adj
-    else:
-        pos = {v: i for i, v in enumerate(order)}
-        radj = [0] * n
-        for v in range(n):
-            for u in _bit_indices(adj[v]):
-                radj[pos[v]] |= 1 << pos[u]
+    pos = {v: i for i, v in enumerate(order)}
+    radj = [0] * n
+    for v in range(n):
+        for u in _bit_indices(adj[v]):
+            radj[pos[v]] |= 1 << pos[u]
 
     def colour_order(cand: int) -> list[tuple[int, int]]:
         """(vertex, colour) for a greedy colouring of cand, in colour order."""
