@@ -1,7 +1,7 @@
 """Dual cube complexes of finite spaces with walls.
 
 Build the complex of admissible sections over a finite wall space,
-attach cubes on corners, and machine-check its structural properties:
+whose cubes its 1-skeleton fixes, and machine-check its structure:
 connectivity with metric correspondence, loop parity, flag vertex
 links, loop contraction certificates, and equivariance of induced group
 actions.

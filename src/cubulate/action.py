@@ -8,13 +8,12 @@ the image of the originally chosen side.
 check_equivariance certifies this action on a complex in time linear
 in the size of the complex, with no BFS.  It checks directly that the
 generator's wall maps are the ones its point map induces (rerunning
-validate_generator), that the vertex map stays in the component, that
-edges go to edges and that cubes go to registered cubes.  The rest
-follows from those checks (Sageev 1995; Chepoi 2000): principal
-vertices go to principal vertices, vertex images are admissible, the
-vertex map is injective, both metrics are preserved and corners go to
-corners; the argument is spelled out in check_equivariance rather than
-recomputed.
+validate_generator), that the vertex map stays in the component and
+that edges go to edges.  The rest follows from those checks (Sageev
+1995; Chepoi 2000): principal vertices go to principal vertices, vertex
+images are admissible, the vertex map is injective, both metrics are
+preserved and corners, hence cubes, go to corners; the argument is
+spelled out in check_equivariance rather than recomputed.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .cubing import CubeComplex
 from .errors import BudgetError, CertificateError, InputError
 # unused here, but the benchmark's traced pass wraps principal_section in this module
 from .sections import encode_section, is_admissible, principal_section
-from .wallspace import WallSpace, _bit_indices, _is_int
+from .wallspace import WallSpace, _is_int
 
 __all__ = [
     "Generator",
@@ -218,17 +217,17 @@ def check_equivariance(space: WallSpace, X: CubeComplex, gen: Generator) -> dict
     Checked directly: the generator's wall permutation and side swaps
     are the ones its point permutation induces (_check_induced); the
     vertex map stays in the component; edges map to edges with
-    relabelled walls; cubes map to registered cubes.  Implied, and
-    argued in the comments below rather than recomputed: principal
-    vertices map to the principal vertices of the image points, vertex
-    images are admissible, the vertex map is injective, the wall
-    pseudo-metric and the edge-path metric are preserved on all pairs,
-    and corners map to corners.  Costs O(n*m + V + E + sum_k k*f_k)
-    time and O(V) memory.  Returns a summary of what was checked; raises
-    EquivarianceViolation with a witness otherwise.
+    relabelled walls.  Implied, and argued in the comments below rather
+    than recomputed: principal vertices map to the principal vertices of
+    the image points, vertex images are admissible, the vertex map is
+    injective, the wall pseudo-metric and the edge-path metric are
+    preserved on all pairs, and corners, hence cubes, map to corners.
+    Costs O(n*m + V + E) time and O(V) memory.  Returns a summary of
+    what was checked; raises EquivarianceViolation with a witness
+    otherwise.
     """
     gen = _check_induced(space, gen)
-    name, m = gen.name, space.wall_count
+    name = gen.name
     # Wall distance.  _check_induced gives sig[g.p] = P(sig[p] ^ S) for
     # every point p, with P a bit permutation, so sig[g.p] ^ sig[g.q] =
     # P(sig[p] ^ sig[q]) has the same popcount as sig[p] ^ sig[q]:
@@ -261,35 +260,17 @@ def check_equivariance(space: WallSpace, X: CubeComplex, gen: Generator) -> dict
     # the image walls, so corners go to corners, injectively because gv
     # and wall_perm are injective.
     #
-    # Cubes.  The image of the cube keyed code | span << m is the cube
-    # through the image vertex spanned by the image walls; wall_perm is a
-    # permutation, so the image lies in the same registry.
-    full = (1 << m) - 1
-    cube_total = 0
-    images: dict[int, int] = {}  # span -> its image, mapped once per span
-    for k, registry in X.cubes.items():
-        for key in registry:
-            b, span = X.index[key & full], key >> m
-            image = images.get(span)
-            if image is None:
-                image = images[span] = _apply_perm_to_mask(span, gen.wall_perm)
-            if (X.codes[gv[b]] & ~image | image << m) not in registry:
-                raise EquivarianceViolation(
-                    f"{name}: {k}-cube at vertex {b} over walls {list(_bit_indices(span))} "
-                    f"has no image cube"
-                )
-            cube_total += 1
-    # Every corner of a complex built by attach_cubes spans exactly one
-    # registered cube, and a k-cube has 2^k corners (one per vertex), so
-    # the corners are counted from the registry, not enumerated.
-    corners = sum((1 << k) * len(registry) for k, registry in X.cubes.items())
+    # A cube is spanned by the walls of one of its corners, so cubes go to
+    # cubes.  A k-cube has 2^k corners, one per vertex, so the corners are
+    # counted from the cube counts (CubeComplex.cube_counts), not listed.
+    counts = X.cube_counts()
     return {
         "generator": name,
         "points": space.point_count,
         "vertices": len(X.codes),
         "edges": len(X.edges),
-        "corners": corners,
-        "cubes": cube_total,
+        "corners": sum((1 << k) * n for k, n in counts.items()),
+        "cubes": sum(counts.values()),
     }
 
 

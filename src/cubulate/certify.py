@@ -157,5 +157,5 @@ def flag_suite(X: CubeComplex) -> dict:
     check_flag(X)
     return {
         "vertices": len(X.codes),
-        "squares": len(X.cubes.get(2, {})),
+        "squares": X.cube_counts().get(2, 0),
     }

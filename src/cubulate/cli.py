@@ -48,7 +48,7 @@ check_metric_correspondence = _forward("certify", "check_metric_correspondence")
 contraction_suite = _forward("certify", "contraction_suite")
 flag_suite = _forward("certify", "flag_suite")
 parity_suite = _forward("certify", "parity_suite")
-build_complex = _forward("cubing", "build_complex")
+build_component = _forward("cubing", "build_component")
 complex_from_dict = _forward("cubing", "complex_from_dict")
 complex_to_dict = _forward("cubing", "complex_to_dict")
 dimension = _forward("cubing", "dimension")
@@ -168,7 +168,7 @@ def _skipped_checks() -> dict:
 
 
 def _complex_summary(X: CubeComplex) -> dict:
-    cubes = {str(k): len(X.cubes[k]) for k in sorted(X.cubes)}
+    cubes = {str(k): n for k, n in X.cube_counts().items()}
     return {"vertices": len(X.codes), "edges": len(X.edges), "cubes": cubes}
 
 
@@ -194,7 +194,7 @@ def cmd_validate(args) -> int:
 def cmd_build(args) -> int:
     space, digest = _load_space(args.file)
     t0 = time.perf_counter()
-    X = build_complex(space, base_point=args.base, max_vertices=args.max_vertices)
+    X = build_component(space, base_point=args.base, max_vertices=args.max_vertices)
     elapsed = time.perf_counter() - t0
     report = _base_report("build", space, digest)
     report["base_point"] = args.base
@@ -225,7 +225,7 @@ def cmd_check(args) -> int:
         )
     else:
         base = 0 if args.base is None else args.base
-        X = build_complex(space, base_point=base, max_vertices=args.max_vertices)
+        X = build_component(space, base_point=base, max_vertices=args.max_vertices)
     report = _base_report("check", space, digest)
     report["base_point"] = base
     report["seed"] = args.seed
@@ -258,7 +258,7 @@ def cmd_check(args) -> int:
 
 def cmd_export(args) -> int:
     space, _ = _load_space(args.file)
-    X = build_complex(space, base_point=args.base, max_vertices=args.max_vertices)
+    X = build_component(space, base_point=args.base, max_vertices=args.max_vertices)
     if args.format == "dot":
         _write(to_dot(X), args.out)
     else:
@@ -280,7 +280,7 @@ def cmd_act(args) -> int:
     space, digest = _load_space(args.file)
     gen_data, _ = _load_json(args.generators)
     generators = load_generators(space, gen_data)
-    X = build_complex(space, base_point=args.base, max_vertices=args.max_vertices)
+    X = build_component(space, base_point=args.base, max_vertices=args.max_vertices)
     report = _base_report("act", space, digest)
     report["base_point"] = args.base
     report["complex"] = _complex_summary(X)

@@ -8,34 +8,25 @@ vertex, so the cliques of the crossing graph list the vertices
 (_vertices).  A vertex is an index i into one tuple of codes:
 ``X.codes[i]`` is its section's code, so a flip is an XOR, and the dict
 ``X.index`` maps a code back to its index.  Codes become text only in
-the JSON form, the DOT labels and witnesses (encode_section).  A k-corner
-is a vertex together with k pairwise crossing walls all flipping
-admissibly there; each corner spans a unique k-cube whose 2^k vertices
-are obtained by flipping subsets of the corner's walls.  A cube has one
-key, the int ``code | span << m``: the code of its canonical vertex (the
-one choosing every listed side of the cube's walls) and its span, the
-wall mask with bit w set for each of its walls, on m walls.  Codes fill
-the low m bits and spans the bits above, so the key is injective, and
-the same cube found from different corners registers once.  The cube
-through any vertex with code c spanned by s has the key
-``c & ~s | s << m``, so the flag check, the loop suites and the action
-check each find a cube with one dict membership test.  A complex is
-constructed from its edge list, whose entries the constructor checks
-once each; the adjacency maps and the sorted edges are derived from it.
+the JSON form, the DOT labels and witnesses (encode_section).
 
-Cliques of walls are enumerated as spans (_cliques).  Spans are decoded
-to wall tuples only at the boundaries: the JSON form and witnesses
-(_bit_indices).  The same cliques count the complex before it is built
-(_f_count): the vertex cap is applied to that count, and check_flag
-certifies a complex by comparing its f-vector with it, its vertices
-with the listed ones, then each cube key by Roller's criterion in O(k)
-mask operations (_certified).  A complex that fails is walked vertex
-by vertex with the same enumerator that attaches the cubes
-(_missing_cube), which names the first cube it lacks or the first
-registered cube it does not have at all 2^k corners.
+The 1-skeleton fixes the cubes: k pairwise crossing walls labelling
+edges at a vertex span a k-cube through it (Roller 1998), and the same
+cliques count them (_f_count), so a built complex registers none.  The
+registry ``X.cubes`` belongs to the file format: complex_to_dict builds
+it (attach_cubes) and complex_from_dict reads it.  A cube's key is the
+int ``code | span << m``: the code of its canonical vertex, which
+chooses the listed side of each of its walls, and its span, their wall
+mask; the cube through code c spanned by s has the key
+``c & ~s | s << m``.
 
-Everything is deterministic: vertices are indexed in BFS discovery
-order from the base with neighbour walls visited in id order.
+check_flag compares a complex's vertex and edge numbers with the count
+and its vertices with the listed ones, and a registry's sizes with the
+count and each key with Roller's criterion in O(k) mask operations
+(_certified).  A registry that fails is walked vertex by vertex with
+the enumerator that attaches the cubes (_missing_cube), which names
+the first cube it lacks or the first registered cube not at all 2^k
+corners.
 """
 
 from __future__ import annotations
@@ -88,7 +79,8 @@ class NotInComponent(InputError):
 
 
 class CubeComplex:
-    """A component of the admissible-section graph with attached cubes.
+    """A component of the admissible-section graph; its cubes are those
+    of the rule (see the module docstring) unless it has a registry.
 
     A vertex is an index i: ``codes[i]`` is its section's code (bit w set
     when it chooses wall w's complement side) and ``base`` is the index
@@ -101,12 +93,10 @@ class CubeComplex:
     an edge listed before.  ``adjacency[i]``, built from the checked
     entries, maps the wall of each edge at i to its far end, and
     ``edges`` becomes their sorted ``(u, v, wall)`` triples with u < v.
-    ``cubes[k]`` holds the key ``codes[b] | span << m`` of each k-cube,
-    b being its canonical vertex and span its wall mask, in insertion
-    order (a dict with None values).  ``index`` maps each code back to
+    ``cubes`` is None or the registry: ``cubes[k]`` holds the key of each
+    k-cube (a dict with None values).  ``index`` maps each code back to
     its vertex index.  Treat instances as immutable once attach_cubes
-    has run; the ``codes``, ``index``, ``edges``, ``adjacency`` and
-    ``cubes`` attributes are read-only views of the construction.
+    has run; the attributes are read-only.
     """
 
     def __init__(
@@ -153,8 +143,7 @@ class CubeComplex:
             pairs.append(e if u < v and type(e) is tuple else (u, v, w) if u < v else (v, u, w))
         self.adjacency: tuple[dict[int, int], ...] = tuple(adjacency)
         self.edges: tuple[tuple[int, int, int], ...] = tuple(sorted(pairs))
-        self.cubes: dict[int, dict[int, None]] = {}
-        self.cubes_attached = False
+        self.cubes: dict[int, dict[int, None]] | None = None
         self._last_tree: tuple[int, tuple[int, ...], tuple[int, ...]] | None = None
 
     # -- lookups ----------------------------------------------------------
@@ -214,18 +203,24 @@ class CubeComplex:
             self._last_tree = (start, tuple(dist), tuple(parent))
         return self._last_tree[1], self._last_tree[2]
 
+    def cube_counts(self) -> dict[int, int]:
+        """{k: f_k} for k >= 2: the registry's sizes, or without one the
+        count (_f_count), which is X's once check_flag has passed;
+        CertificateError when it has more vertices than X."""
+        if self.cubes is not None:
+            return {k: len(self.cubes[k]) for k in sorted(self.cubes)}
+        f = _f_count(self.space, len(self.codes))
+        if f is None:
+            raise CertificateError(f"the dual complex has more than {len(self.codes)} vertices")
+        return dict(enumerate(f[2:], 2))
+
     def f_vector(self) -> tuple[int, ...]:
         """(vertices, edges, squares, 3-cubes, ...) up to the dimension."""
-        counts = [len(self.codes), len(self.edges)]
-        for k in sorted(self.cubes):
-            counts.append(len(self.cubes[k]))
-        return tuple(counts)
+        return (len(self.codes), len(self.edges), *self.cube_counts().values())
 
     def __repr__(self) -> str:
-        return (
-            f"CubeComplex(vertices={len(self.codes)}, edges={len(self.edges)}, "
-            f"cubes={ {k: len(v) for k, v in self.cubes.items()} })"
-        )
+        cubes = "by rule" if self.cubes is None else {k: len(v) for k, v in self.cubes.items()}
+        return f"CubeComplex(vertices={len(self.codes)}, edges={len(self.edges)}, cubes={cubes})"
 
 
 def resolve_max_vertices(requested: int | None = None) -> int:
@@ -392,18 +387,17 @@ def _f_count(space: WallSpace, limit: int) -> tuple[int, ...] | None:
 
 
 def attach_cubes(X: CubeComplex) -> CubeComplex:
-    """Attach one cube per corner, keyed canonically; idempotent.
+    """Register the cubes of the rule, keyed canonically, for a complex
+    that has no registry; complex_to_dict calls it to write a file.
 
-    Corners are enumerated at each cube's canonical vertex (the one
-    choosing every listed side of the cube's walls), so every cube is
-    found exactly once and registered under its key
-    ``code | span << m``.  The cubes are not checked here: by Roller's
+    Corners are enumerated at each cube's canonical vertex, so each cube
+    is found once.  The cubes are not checked here: by Roller's
     flip criterion, flipping any subset of pairwise crossing walls that
     each flip admissibly keeps a section admissible, so every cube found
     at a corner of a built component lies in it.  check_flag relies on
     the same criterion to certify every registry it is given.
     """
-    if X.cubes_attached:
+    if X.cubes is not None:
         return X
     cross, m = X.space._crossing_masks, X.space.wall_count
     cubes: dict[int, dict[int, None]] = {}
@@ -411,7 +405,6 @@ def attach_cubes(X: CubeComplex) -> CubeComplex:
         for span in _cliques(_span(X.adjacency[vi]) & ~code, cross, 2):
             cubes.setdefault(span.bit_count(), {})[code | span << m] = None
     X.cubes = {k: cubes[k] for k in sorted(cubes)}
-    X.cubes_attached = True
     return X
 
 
@@ -426,42 +419,41 @@ def build_complex(
 
 def dimension(X: CubeComplex) -> int:
     """Largest k with a k-cube; 1 for edge-only, 0 for a lone vertex."""
-    if not X.cubes_attached:
-        raise InputError("attach cubes before asking for the dimension")
-    if X.cubes:
-        return max(X.cubes)
-    return 1 if X.edges else 0
+    return max(X.cube_counts(), default=1 if X.edges else 0)
+
+
+def _skeleton_fault(X: CubeComplex, f: tuple[int, ...] | None) -> str | None:
+    """None when X's vertices and edges are the whole 1-skeleton of the
+    dual complex, else a witness.  Tests, cheapest first: f_0 and f_1 of
+    the count f (_f_count; None for more than V vertices) are V and E,
+    the base is admissible, and X has every vertex listed from it
+    (_vertices).  The listing then yields X's V codes, and each of the E
+    edges flips one wall (the constructor checks it): the whole dual
+    1-skeleton.  With f None it lists a code X lacks."""
+    V, E, m, base = len(X.codes), len(X.edges), X.space.wall_count, X.codes[X.base]
+    if f is not None and f[:2] != (V, E):
+        return f"the complex has {V} vertices and {E} edges, the dual complex {f[0]} and {f[1]}"
+    if not is_admissible(X.space, base):
+        return f"vertex {X.base}: its section {encode_section(base, m)} is not admissible"
+    for code, _ in _vertices(X.space, base):
+        if code not in X.index:
+            return f"the dual complex's vertex {encode_section(code, m)} is not in the complex"
+    return None
 
 
 def _certified(X: CubeComplex) -> bool:
-    """True when X is the whole cube complex dual to its space, by three
-    tests, cheapest first: its f-vector equals the count from the
-    crossing graph (_f_count); its base is admissible and every vertex
-    listed from it (_vertices) is a vertex of X; and every key of
-    cubes[k] spans k pairwise crossing walls labelling edges at its
-    vertex, which chooses the listed side of each.
-
-    After the first test the listing yields exactly X's V distinct
-    codes, so X holds all V admissible sections, and each edge flips one
-    wall (the constructor checks it), so X holds E distinct single-wall
-    flips between them: the whole 1-skeleton of the dual complex, which
-    has exactly the counted numbers of each.  Every admissible flip is
-    then an edge, so by Roller's criterion (see attach_cubes) a key's
-    walls span a cube of the dual complex with the key's vertex as its
-    canonical one, and the f_k distinct keys of cubes[k] are all its
-    k-cubes.  Edge walls are read only at vertices that keys name,
-    crossing once per span.
-    """
+    """True when X's registry and 1-skeleton (_skeleton_fault) are the
+    dual complex's: the registry's sizes are the count, by keys 2..d,
+    and every key of cubes[k] spans k pairwise crossing walls labelling
+    edges at its vertex, which chooses their listed sides.  Every
+    admissible flip being an edge, Roller's criterion (see attach_cubes)
+    makes each key a cube of the dual with the key's vertex canonical,
+    so the f_k distinct keys are all its k-cubes.  Edge walls are read
+    only at vertices that keys name, crossing once per span."""
     f = _f_count(X.space, len(X.codes))
     # f_vector lists the registries in key order, so their keys must be 2..d
-    if f != X.f_vector() or sorted(X.cubes) != [*range(2, len(f))]:
+    if f != X.f_vector() or sorted(X.cubes) != [*range(2, len(f))] or _skeleton_fault(X, f):
         return False
-    base, index = X.codes[X.base], X.index
-    if not is_admissible(X.space, base):
-        return False
-    for code, _ in _vertices(X.space, base):
-        if code not in index:
-            return False
     m, cross = X.space.wall_count, X.space._crossing_masks
     full = (1 << m) - 1
     closed: dict[int, int] = {}  # code -> the walls a span at it must avoid
@@ -538,28 +530,30 @@ def _missing_cube(X: CubeComplex) -> None:
 
 def check_flag(X: CubeComplex) -> bool:
     """Certify that every vertex link is a flag complex and that every
-    registered cube is a cube of the complex.
+    cube, registered or by rule, is a cube of the complex.
 
-    A complex that passes _certified is the whole cube complex dual to
-    its space: a median graph (Chepoi, "Graphs of some CAT(0)
-    complexes", Adv. Appl. Math. 24, 2000) with every cube filled, which
-    is CAT(0), so by Gromov's link condition every link is flag.  Its
-    f-vector is compared with the count from the crossing graph
-    (Brešar, Klavžar and Škrekovski, 2003; see _f_count), which is
-    O(V + E + sum_k k f_k) in all, and _missing_cube does not run.
+    A 1-skeleton that is the dual's (_skeleton_fault) is a median graph
+    (Chepoi, "Graphs of some CAT(0) complexes", Adv. Appl. Math. 24,
+    2000); with every cube filled, as by rule, it is CAT(0), so by
+    Gromov's link condition every link is flag.  Without a registry that
+    is the check, and a failure raises CertificateError with a witness.
+    A registry that passes _certified is the dual's, in O(V + E +
+    sum_k k f_k) in all.
 
-    Any other complex must register, at every vertex, the cube spanned
-    by every set of pairwise crossing walls labelling edges there, as
-    the dual complex does, and must have each registered cube at all
-    2^k of its vertices (_missing_cube).  That implies flag links: edges
-    at a vertex with registered squares, which are then in X, have
-    pairwise crossing walls, so their cube is registered too.  It asks
-    more than flag links, which crossing(2) without its square has.  A
-    missing, forged or misplaced cube in a file fails with a witness.
+    Any other registry must hold the cube spanned by every set of
+    pairwise crossing walls labelling edges at a vertex, and have each
+    registered cube at all 2^k of its vertices (_missing_cube).  Then it
+    is the set of cubes by rule, which the loop suites rely on, and the
+    links are flag: edges at a vertex with registered squares, which are
+    then in X, have pairwise crossing walls, so their cube is registered
+    too.  crossing(2) without its square has flag links but fails.  A
+    missing, forged or misplaced cube fails with a witness.
     """
-    if not X.cubes_attached:
-        raise InputError("attach cubes before checking the flag condition")
-    if not _certified(X):
+    if X.cubes is None:
+        fault = _skeleton_fault(X, _f_count(X.space, len(X.codes)))
+        if fault:
+            raise CertificateError(fault)
+    elif not _certified(X):
         _missing_cube(X)
     return True
 
@@ -568,17 +562,18 @@ def check_flag(X: CubeComplex) -> bool:
 
 
 def complex_to_dict(X: CubeComplex) -> dict:
-    """The JSON form; each cube key is decoded to [vertex, [walls]],
-    sorted by vertex index, then wall tuple.  Cubes with the same span
-    share one wall list, so each span is decoded once."""
-    m, index = X.space.wall_count, X.index
+    """The JSON form, with the registry, which attach_cubes builds when X
+    has none; each cube key is decoded to [vertex, [walls]], sorted by
+    vertex index, then wall tuple.  Cubes with the same span share one
+    wall list, so each span is decoded once."""
+    m, index, registries = X.space.wall_count, X.index, attach_cubes(X).cubes
     full = (1 << m) - 1
     vertices = [encode_section(c, m) for c in X.codes]
     walls_of: dict[int, list[int]] = {}
     cubes = {}
-    for k in sorted(X.cubes):
+    for k in sorted(registries):
         entries = []
-        for key in X.cubes[k]:
+        for key in registries[k]:
             span = key >> m
             walls = walls_of.get(span)
             if walls is None:
@@ -671,7 +666,6 @@ def complex_from_dict(
         if registry:  # no dimension without a cube
             cubes[k] = registry
     X.cubes = {k: cubes[k] for k in sorted(cubes)}
-    X.cubes_attached = True
     return X
 
 

@@ -8,10 +8,17 @@ to a exactly when adjacency[a] maps the top bit of codes[a] ^ codes[b]
 to b: one O(1) adjacency test per loop vertex.
 contract_loop shrinks a loop to its basepoint one move at a time: the
 first interior vertex furthest from the basepoint is pushed across the
-registered square spanned by its two loop edges to the opposite corner,
-two steps closer, and spurs are removed eagerly, resuming at the move;
-a move costs O(L) on a loop of length L.  The moves are recorded as a
+square spanned by its two loop edges to the opposite corner, two steps
+closer, and spurs are removed eagerly, resuming at the move; a move
+costs O(L) on a loop of length L.  The moves are recorded as a
 replayable certificate.
+
+A square is tested by rule: two crossing walls labelling edges at a
+vertex span a square through it.  Once check_flag has passed, which
+check runs first, these are exactly the complex's squares: its
+1-skeleton is the dual's and its cubes those of the rule, or its
+registry holds every square of the rule and only squares of the rule
+(see check_flag), so no registry is read here.
 
 random_loop and contract_loop read distances and parents from the BFS
 tree that the complex keeps for the last start (CubeComplex.cached_tree),
@@ -117,17 +124,17 @@ def contract_loop(loop: EdgeLoop) -> ContractionCertificate:
 
     Each move takes the first interior vertex at the loop's radius, its
     largest distance from the basepoint, and replaces it by the opposite
-    corner of the registered square spanned by its two loop edges, two
-    steps closer; spurs are removed eagerly after every move.  Raises
+    corner of the square spanned by its two loop edges, two steps
+    closer; spurs are removed eagerly after every move.  Raises
     ContractionStuck with a witness when no interior vertex sits at the
-    radius, the opposite corner is not a vertex, its square is not
-    registered or the corner does not sit at radius - 2.  The comments
+    radius, the opposite corner is not a vertex, the two walls do not
+    cross or the corner does not sit at radius - 2.  The comments
     below name what implies each check it leaves out.
     """
     X = loop.complex
     base = loop.indices[0]
     dist, _ = X.cached_tree(base)
-    codes, index, m, squares = X.codes, X.index, X.space.wall_count, X.cubes.get(2, {})
+    codes, index, m, cross = X.codes, X.index, X.space.wall_count, X.space._crossing_masks
     moves: list[Move] = []
     seq = list(loop.indices)
     i = 1  # seq has no (v, w, v) spur before position i
@@ -155,11 +162,9 @@ def contract_loop(loop: EdgeLoop) -> ContractionCertificate:
         tau = index.get(corner := codes[sigma] ^ s)
         if tau is None:
             raise ContractionStuck(f"opposite corner {encode_section(corner, m)} is not a vertex")
-        # wa and wb cross: check_flag, which check runs first, refuses a square whose walls do not
-        if (codes[sigma] & ~s | s << m) not in squares:
-            raise ContractionStuck(
-                f"square over walls {list(walls)} at vertex {sigma} is not registered"
-            )
+        # wa and wb label edges at sigma: crossing, they span a square by rule
+        if not cross[wa] >> wb & 1:
+            raise ContractionStuck(f"walls {list(walls)} at vertex {sigma} do not cross")
         if dist[tau] != radius - 2:
             raise ContractionStuck(
                 f"opposite corner {tau} sits at distance {dist[tau]}, expected {radius - 2}"
@@ -177,10 +182,12 @@ def replay_certificate(
 ) -> list[int]:
     """Apply a recorded move sequence to the initial loop, verifying each
     move, and return the final vertex index sequence.  A square move
-    must name two distinct walls spanning a registered square at the
-    vertex it replaces."""
+    must name two distinct crossing walls whose flip of the vertex it
+    replaces is a vertex adjacent to both its loop neighbours: at a loop
+    neighbour, one of the walls labels the edge to the replaced vertex and
+    the other the edge to its replacement, so they span a square by rule."""
     seq = list(EdgeLoop(X, initial).indices)
-    codes, adjacency, m, squares = X.codes, X.adjacency, X.space.wall_count, X.cubes.get(2, {})
+    codes, adjacency, m, cross = X.codes, X.adjacency, X.space.wall_count, X.space._crossing_masks
     # seq stays an edge path: EdgeLoop checks it, and so does every square move below
     for n, mv in enumerate(moves):
         i = mv.at
@@ -203,10 +210,9 @@ def replay_certificate(
                 raise CertificateError(f"move {n}: square needs two distinct walls")
             w1, w2 = walls
             s = 1 << w1 | 1 << w2
-            if (codes[seq[i]] & ~s | s << m) not in squares:
+            if not cross[w1] >> w2 & 1:
                 raise CertificateError(
-                    f"move {n}: square over walls {list(walls)} at vertex "
-                    f"{seq[i]} is not registered"
+                    f"move {n}: walls {list(walls)} at vertex {seq[i]} do not cross"
                 )
             ti = X.index.get(target := codes[seq[i]] ^ s)
             if ti is None:

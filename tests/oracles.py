@@ -3,11 +3,13 @@
 Everything here recomputes results from the raw (point_count, listed
 sides) description with naive enumeration over frozensets.  Package
 outputs are compared against these in the tests; none of the package's
-bitmask or BFS machinery is used.  The two exceptions keep earlier
-forms of package code as reference orders: flip_test_bfs, the component
-BFS that ran a Roller flip test per wall at every vertex, for the build,
+bitmask or BFS machinery is used.  Two exceptions keep earlier forms
+of package code as reference orders: flip_test_bfs, the component BFS
+that ran a Roller flip test per wall at every vertex, for the build,
 and contract_by_rescan, the contraction that rescanned the whole loop
-for spurs after every move, for the contraction's moves.
+for spurs after every move, for the contraction's moves.  The third,
+median_by_round_trip, reads only a graph's vertex count and edge pairs,
+and has the package build the dual of the walls it finds there.
 """
 
 import math
@@ -504,3 +506,72 @@ def contract_by_rescan(X, indices):
         moves.append(("square", pos, (min(wa, wb), max(wa, wb))))
         seq = strip(seq)
     return moves
+
+
+def theta_walls(vertex_count, edges):
+    """The Djoković–Winkler classes of a graph on the vertices
+    0..vertex_count-1 with the given (u, v) edges, as (class, side)
+    pairs: for the first edge uv in no class yet, two BFS give
+    W_uv = {x : d(x, u) < d(x, v)}, and its class is the frozenset of the
+    edges, as frozenset pairs, with exactly one end in W_uv.  In a median
+    graph these are its hyperplanes (Djoković 1973; Winkler 1984), and
+    no two classes share an edge; in another graph two may.  Reads
+    neither codes nor wall labels."""
+    adjacent = [[] for _ in range(vertex_count)]
+    for u, v in edges:
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+
+    def distances(start):
+        dist = [-1] * vertex_count
+        dist[start] = 0
+        queue = deque([start])
+        while queue:
+            x = queue.popleft()
+            for y in adjacent[x]:
+                if dist[y] < 0:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        return dist
+
+    classes = []
+    classified = set()
+    for u, v in edges:
+        if frozenset((u, v)) in classified:
+            continue
+        du, dv = distances(u), distances(v)
+        side = frozenset(x for x in range(vertex_count) if du[x] < dv[x])
+        cls = frozenset(frozenset((a, b)) for a, b in edges if (a in side) != (b in side))
+        classified |= cls
+        classes.append((cls, side))
+    return classes
+
+
+def median_by_round_trip(vertex_count, edges):
+    """Whether the graph is median, by rebuilding it from its own
+    hyperplanes (Roller 1998; Chepoi 2000): its Θ classes (theta_walls)
+    must partition the edges, their sides must be the walls of a wall
+    space on the vertices as points, and the dual complex of that space
+    must have the graph's V and E, with each vertex's principal vertex
+    distinct and each edge's ends adjacent.  The graph is then
+    isomorphic to the dual, which is connected, so a disconnected graph
+    fails too."""
+    from cubulate import InputError, WallSpace, build_component, principal_section
+
+    edges = list(edges)
+    classes = theta_walls(vertex_count, edges)
+    if sum(len(cls) for cls, _ in classes) != len(edges):
+        return False
+    try:
+        space = WallSpace(vertex_count, [sorted(side) for _, side in classes])
+    except InputError:
+        return False
+    dual = build_component(space)
+    if (len(dual.codes), len(dual.edges)) != (vertex_count, len(edges)):
+        return False
+    image = [dual.index[principal_section(space, x)] for x in range(vertex_count)]
+    dual_edges = {frozenset((a, b)) for a, b, _ in dual.edges}
+    return len(set(image)) == vertex_count and all(
+        frozenset((image[u], image[v])) in dual_edges for u, v in edges
+    )
+

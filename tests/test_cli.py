@@ -561,7 +561,7 @@ def test_act_rejects_generator_names_words_cannot_spell(capsys, monkeypatch, tmp
     def no_build(*args, **kwargs):
         raise AssertionError("the complex was built")
 
-    monkeypatch.setattr("cubulate.cli.build_complex", no_build)
+    monkeypatch.setattr("cubulate.cli.build_component", no_build)
     data = json.loads((FIXTURES / "generators_swaps.json").read_text())
     data["generators"][1]["name"] = name
     gens = tmp_path / "gens.json"
@@ -620,7 +620,7 @@ def test_negative_counts_rejected_before_work(capsys, monkeypatch, argv):
     def no_work(*args, **kwargs):
         raise AssertionError("the complex was built for a bad argument")
 
-    monkeypatch.setattr(cli, "build_complex", no_work)
+    monkeypatch.setattr(cli, "build_component", no_work)
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 1

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubulate import (
+    CertificateError,
     ComplexityBudgetExceeded,
     CubeComplex,
     FlagViolation,
@@ -629,10 +630,10 @@ def test_certified_exactly_when_the_complex_is_the_built_one(n, m, seed, mutatio
             keys.add(rng.choice(codes) | span << m)
     index = {c: i for i, c in enumerate(codes)}
     X = CubeComplex(space, rng.randrange(len(codes)), codes, [(index[u], index[v], w) for u, v, w in sorted(edges)])
+    cubes = {}
     for key in sorted(keys):
-        X.cubes.setdefault((key >> m).bit_count(), {})[key] = None
-    X.cubes = {k: X.cubes[k] for k in sorted(X.cubes)}
-    X.cubes_attached = True
+        cubes.setdefault((key >> m).bit_count(), {})[key] = None
+    X.cubes = {k: cubes[k] for k in sorted(cubes)}
     built_edges = {(*sorted((built.codes[u], built.codes[v])), w) for u, v, w in built.edges}
     built_keys = {key for registry in built.cubes.values() for key in registry}
     same = set(codes) == set(built.codes) and edges == built_edges and keys == built_keys
@@ -973,3 +974,151 @@ def test_to_dot():
     assert sum(1 for ln in lines if " -- " in ln) == 4
     assert sum(1 for ln in lines if "peripheries=2" in ln) == 1
     assert sum(1 for ln in lines if ln.strip().startswith("v") and "label" in ln) == 8
+
+
+def _reloaded(data, rng, how):
+    """A complex dict as written (how 0), with its vertices renumbered and
+    its edge and cube entries shuffled (1), or with one cube entry
+    dropped, one forged key added or one edge dropped (2)."""
+    data = json.loads(json.dumps(data))
+    if how == 1:
+        n = len(data["vertices"])
+        new = rng.sample(range(n), n)
+        vertices = [None] * n
+        for old, t in enumerate(data["vertices"]):
+            vertices[new[old]] = t
+        data["vertices"] = vertices
+        data["edges"] = [[new[v], new[u], w] if rng.random() < 0.5 else [new[u], new[v], w]
+                         for u, v, w in data["edges"]]
+        rng.shuffle(data["edges"])
+        for entries in data["cubes"].values():
+            entries[:] = [[new[b], walls] for b, walls in entries]
+            rng.shuffle(entries)
+    elif how == 2:
+        entries = [e for k in sorted(data["cubes"]) for e in data["cubes"][k]]
+        kind = rng.randrange(3)
+        if kind == 0 and entries:
+            dropped = rng.choice(entries)
+            for registry in data["cubes"].values():
+                if dropped in registry:
+                    registry.remove(dropped)
+        elif kind == 1 and data["walls"] >= 2:
+            walls = sorted(rng.sample(range(data["walls"]), rng.randrange(2, data["walls"] + 1)))
+            entry = [rng.randrange(len(data["vertices"])), walls]
+            registry = data["cubes"].setdefault(str(len(walls)), [])
+            if entry not in registry:
+                registry.append(entry)
+        elif data["edges"]:
+            data["edges"].pop(rng.randrange(len(data["edges"])))
+    return data
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(0, 40), st.integers(2, 6), st.integers(1, 5), st.integers(0, 1 << 32),
+       st.integers(0, 2))
+def test_a_registry_that_passes_the_flag_check_is_the_rule_set(case, n, m, seed, how):
+    """Whenever check_flag passes on a loaded file, as written, renumbered
+    and shuffled, or mutilated, its registry equals the cubes of the rule:
+    attach_cubes on a copy of the same skeleton without a registry.  The
+    loop suites and act test cubes by rule on that ground."""
+    rng = random.Random(seed)
+    examples = shipped_examples()
+    if case < len(examples):
+        _, space, base = examples[case]
+    else:
+        space, base = random_wall_space(rng, point_count=n, wall_count=min(m, 2 ** (n - 1) - 1)), 0
+    data = complex_to_dict(build_component(space, base_point=base))
+    X = complex_from_dict(space, _reloaded(data, rng, how))
+    try:
+        check_flag(X)
+    except CertificateError:
+        assert how == 2
+        return
+    bare = CubeComplex(space, X.base, X.codes, X.edges)
+    assert bare.cubes is None
+    assert X.cubes == attach_cubes(bare).cubes
+
+
+def test_flag_check_without_a_registry_certifies_the_skeleton():
+    """A built complex has no registry, and check_flag certifies its
+    1-skeleton by the count and the listing.  A hand-built skeleton that
+    is not the dual's fails with a vertex or the two counts as witness,
+    never with a missing registered cube."""
+    X = build_component(gen_crossing(3))
+    assert X.cubes is None and check_flag(X)
+    assert (X.f_vector(), dimension(X), X.cube_counts()) == ((8, 12, 6, 1), 3, {2: 6, 3: 1})
+    # without vertex 111 and its edges: the listing finds 111 missing
+    keep = [i for i, c in enumerate(X.codes) if c != 0b111]
+    new = {old: i for i, old in enumerate(keep)}
+    edges = [(new[u], new[v], w) for u, v, w in X.edges if u in new and v in new]
+    broken = CubeComplex(X.space, X.base, [X.codes[i] for i in keep], edges)
+    with pytest.raises(CertificateError) as info:
+        check_flag(broken)
+    assert str(info.value) == "the dual complex's vertex 111 is not in the complex"
+    # every vertex, one edge short: the counts differ
+    short = CubeComplex(X.space, X.base, X.codes, X.edges[1:])
+    with pytest.raises(CertificateError) as info:
+        check_flag(short)
+    assert str(info.value) == "the complex has 8 vertices and 11 edges, the dual complex 8 and 12"
+    assert not isinstance(info.value, FlagViolation)
+    # a lone vertex of crossing(3): its count has more vertices than it
+    lone = CubeComplex(X.space, 0, [0], [])
+    with pytest.raises(CertificateError, match="^the dual complex's vertex .* is not in the complex$"):
+        check_flag(lone)
+    with pytest.raises(CertificateError, match="more than 1 vertices"):
+        lone.f_vector()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.integers(0, 40), st.integers(2, 7), st.integers(1, 6), st.integers(0, 1 << 32))
+def test_a_built_complex_is_rebuilt_from_its_hyperplanes(case, n, m, seed):
+    """Every built 1-skeleton is median by the oracle that reads only its
+    graph, which is what check_flag certifies on a complex without a
+    registry, and each Θ class is the edge set of exactly one wall: the
+    edge labels are the hyperplanes, found without reading a label."""
+    rng = random.Random(seed)
+    examples = shipped_examples()
+    if case < len(examples):
+        _, space, base = examples[case]
+    else:
+        space, base = random_wall_space(rng, point_count=n, wall_count=min(m, 2 ** (n - 1) - 1)), 0
+    X = build_component(space, base_point=base)
+    pairs = [(u, v) for u, v, _ in X.edges]
+    assert oracles.median_by_round_trip(len(X.codes), pairs)
+    by_wall = {}
+    for u, v, w in X.edges:
+        by_wall.setdefault(w, set()).add(frozenset((u, v)))
+    classes = [cls for cls, _ in oracles.theta_walls(len(X.codes), pairs)]
+    assert len(classes) == len(by_wall) == space.wall_count
+    assert set(classes) == {frozenset(edges) for edges in by_wall.values()}
+
+
+@pytest.mark.parametrize(
+    "vertex_count, edges",
+    [
+        (3, [(0, 1), (1, 2), (2, 0)]),
+        (6, [(i, (i + 1) % 6) for i in range(6)]),
+        (5, [(a, b) for a in (0, 1) for b in (2, 3, 4)]),
+        (7, [(a, b) for a in range(7) for b in range(a + 1, 7) if (a ^ b).bit_count() == 1]),
+        (4, [(0, 1), (2, 3)]),
+    ],
+    ids=["triangle", "hexagon", "k23", "cube_less_a_vertex", "two_edges"],
+)
+def test_the_round_trip_refuses_graphs_that_are_not_median(vertex_count, edges):
+    assert not oracles.median_by_round_trip(vertex_count, edges)
+
+
+def test_the_round_trip_accepts_a_median_graph_that_is_not_the_dual():
+    """A built file with one inadmissible vertex appended, joined by its
+    edges on walls 3 and 4, is median: only the wall space tells it from
+    the dual complex, as the certificate's count and listing do."""
+    space = WallSpace.from_dict({"points": 6, "walls": [[1, 2, 3], [3, 5], [0, 1, 2], [0, 3, 4],
+                                                        [0, 1, 2, 4, 5], [0, 1]]})
+    data = complex_to_dict(build_complex(space))
+    extra = decode_section("001111", 6)
+    ends = [data["vertices"].index(encode_section(extra ^ 1 << w, 6)) for w in (3, 4)]
+    data["vertices"].append("001111")
+    data["edges"] += [[end, len(data["vertices"]) - 1, w] for end, w in zip(ends, (3, 4))]
+    X = complex_from_dict(space, data)
+    assert oracles.median_by_round_trip(len(X.codes), [(u, v) for u, v, _ in X.edges])
+    assert not cubing._certified(X)

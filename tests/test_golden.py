@@ -38,7 +38,7 @@ from pathlib import Path
 
 import pytest
 
-from cubulate import WallSpace, build_complex, complex_to_dict, encode_section, principal_section
+from cubulate import WallSpace, build_complex, complex_to_dict, cubing, encode_section, principal_section
 from cubulate.cli import main
 from cubulate.families import gen_crossing, gen_nested, gen_tree, triangle_lattice
 
@@ -98,8 +98,9 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digests(name, tmp: Path) -> dict:
-    """Exit code and stdout digest per command for one space."""
+def commands_of(name, tmp: Path) -> dict:
+    """The argv of each command run on one space, with its input files
+    written to tmp; ``build`` writes the complex file cx.json there."""
     space, gens = spaces()[name]
     space_file, gens_file, cx_file = tmp / "space.json", tmp / "gens.json", tmp / "cx.json"
     space_file.write_text(json.dumps(space))
@@ -142,8 +143,14 @@ def digests(name, tmp: Path) -> dict:
         commands["reject"] = [
             "check", str(space_file), "--seed", "0", "--complex-in", str(cut_file),
         ]
+    return commands
+
+
+def digests(name, tmp: Path) -> dict:
+    """Exit code and stdout digest per command for one space."""
     out = {}
-    for cmd, argv in commands.items():
+    cx_file = tmp / "cx.json"
+    for cmd, argv in commands_of(name, tmp).items():
         code, stdout = _run(argv)
         out[cmd] = f"{code}:{_sha(stdout)}"
         if cmd.startswith("build"):
@@ -260,6 +267,31 @@ def test_cli_bytes_unchanged(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(BENCHMARK_GOLDEN))
 def test_benchmark_checks_unchanged(name, tmp_path):
     assert benchmark_digests(name, tmp_path) == BENCHMARK_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_only_a_written_complex_gets_a_registry(name, tmp_path, monkeypatch):
+    """With attach_cubes raising, every command but ``build --out`` and
+    ``export --format json`` prints its golden bytes: ``check``, ``act``,
+    the ``dot`` export and ``check --complex-in``, which reads the file's
+    registry.  ``build`` without ``--out`` prints the golden bytes of
+    ``build --out``."""
+    def no_registry(X):
+        raise AssertionError("a cube registry was built")
+
+    commands = commands_of(name, tmp_path)
+    # complex_to_dict and build_complex look attach_cubes up in cubing
+    monkeypatch.setattr(cubing, "attach_cubes", no_registry)
+    checked = 0
+    for cmd, argv in commands.items():
+        if cmd.startswith("json"):
+            continue
+        if cmd.startswith("build"):
+            argv = argv[: argv.index("--out")]
+        code, stdout = _run(argv)
+        assert f"{code}:{_sha(stdout)}" == GOLDEN[name][cmd], cmd
+        checked += 1
+    assert checked >= 4
 
 
 def test_golden_table_covers_every_space():

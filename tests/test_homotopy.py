@@ -43,6 +43,12 @@ def square_loop(X):
     return EdgeLoop(X, [0, 1, 3, 2, 0])
 
 
+def nested_square():
+    """The square's file loaded over two nested walls: a 4-cycle whose
+    walls do not cross, with its square still registered."""
+    return complex_from_dict(gen_nested(2), complex_to_dict(square_complex()))
+
+
 def test_edge_loop_accepts_sections_and_indices():
     X = square_complex()
     ring = ["00", "10", "11", "01", "00"]
@@ -127,14 +133,16 @@ def test_replay_rejects_square_walls_out_of_range():
 
 
 def test_replay_rejects_a_square_the_complex_does_not_have():
-    # the square's boundary, loaded with no squares, is not null-homotopic
+    # the square's moves replayed on a 4-cycle over two nested walls: a
+    # square is tested by rule, and these walls do not cross, so the
+    # square registered in the file does not make the move
     moves = contract_loop(square_loop(square_complex())).moves
     assert [m.kind for m in moves] == ["square", "backtrack", "backtrack"]
-    data = complex_to_dict(square_complex())
-    data["cubes"] = {}
-    X = complex_from_dict(gen_crossing(2), data)
-    with pytest.raises(CertificateError, match="not registered"):
+    X = nested_square()
+    assert X.cubes == square_complex().cubes
+    with pytest.raises(CertificateError) as info:
         replay_certificate(X, [0, 1, 3, 2, 0], moves)
+    assert str(info.value) == "move 0: walls [0, 1] at vertex 3 do not cross"
 
 
 @pytest.mark.parametrize(
@@ -161,12 +169,11 @@ def test_replay_rejects_non_int_positions_and_walls(move):
 
 
 def test_contraction_stuck_on_broken_complex():
-    # a square boundary whose square dictionary was emptied: the sweep
-    # finds the 2-corner but not the registered square
-    X = square_complex()
-    X.cubes[2].clear()
-    with pytest.raises(ContractionStuck):
-        contract_loop(square_loop(X))
+    # the 4-cycle over two nested walls: the sweep finds the opposite
+    # corner, but the walls do not cross, registered square or not
+    with pytest.raises(ContractionStuck) as info:
+        contract_loop(square_loop(nested_square()))
+    assert str(info.value) == "walls [0, 1] at vertex 3 do not cross"
 
 
 def test_contraction_stuck_on_a_hexagon():
