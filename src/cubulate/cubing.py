@@ -205,13 +205,16 @@ class CubeComplex:
 
     def cube_counts(self) -> dict[int, int]:
         """{k: f_k} for k >= 2: the registry's sizes, or without one the
-        count (_f_count), which is X's once check_flag has passed;
-        CertificateError when it has more vertices than X."""
+        count (_f_count); CertificateError when the count's V or E is not
+        X's.  A hand-built X with the dual's V and E but other vertices
+        still needs check_flag before the count is its own."""
         if self.cubes is not None:
             return {k: len(self.cubes[k]) for k in sorted(self.cubes)}
         f = _f_count(self.space, len(self.codes))
         if f is None:
             raise CertificateError(f"the dual complex has more than {len(self.codes)} vertices")
+        if f[:2] != (len(self.codes), len(self.edges)):
+            raise CertificateError(_skeleton_fault(self, f))  # its count witness
         return dict(enumerate(f[2:], 2))
 
     def f_vector(self) -> tuple[int, ...]:

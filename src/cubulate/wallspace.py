@@ -76,6 +76,16 @@ def _bit_indices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _permute_bits(mask: int, perm: Sequence[int]) -> int:
+    """The mask with bit i moved to bit perm[i]; never ends on a negative mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 class WallSpace:
     """A validated wall space.
 
@@ -130,8 +140,8 @@ class WallSpace:
         self._crossing: tuple[int, ...] | None = None
         # the f-vector of the dual complex, once cubing._f_count has counted it all
         self._f_counted: tuple[int, ...] | None = None
-        # action.validate_generator's (wall_perm, side_swap) per valid perm
-        self._induced: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+        # action.validate_generator's (P, S) per valid perm: wall permutation, swap mask
+        self._induced: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
 
     # -- basic accessors ------------------------------------------------
 
@@ -292,11 +302,8 @@ def _max_clique_size(adj: Sequence[int]) -> int:
     """
     n = len(adj)
     order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-    pos = {v: i for i, v in enumerate(order)}
-    radj = [0] * n
-    for v in range(n):
-        for u in _bit_indices(adj[v]):
-            radj[pos[v]] |= 1 << pos[u]
+    pos = sorted(range(n), key=order.__getitem__)  # v's place in order
+    radj = [_permute_bits(adj[v], pos) for v in order]
 
     def colour_order(cand: int) -> list[tuple[int, int]]:
         """(vertex, colour) for a greedy colouring of cand, in colour order."""

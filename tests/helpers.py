@@ -40,7 +40,13 @@ def small_examples(max_walls=15):
 
 
 def random_wall_space(rng, point_count=8, wall_count=6):
-    """A valid random space: proper sides, pairwise distinct partitions."""
+    """A valid random space: proper sides, pairwise distinct partitions.
+    ValueError when wall_count exceeds the 2^(point_count-1) - 1 distinct
+    partitions, which the draws below would never stop looking for."""
+    if wall_count > 2 ** (point_count - 1) - 1:
+        raise ValueError(
+            f"{point_count} points have {2 ** (point_count - 1) - 1} distinct walls, not {wall_count}"
+        )
     everything = frozenset(range(point_count))
     walls = []
     seen = set()

@@ -3,13 +3,14 @@
 Everything here recomputes results from the raw (point_count, listed
 sides) description with naive enumeration over frozensets.  Package
 outputs are compared against these in the tests; none of the package's
-bitmask or BFS machinery is used.  Two exceptions keep earlier forms
-of package code as reference orders: flip_test_bfs, the component BFS
-that ran a Roller flip test per wall at every vertex, for the build,
-and contract_by_rescan, the contraction that rescanned the whole loop
-for spurs after every move, for the contraction's moves.  The third,
-median_by_round_trip, reads only a graph's vertex count and edge pairs,
-and has the package build the dual of the walls it finds there.
+bitmask or BFS machinery is used.  Two oracles keep earlier forms of
+package code as reference orders: flip_test_bfs, the component BFS that
+ran a Roller flip test per wall at every vertex, for the build, with
+its own set-based flip test, and contract_by_rescan, the contraction
+that rescanned the whole loop for spurs after every move, for the
+contraction's moves.  The one exception, median_by_round_trip, reads
+only a graph's vertex count and edge pairs, and has the package build
+the dual of the walls it finds there.
 """
 
 import math
@@ -201,6 +202,24 @@ def encoding_image(encoding, wall_perm, side_swap):
     return "".join(out)
 
 
+def induced_wall_maps(point_count, walls, perm):
+    """(wall_perm, side_swap) of a point map, or None unless it is a
+    permutation moving every listed side onto a half-space: the listed
+    side of wall w goes onto side side_swap[w] of wall wall_perm[w]."""
+    if sorted(perm) != list(range(point_count)):
+        return None
+    sides = side_sets(point_count, walls)
+    wall_perm, side_swap = [], []
+    for listed, _ in sides:
+        image = frozenset(perm[p] for p in listed)
+        hits = [(j, pair.index(image)) for j, pair in enumerate(sides) if image in pair]
+        if not hits:
+            return None
+        wall_perm.append(hits[0][0])
+        side_swap.append(hits[0][1])
+    return wall_perm, side_swap
+
+
 def _flipped(encoding, i):
     return encoding[:i] + ("1" if encoding[i] == "0" else "0") + encoding[i + 1 :]
 
@@ -250,20 +269,22 @@ def corners_of(point_count, walls, encodings):
     return out
 
 
-def equivariance_violations(point_count, walls, perm, wall_perm, side_swap):
-    """Check an action exhaustively on the brute-force complex.
+def equivariance_violations(point_count, walls, perm):
+    """Check the action of a point map exhaustively on the brute-force
+    complex.
 
     The complex is every admissible encoding with Hamming-distance-1
     edges.  The action sends an encoding to encoding_image under the
-    wall map.  Returns (violations, corner count): the list names every
-    failed property (empty when the action is equivariant), and the
-    count is the number of corners of the complex.
+    wall maps the point map induces (induced_wall_maps).  Returns
+    (violations, corner count): the list names every failed property
+    (empty when the action is equivariant), and the count is the number
+    of corners of the complex.
     """
-    n, m = point_count, len(walls)
-    if sorted(perm) != list(range(n)) or sorted(wall_perm) != list(range(m)):
-        return ["the point or wall map is not a permutation"], 0
-    if any(x not in (0, 1) for x in side_swap):
-        return ["a side swap is not 0 or 1"], 0
+    n = point_count
+    maps = induced_wall_maps(point_count, walls, perm)
+    if maps is None:
+        return ["the point map is not a permutation of the half-spaces"], 0
+    wall_perm, side_swap = maps
     image = lambda e: encoding_image(e, wall_perm, side_swap)
     encodings = admissible_encodings(point_count, walls)
     corners = corners_of(point_count, walls, encodings)
@@ -401,18 +422,11 @@ def orbit_and_stabilizer(point_count, walls, generators, start, word_length):
     bring ``start`` back are the stabilizer words.  Returns (orbit as a
     set of encodings, stabilizer words as a tuple of name tuples).
     """
-    sides = side_sets(point_count, walls)
 
     def action(perm):
-        wall_perm, side_swap = [], []
-        for listed, _ in sides:
-            image = frozenset(perm[p] for p in listed)
-            for j, pair in enumerate(sides):
-                if image in pair:
-                    wall_perm.append(j)
-                    side_swap.append(pair.index(image))
-        assert len(wall_perm) == len(walls), "the map does not move half-spaces to half-spaces"
-        return lambda e: encoding_image(e, wall_perm, side_swap)
+        maps = induced_wall_maps(point_count, walls, perm)
+        assert maps is not None, "the map does not move half-spaces to half-spaces"
+        return lambda e: encoding_image(e, *maps)
 
     symbols, inverse_of = [], {}
     for name, perm in generators:
@@ -443,19 +457,32 @@ def orbit_and_stabilizer(point_count, walls, generators, start, word_length):
 
 
 def flip_test_bfs(space, base_point):
-    """(codes, adjacency) of the component BFS that asks
-    sections.admissible_flips for the flips of every vertex: vertices in
-    discovery order, flips in wall id order, V*m flip tests."""
-    from cubulate.sections import admissible_flips, principal_section
+    """(codes, adjacency) of the component BFS that runs Roller's flip
+    test on every wall at every vertex: vertices in discovery order,
+    flips in wall id order, V*m flip tests.  A code has bit w set when
+    it chooses wall w's complement, and wall w flips when the side it
+    would take meets every other chosen side; only the space's raw
+    description is read."""
+    raw = space.to_dict()
+    sides = side_sets(raw["points"], raw["walls"])
 
-    codes = [principal_section(space, base_point)]
+    def flips(code):
+        chosen = [pair[code >> w & 1] for w, pair in enumerate(sides)]
+        return [
+            w
+            for w, pair in enumerate(sides)
+            if all(not pair[1 - (code >> w & 1)].isdisjoint(c) for v, c in enumerate(chosen) if v != w)
+        ]
+
+    # the encoding lists bit 0 first
+    codes = [int(principal_encoding(raw["walls"], base_point)[::-1], 2)]
     index = {codes[0]: 0}
     adjacency = [{}]
     queue = deque([0])
     while queue:
         ui = queue.popleft()
         code = codes[ui]
-        for w in admissible_flips(space, code):
+        for w in flips(code):
             t = code ^ 1 << w
             vi = index.get(t)
             if vi is None:

@@ -14,10 +14,10 @@ from cubulate import (
     NotBijective,
     WallSpace,
     act_on_section,
-    admissible_flips,
     build_complex,
     check_equivariance,
     encode_section,
+    induced_maps,
     load_generators,
     orbit_and_stabilizer,
     principal_section,
@@ -26,6 +26,7 @@ from cubulate import (
 from cubulate import action
 from cubulate.cubing import CubeComplex, complex_from_dict, complex_to_dict
 from cubulate.families import gen_crossing, gen_nested
+from cubulate.wallspace import _permute_bits
 
 import oracles
 from helpers import cube_swap, lattice_reflection, registry_corners, swap_bits
@@ -36,24 +37,23 @@ FIXTURES = Path(__file__).parent / "fixtures"
 def test_identity_generator():
     sp = gen_crossing(3)
     g = validate_generator(sp, list(range(8)), "e")
-    assert g.wall_perm == (0, 1, 2)
-    assert g.side_swap == (0, 0, 0)
+    assert g == Generator("e", tuple(range(8)))
+    assert Generator._fields == ("name", "perm")
+    assert induced_maps(sp, g) == ((0, 1, 2), 0)
     assert sorted(range(8), key=g.perm.__getitem__) == list(g.perm)  # an involution
 
 
 def test_coordinate_swap_swaps_walls():
     sp = gen_crossing(3)
     g = cube_swap(sp, 0, 1, "s01")
-    assert g.wall_perm == (1, 0, 2)
-    assert g.side_swap == (0, 0, 0)
+    assert induced_maps(sp, g) == ((1, 0, 2), 0)
 
 
 def test_nested_reflection_swaps_sides():
     sp = gen_nested(4)
     r = validate_generator(sp, [4 - x for x in range(5)], "r")
     # wall {x>=i} maps to {x<=4-i}, the complement of wall {x>=5-i}
-    assert r.wall_perm == (3, 2, 1, 0)
-    assert r.side_swap == (1, 1, 1, 1)
+    assert induced_maps(sp, r) == ((3, 2, 1, 0), 0b1111)
 
 
 def test_not_bijective():
@@ -89,9 +89,15 @@ def test_act_on_section_examples():
 
 
 @pytest.mark.parametrize("code", [True, -1, 1 << 3, 1.0])
-def test_act_on_section_rejects_a_section_of_another_length(code):
+def test_act_on_section_rejects_a_section_of_another_length(code, monkeypatch):
     sp = gen_crossing(3)
     g = cube_swap(sp, 0, 1, "s01")
+
+    def unchecked(*args):
+        raise AssertionError("a code was permuted before it was checked")
+
+    # _permute_bits would never end on -1
+    monkeypatch.setattr(action, "_permute_bits", unchecked)
     with pytest.raises(InputError) as info:
         act_on_section(sp, g, code)
     assert str(info.value) == f"section code {code!r} is not an int in 0..2^3-1"
@@ -115,11 +121,13 @@ def test_action_commutes_with_flips():
         (gen_nested(3), [3 - x for x in range(4)]),
     ):
         g = validate_generator(sp, perm, "g")
+        P, _ = induced_maps(sp, g)
         X = build_complex(sp)
-        for s in X.codes:
+        # the complex's edges at a vertex are its section's admissible flips
+        for s, adj in zip(X.codes, X.adjacency):
             gs = act_on_section(sp, g, s)
-            for w in admissible_flips(sp, s):
-                assert act_on_section(sp, g, s ^ 1 << w) == gs ^ 1 << g.wall_perm[w]
+            for w in adj:
+                assert act_on_section(sp, g, s ^ 1 << w) == gs ^ 1 << P[w]
 
 
 def test_inverse_generator_roundtrip():
@@ -148,43 +156,22 @@ def test_check_equivariance_passes():
     assert report["edges"] == 4
 
 
-def test_check_equivariance_catches_forged_wall_map():
-    sp = gen_nested(4)
-    X = build_complex(sp)
-    forged = Generator(
-        name="forged",
-        perm=tuple(range(5)),
-        wall_perm=(3, 2, 1, 0),
-        side_swap=(0, 0, 0, 0),
-    )
-    with pytest.raises(EquivarianceViolation):
-        check_equivariance(sp, X, forged)
-
-
 @pytest.mark.parametrize(
-    "call, field, value, witness",
+    "call, perm, witness",
     [
-        ("check", "wall_perm", (3, 3, 1, 0), "wall_perm is (3, 3, 1, 0), but perm induces (3, 2, 1, 0)"),
-        ("check", "side_swap", (1, 2, 1, 1), "side_swap is (1, 2, 1, 1), but perm induces (1, 1, 1, 1)"),
-        ("check", "perm", (4, 3, 2, 1, 1), "not a permutation of 0..4"),
-        ("orbit", "wall_perm", (-1, 2, 1, 0), "wall_perm is (-1, 2, 1, 0), but perm induces (3, 2, 1, 0)"),
-        ("orbit", "side_swap", (2, 1, 1, 1), "side_swap is (2, 1, 1, 1), but perm induces (1, 1, 1, 1)"),
-        ("orbit", "perm", (4, 3, 2, 1, 1), "not a permutation of 0..4"),
+        ("check", (4, 3, 2, 1, 1), "not a permutation of 0..4"),
+        ("check", (1, 0, 2, 3, 4), "the image of wall 0's listed side [1, 2, 3, 4] is not a half-space"),
+        ("orbit", (4, 3, 2, 1, 1), "not a permutation of 0..4"),
+        ("orbit", (1, 0, 2, 3, 4), "the image of wall 0's listed side [1, 2, 3, 4] is not a half-space"),
     ],
-    ids=[
-        "wall_perm",
-        "side_swap",
-        "perm",
-        "orbit-wall_perm",
-        "orbit-side_swap",
-        "orbit-perm",
-    ],
+    ids=["perm", "half_space", "orbit-perm", "orbit-half_space"],
 )
-def test_check_equivariance_catches_forged_generator_structure(call, field, value, witness):
+def test_check_equivariance_catches_forged_generator_structure(call, perm, witness):
+    """A Generator built by hand, not by validate_generator, whose perm
+    validate_generator refuses: the checks raise with its witness."""
     sp = gen_nested(4)
     X = build_complex(sp)
-    r = validate_generator(sp, [4 - x for x in range(5)], "r")
-    forged = r._replace(**{field: value})
+    forged = Generator("r", perm)
     with pytest.raises(EquivarianceViolation) as info:
         if call == "check":
             check_equivariance(sp, X, forged)
@@ -193,13 +180,28 @@ def test_check_equivariance_catches_forged_generator_structure(call, field, valu
     assert str(info.value) == "r: " + witness
 
 
+def test_a_generator_built_by_hand_acts_through_its_perm():
+    """A valid perm needs no validate_generator first: induced_maps
+    derives its maps on first use, and every call agrees with the
+    validated generator's."""
+    perm = [4 - x for x in range(5)]
+    sp = gen_nested(4)
+    X = build_complex(sp)
+    by_hand = Generator("r", perm)
+    assert sp._induced == {}
+    assert induced_maps(sp, by_hand) == ((3, 2, 1, 0), 0b1111)
+    valid = validate_generator(gen_nested(4), perm, "r")
+    assert check_equivariance(sp, X, by_hand) == check_equivariance(sp, X, valid)
+    assert orbit_and_stabilizer(sp, X, [by_hand], 0) == orbit_and_stabilizer(sp, X, [valid], 0)
+    assert [act_on_section(sp, by_hand, c) for c in X.codes] == [act_on_section(sp, valid, c) for c in X.codes]
+
+
 def test_each_generator_is_validated_once(monkeypatch):
     """load_generators derives each generator's wall maps; the checks
-    that rerun validate_generator find them kept on the space.  A perm
-    that fails is never kept, and a perm spelled with True for 1 does not
-    find the entry of the plain perm."""
-    import cubulate.action as action
-
+    that read them through induced_maps find them kept on the space.  A
+    perm that fails is never kept, and a perm spelled with True for 1
+    does not find the entry of the plain perm.  Deriving the maps reads
+    the half-space masks, which nothing else in the checks reads."""
     sp = gen_nested(4)
     perm = [4 - x for x in range(5)]
     with pytest.raises(HalfSpaceNotPreserved):
@@ -210,7 +212,7 @@ def test_each_generator_is_validated_once(monkeypatch):
     def no_rederivation(*args):
         raise AssertionError("a generator's wall maps were derived again")
 
-    monkeypatch.setattr(action, "_apply_perm_to_mask", no_rederivation)
+    monkeypatch.setattr(WallSpace, "mask", no_rederivation)
     assert check_equivariance(sp, X, r)["generator"] == "r"
     assert orbit_and_stabilizer(sp, X, [r], 0).orbit == (0, 4)
     assert validate_generator(sp, perm, "again") == r._replace(name="again")
@@ -223,17 +225,15 @@ def test_each_generator_is_validated_once(monkeypatch):
 def equivariance_cases():
     """(space, generator): the crossing(3) swaps, the nested(4)
     reflection and the triangle-lattice(2) axis reflection, plus two
-    forged generators that are well-formed permutations but break the
-    action."""
+    generators built by hand whose perms validate_generator refuses:
+    one is not a permutation, one moves a half-space off the family."""
     c3 = gen_crossing(3)
     n4 = gen_nested(4)
     cases = [(c3, cube_swap(c3, i, j, f"s{i}{j}")) for i, j in ((0, 1), (1, 2), (0, 2))]
     cases.append((n4, validate_generator(n4, [4 - x for x in range(5)], "r")))
     cases.append(lattice_reflection(2))
-    identity = validate_generator(n4, list(range(5)), "e")
-    cases.append((n4, identity._replace(name="walls", wall_perm=(3, 2, 1, 0))))
-    s01 = cube_swap(c3, 0, 1, "s01")
-    cases.append((c3, s01._replace(name="sides", side_swap=(0, 0, 1))))
+    cases.append((n4, Generator("points", (0, 0, 1, 2, 3))))
+    cases.append((c3, Generator("half-space", (1, 0, 2, 3, 4, 5, 6, 7))))
     return cases
 
 
@@ -241,9 +241,7 @@ def test_check_equivariance_agrees_with_brute_force_oracle():
     verdicts = []
     for sp, g in equivariance_cases():
         raw = sp.to_dict()
-        violations, corners = oracles.equivariance_violations(
-            raw["points"], raw["walls"], g.perm, g.wall_perm, g.side_swap
-        )
+        violations, corners = oracles.equivariance_violations(raw["points"], raw["walls"], g.perm)
         X = build_complex(sp)
         try:
             report = check_equivariance(sp, X, g)
@@ -253,6 +251,9 @@ def test_check_equivariance_agrees_with_brute_force_oracle():
         if report is not None:
             assert report["vertices"] == len(X.codes)
             assert report["corners"] == corners, g.name
+        else:
+            with pytest.raises(EquivarianceViolation):
+                orbit_and_stabilizer(sp, X, [g], X.base)
         verdicts.append(report is not None)
     assert verdicts == [True] * 5 + [False] * 2
 
@@ -269,13 +270,12 @@ def test_check_equivariance_needs_no_bfs_and_no_wall_distance(monkeypatch):
         assert check_equivariance(sp, X, g)["vertices"] == len(X.codes)
 
 
-def _per_vertex_map(X, gen):
+def _per_vertex_map(X, name, P, S):
     """The vertex map with every image computed bit by bit, the witness
     being the first vertex whose image is not a vertex."""
-    m = X.space.wall_count
-    gv = [X.index.get(action._image_code(gen, c, m)) for c in X.codes]
+    gv = [X.index.get(_permute_bits(c ^ S, P)) for c in X.codes]
     if None in gv:
-        raise EquivarianceViolation(f"{gen.name}: image of vertex {gv.index(None)} leaves the component")
+        raise EquivarianceViolation(f"{name}: image of vertex {gv.index(None)} leaves the component")
     return gv
 
 
@@ -315,7 +315,7 @@ def test_vertex_map_of_a_shuffled_vertex_list_matches_the_per_vertex_map(monkeyp
     roots = leaving = 0
     for space, gens in orbit_cases():
         X = build_complex(space)
-        gv = _per_vertex_map(X, gens[0])
+        gv = _per_vertex_map(X, gens[0].name, *induced_maps(space, gens[0]))
         moved = next(v for v in range(len(gv)) if gv[v] != v)
         for drop in (None, gv[moved]):
             Y = _shuffled_complex(space, X, rng, drop)

@@ -1061,6 +1061,12 @@ def test_flag_check_without_a_registry_certifies_the_skeleton():
         check_flag(short)
     assert str(info.value) == "the complex has 8 vertices and 11 edges, the dual complex 8 and 12"
     assert not isinstance(info.value, FlagViolation)
+    # the last edge dropped: the counts refuse to stand for it, with the same witness
+    last = CubeComplex(X.space, X.base, X.codes, X.edges[:-1])
+    for read in (last.f_vector, last.cube_counts, lambda: dimension(last)):
+        with pytest.raises(CertificateError) as info:
+            read()
+        assert str(info.value) == "the complex has 8 vertices and 11 edges, the dual complex 8 and 12"
     # a lone vertex of crossing(3): its count has more vertices than it
     lone = CubeComplex(X.space, 0, [0], [])
     with pytest.raises(CertificateError, match="^the dual complex's vertex .* is not in the complex$"):

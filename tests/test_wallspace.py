@@ -15,7 +15,7 @@ from cubulate import (
     WallSpace,
 )
 from cubulate.families import gen_crossing, gen_nested
-from cubulate.wallspace import _max_clique_size
+from cubulate.wallspace import _max_clique_size, _permute_bits
 
 import oracles
 from helpers import random_wall_space, shipped_examples
@@ -111,6 +111,12 @@ def test_pseudo_metric_properties():
                     assert d <= sp.wall_distance(p, r) + sp.wall_distance(r, q)
 
 
+def test_random_wall_space_refuses_more_walls_than_partitions():
+    with pytest.raises(ValueError, match="^3 points have 3 distinct walls, not 4$"):
+        random_wall_space(random.Random(0), point_count=3, wall_count=4)
+    assert random_wall_space(random.Random(0), point_count=3, wall_count=3).wall_count == 3
+
+
 def test_crosses():
     cube = gen_crossing(3)
     for i in range(3):
@@ -158,6 +164,14 @@ def test_intersection_number_matches_oracle():
             assert sp.intersection_number() == oracles.max_crossing_family(
                 raw["points"], raw["walls"]
             ), name
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.permutations(range(9)), st.integers(0, (1 << 9) - 1))
+def test_permute_bits_moves_each_bit_to_its_image(perm, mask):
+    moved = _permute_bits(mask, perm)
+    assert [moved >> perm[i] & 1 for i in range(9)] == [mask >> i & 1 for i in range(9)]
+    assert moved.bit_count() == mask.bit_count()
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
